@@ -25,7 +25,7 @@ three configurations:
   (:mod:`repro.obs.health`): per-mode Gram conditioning (one ``R x R``
   ``eigh``), factor deltas, cross-mode congruence, and the
   fit-trajectory classifier, mirrored mode-for-mode off ``cp_als``'s
-  wiring, i.e. what ``REPRO_HEALTH=1`` and ``repro trace`` turn on;
+  wiring, i.e. what ``REPRO_OBS=health`` and ``repro trace`` turn on;
 * ``enabled_attribution`` — spans plus per-node/per-mode cost
   attribution (:mod:`repro.obs.attribution`): predictions registered
   from the cost model, per-iteration windows diffed into
@@ -58,7 +58,7 @@ to ``benchmarks/history/history.jsonl`` for ``repro bench-diff``::
 The acceptance bar: enabled overhead < 3%, memory tracking, cost
 attribution, numerical health, and the sampling profiler (at default
 hz) < 2% each on top, disabled within timer noise of an uninstrumented
-build (the guard is one module-bool check per call site — profiler off
+build (the guard is one switch check per call site — profiler off
 means one ``None`` check in the span hooks).
 """
 
@@ -70,14 +70,13 @@ import numpy as np
 
 from repro.core.engine import MemoizedMttkrp
 from repro.core.strategy import balanced_binary
+from repro.linalg.solve import set_solve_site
 from repro.model.cost import cost_from_symbolic
-from repro.obs import attribution as obs_attr
 from repro.obs import events as obs_events
-from repro.obs import health as obs_health
-from repro.obs import memory as obs_memory
-from repro.obs import trace as obs_trace
+from repro.obs import switch
 from repro.obs.buildinfo import artifact_envelope
 from repro.obs.metrics import registry
+from repro.obs.observer import IterationRecord
 from repro.obs.watchdog import DriftWatchdog
 from repro.perf import counters as perf
 
@@ -105,9 +104,9 @@ def _best_iteration_seconds(engine, repeats: int, *,
     best = float("inf")
     for i in range(repeats):
         if mem_tracker is not None:
-            mem_tracker.begin_window()
+            mem_tracker.begin_iteration(i)
         if attr_recorder is not None:
-            attr_recorder.begin_window()
+            attr_recorder.begin_iteration(i)
         if health_collector is not None:
             health_collector.begin_iteration(i)
         t0 = time.perf_counter()
@@ -126,24 +125,22 @@ def _best_iteration_seconds(engine, repeats: int, *,
                 # combine is charged to health here even though ALS
                 # pays it anyway for the solve — conservative.
                 for n in engine.mode_order:
-                    obs_health.set_site(i, n)
+                    set_solve_site(i, n)
                     health_collector.observe_mode(
                         n, health_grams.combined(skip=n),
                         engine.factors[n], engine.factors[n],
                     )
-                obs_health.clear_site()
-                health_collector.observe_iteration(
+                set_solve_site(None, None)
+                health_collector.end_iteration(IterationRecord(
                     i, grams=health_grams, fit=1.0 - 0.5 ** (i + 1)
-                )
+                ))
             if roofline_pass is not None:
                 roofline_pass()  # part of the cost under test: stay timed
             seconds = time.perf_counter() - t0
         if mem_tracker is not None:
-            mem_tracker.observe_iteration(
-                i, workspace_bytes=engine.workspace_nbytes()
-            )
+            mem_tracker.end_iteration(IterationRecord(i, engine=engine))
         if attr_recorder is not None:
-            attr_recorder.observe_iteration(i)
+            attr_recorder.end_iteration(IterationRecord(i))
         if emit_iteration_events:
             # Mirror cp_als's per-iteration event on top of the engine's
             # own node_rebuild events.
@@ -164,24 +161,22 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
         tensor, balanced_binary(4), [f.copy() for f in factors]
     )
 
-    obs_trace.disable()
+    switch.disable("trace")
     disabled = _best_iteration_seconds(engine, repeats)
 
-    obs_trace.enable(clear=True)
+    switch.enable("trace", clear=True)
     enabled = _best_iteration_seconds(engine, repeats)
-
-    from repro.obs import profiler as obs_profiler
 
     # Sampling profiler, measured as an interleaved A/B: alternate
     # sampler-off / sampler-on iterations inside one window so the
     # minutes-scale clock drift of shared hosts cancels out of the
     # comparison instead of landing on whichever config ran last (the
     # shared ``disabled`` baseline above is minutes stale by now).
-    obs_trace.get_tracer().clear()
+    switch.get("trace").clear()
     _als_iteration(engine)  # warm
-    obs_profiler.enable(clear=True)  # default 97 Hz; warm sampler path
+    switch.enable("profile", clear=True)  # default 97 Hz; warm sampler path
     _als_iteration(engine)
-    obs_profiler.disable()
+    switch.disable("profile")
     profile_base = float("inf")
     with_profile = float("inf")
     profile_ratios = []
@@ -189,23 +184,23 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
         t0 = time.perf_counter()
         _als_iteration(engine)
         off = time.perf_counter() - t0
-        obs_profiler.enable()
+        switch.enable("profile")
         t0 = time.perf_counter()
         _als_iteration(engine)
         on = time.perf_counter() - t0
-        obs_profiler.disable()
+        switch.disable("profile")
         profile_base = min(profile_base, off)
         with_profile = min(with_profile, on)
         profile_ratios.append(on / off)
-    profile_samples = obs_profiler.get_store().n_samples
-    profile_hz = obs_profiler.get_store().hz
+    profile_samples = switch.get("profile").n_samples
+    profile_hz = switch.get("profile").hz
     # Median of the paired ratios: per-iteration noise on shared hosts
     # runs +-15%, which a best-of ratio amplifies (the two minima land
     # on different noise excursions) while the paired median averages
     # away.
     profile_ab_pct = (float(np.median(profile_ratios)) - 1.0) * 100.0
 
-    obs_trace.get_tracer().clear()
+    switch.get("trace").clear()
     registry.reset()
     watchdog = DriftWatchdog(
         cost_from_symbolic(engine.symbolic, ACCEPT_RANK), warn=False
@@ -213,17 +208,17 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
     with_watchdog = _best_iteration_seconds(
         engine, repeats, watchdog=watchdog
     )
-    span_count = len(obs_trace.get_tracer())
+    span_count = len(switch.get("trace"))
 
-    obs_trace.get_tracer().clear()
-    obs_memory.enable(clear=True)
-    tracker = obs_memory.get_tracker()
+    switch.get("trace").clear()
+    switch.enable("mem", clear=True)
+    tracker = switch.get("mem")
     with_memtrack = _best_iteration_seconds(
         engine, repeats, mem_tracker=tracker
     )
     mem_peak = tracker.peak_bytes
     mem_events = tracker.n_stores + tracker.n_frees
-    obs_memory.disable()
+    switch.disable("mem")
     tracker.reset()
 
     # Re-measure the disabled baseline mid-run: on drifting shared hosts
@@ -232,13 +227,13 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
     # The attribution/roofline budgets below assert against this
     # adjacent re-measurement; both baselines are reported so the drift
     # itself is visible in the artifact.
-    obs_trace.disable()
+    switch.disable("trace")
     disabled_recheck = _best_iteration_seconds(engine, repeats)
-    obs_trace.enable(clear=True)
+    switch.enable("trace", clear=True)
 
-    obs_trace.get_tracer().clear()
-    obs_attr.enable(clear=True)
-    recorder = obs_attr.get_recorder()
+    switch.get("trace").clear()
+    switch.enable("attr", clear=True)
+    recorder = switch.get("attr")
     recorder.register(engine.strategy, engine.symbolic.node_nnz(),
                       ACCEPT_RANK)
     with_attribution = _best_iteration_seconds(
@@ -248,16 +243,15 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
     attr_worst_err = max(
         (r.max_node_err("flops") or 0.0) for r in recorder.readings
     )
-    obs_attr.disable()
+    switch.disable("attr")
     recorder.reset()
 
     from repro.linalg.gram import GramCache
 
-    obs_trace.get_tracer().clear()
-    obs_health.enable(clear=True)
-    health_collector = obs_health.get_collector()
-    health_collector.start_run(n_modes=len(ACCEPT_SHAPE),
-                               rank=ACCEPT_RANK)
+    switch.get("trace").clear()
+    switch.enable("health", clear=True)
+    health_collector = switch.get("health")
+    health_collector.start_run(n_modes=len(ACCEPT_SHAPE))
     with_health = _best_iteration_seconds(
         engine, repeats, health_collector=health_collector,
         health_grams=GramCache(engine.factors),
@@ -267,17 +261,17 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
         health_collector.readings[-1].trajectory if health_readings
         else None
     )
-    obs_health.disable()
+    switch.disable("health")
     health_collector.reset()
 
     from repro.obs.roofline import (publish_roofline_gauges,
                                     throughput_from_spans, tree_node_terms)
 
-    obs_trace.get_tracer().clear()
+    switch.get("trace").clear()
     node_terms = tree_node_terms(
         engine.strategy, engine.symbolic.node_nnz(), ACCEPT_RANK
     )
-    tracer = obs_trace.get_tracer()
+    tracer = switch.get("trace")
 
     def _roofline_pass() -> None:
         publish_roofline_gauges(None, throughput_from_spans(
@@ -295,17 +289,17 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
 
     from repro.obs.serve import ObsServer
 
-    obs_trace.get_tracer().clear()
-    obs_events.enable(clear=True)
+    switch.get("trace").clear()
+    switch.enable("events", clear=True)
     with ObsServer(port=0):
         with_events_serve = _best_iteration_seconds(
             engine, repeats, emit_iteration_events=True
         )
-    n_events = len(obs_events.get_log())
-    obs_events.disable()
-    obs_events.get_log().clear()
-    obs_trace.disable()
-    obs_trace.get_tracer().clear()
+    n_events = len(switch.get("events"))
+    switch.disable("events")
+    switch.get("events").clear()
+    switch.disable("trace")
+    switch.get("trace").clear()
 
     # -- process tier: in-worker capture vs synthesized vs off ---------
     import warnings
@@ -323,9 +317,9 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
         try:
             backend.set_factors([f.copy() for f in factors])
             if traced:
-                obs_trace.enable(clear=True)
+                switch.enable("trace", clear=True)
             else:
-                obs_trace.disable()
+                switch.disable("trace")
             _als_iteration(backend)  # warm: workers, shm, span path
             best = float("inf")
             for _ in range(repeats):
@@ -335,8 +329,8 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
             return best
         finally:
             backend.close()
-            obs_trace.disable()
-            obs_trace.get_tracer().clear()
+            switch.disable("trace")
+            switch.get("trace").clear()
 
     process_disabled = _process_best(traced=False, capture=True)
     process_capture = _process_best(traced=True, capture=True)

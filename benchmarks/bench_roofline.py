@@ -35,7 +35,7 @@ from repro.core.engine import MemoizedMttkrp
 from repro.core.strategy import balanced_binary
 from repro.model.calibrate import (machine_artifact, measure_roofline,
                                    validate_machine_artifact)
-from repro.obs import trace as obs_trace
+from repro.obs import switch
 from repro.obs.buildinfo import artifact_envelope
 from repro.obs.roofline import (roofline_report, throughput_from_spans,
                                 tree_node_terms)
@@ -53,15 +53,15 @@ def _traced_iteration_spans(tensor, rank: int):
     node_terms = tree_node_terms(
         engine.strategy, engine.symbolic.node_nnz(), rank
     )
-    obs_trace.enable(clear=True)
+    switch.enable("trace", clear=True)
     try:
         for n in engine.mode_order:
             engine.mttkrp(n)
             engine.update_factor(n, factors[n])
-        return list(obs_trace.get_tracer().finished()), node_terms
+        return list(switch.get("trace").finished()), node_terms
     finally:
-        obs_trace.disable()
-        obs_trace.get_tracer().clear()
+        switch.disable("trace")
+        switch.get("trace").clear()
 
 
 def run_roofline_bench(quick: bool = False) -> dict:

@@ -176,14 +176,14 @@ def cmd_explain(args) -> int:
     measured = None
     if args.measure:
         from .core.cpals import cp_als
-        from .obs import attribution as obs_attr
+        from .obs import switch
 
-        with obs_attr.recording() as rec:
+        with switch.enabled("attr") as on:
             cp_als(
                 tensor, args.rank, strategy=expl.report.best.strategy,
                 n_iter_max=args.iters, tol=0.0, random_state=args.seed,
             )
-        measured = rec.snapshot()
+        measured = on["attr"].snapshot()
     artifact = expl.to_artifact(input=args.input, scale=args.scale)
     if measured is not None:
         artifact["result"]["measured"] = measured
@@ -325,13 +325,10 @@ def cmd_complete(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from .obs import attribution as obs_attr
-    from .obs import events as obs_events
     from .obs import health as obs_health
-    from .obs import memory as obs_memory
     from .obs import profiler as obs_profiler
     from .obs import runctx as obs_runctx
-    from .obs import trace as obs_trace
+    from .obs import switch
     from .obs.buildinfo import build_info
     from .obs.export import (kind_table, tree_summary, write_chrome_trace,
                              write_jsonl)
@@ -353,47 +350,25 @@ def cmd_trace(args) -> int:
     inner = build_parser().parse_args(rest)
     os.makedirs(args.trace_dir, exist_ok=True)
 
-    was_enabled = obs_trace.enabled()
-    mem_was_enabled = obs_memory.enabled()
-    events_were_enabled = obs_events.enabled()
-    attr_was_enabled = obs_attr.enabled()
-    prof_was_enabled = obs_profiler.enabled()
-    health_was_enabled = obs_health.enabled()
-    profile_on = bool(getattr(args, "profile", False)) or prof_was_enabled
-    obs_trace.enable(clear=True)
-    obs_memory.enable(clear=True, sample_tracemalloc=True)
-    obs_events.enable(clear=not events_were_enabled)
-    obs_attr.enable(clear=True)
-    obs_health.enable(clear=True)
+    spec = "all,mem=tracemalloc"
+    profile_on = (bool(getattr(args, "profile", False))
+                  or "profile" in switch.active())
     if profile_on:
-        obs_profiler.enable(getattr(args, "profile_hz", None), clear=True)
+        spec += f",profile={getattr(args, 'profile_hz', None) or ''}"
     registry.reset()
     # An ambient run context: telemetry still lands in the globals the
     # artifact writers below read, but events carry the run_id and the
     # run is listed on /runz if a server is scraping this process.
     run_ctx = obs_runctx.RunContext.ambient(command=rest[0])
     t0 = time.perf_counter()
-    try:
-        with perf_counters.counting(registry.counters), \
-                obs_runctx.using(run_ctx):
-            rc = inner.fn(inner)
-    finally:
-        if not was_enabled:
-            obs_trace.disable()
-        if not mem_was_enabled:
-            obs_memory.disable()
-        if not events_were_enabled:
-            obs_events.disable()
-        if not attr_was_enabled:
-            obs_attr.disable()
-        if not health_was_enabled:
-            obs_health.disable()
-        if profile_on and not prof_was_enabled:
-            obs_profiler.disable()
+    with switch.enabled(spec) as on, \
+            perf_counters.counting(registry.counters), \
+            obs_runctx.using(run_ctx):
+        rc = inner.fn(inner)
     elapsed = time.perf_counter() - t0
 
-    spans = obs_trace.get_tracer().finished()
-    mem = obs_memory.get_tracker()
+    spans = on["trace"].finished()
+    mem = on["mem"]
     chrome_path = os.path.join(args.trace_dir, "trace.chrome.json")
     jsonl_path = os.path.join(args.trace_dir, "trace.jsonl")
     summary_path = os.path.join(args.trace_dir, "trace_summary.txt")
@@ -402,7 +377,7 @@ def cmd_trace(args) -> int:
     events_path = os.path.join(args.trace_dir, "events.jsonl")
     write_chrome_trace(chrome_path, spans, mem_samples=mem.samples)
     write_jsonl(jsonl_path, spans)
-    obs_events.get_log().write_jsonl(events_path)
+    on["events"].write_jsonl(events_path)
     with open(summary_path, "w") as fh:
         fh.write(tree_summary(spans) + "\n\n" + kind_table(spans) + "\n")
     import json as _json
@@ -418,14 +393,14 @@ def cmd_trace(args) -> int:
     with open(memory_path, "w") as fh:
         _json.dump(mem.snapshot(), fh, indent=2)
         fh.write("\n")
-    attr = obs_attr.get_recorder()
+    attr = on["attr"]
     attribution_path = None
     if attr.has_data:
         attribution_path = os.path.join(args.trace_dir, "attribution.json")
         with open(attribution_path, "w") as fh:
             _json.dump(attr.snapshot(), fh, indent=2)
             fh.write("\n")
-    health_collector = obs_health.get_collector()
+    health_collector = on["health"]
     health_path = None
     if health_collector.has_data:
         health_path = obs_health.write_health(
@@ -443,7 +418,7 @@ def cmd_trace(args) -> int:
     profile_path = None
     profile_doc = None
     if profile_on:
-        snapshot = obs_profiler.get_store().snapshot()
+        snapshot = on["profile"].snapshot()
         profile_doc = obs_profiler.profile_artifact(
             snapshot, run_id=run_ctx.run_id, command=rest[0],
             duration_seconds=elapsed,
@@ -583,7 +558,7 @@ def cmd_report(args) -> int:
         print(format_health(health_doc))
     else:
         print("\nno numerical-health readings (pre-health trace dir; "
-              "re-run 'repro trace <cmd>' or set REPRO_HEALTH=1 to "
+              "re-run 'repro trace <cmd>' or set REPRO_OBS=health to "
               "record them)")
     for filename, reason in arts.skipped:
         print(f"warning: skipped malformed {filename}: {reason}",
@@ -647,12 +622,8 @@ def cmd_bench_diff(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .obs import attribution as obs_attr
-    from .obs import events as obs_events
-    from .obs import health as obs_health
-    from .obs import memory as obs_memory
     from .obs import runctx as obs_runctx
-    from .obs import trace as obs_trace
+    from .obs import switch
     from .obs.metrics import registry
     from .obs.serve import ObsServer, load_trace_dir
     from .perf import counters as perf_counters
@@ -685,37 +656,18 @@ def cmd_serve(args) -> int:
     # Wrap mode: run another subcommand with telemetry on and the
     # endpoint live for the duration (mirrors 'repro trace' enablement).
     inner = build_parser().parse_args(rest)
-    was_enabled = obs_trace.enabled()
-    mem_was_enabled = obs_memory.enabled()
-    events_were_enabled = obs_events.enabled()
-    attr_was_enabled = obs_attr.enabled()
-    health_was_enabled = obs_health.enabled()
-    obs_trace.enable(clear=True)
-    obs_memory.enable(clear=True)
-    obs_events.enable(clear=not events_were_enabled)
-    obs_attr.enable(clear=True)
-    obs_health.enable(clear=True)
     registry.reset()
     server.start()
     run_ctx = obs_runctx.RunContext.ambient(command=rest[0])
     print(f"serving {server.url}/metrics (also /healthz, /runz) "
           f"for the duration of the command ({run_ctx.run_id})")
     try:
-        with perf_counters.counting(registry.counters), \
+        with switch.enabled("all"), \
+                perf_counters.counting(registry.counters), \
                 obs_runctx.using(run_ctx):
             rc = inner.fn(inner)
     finally:
         server.stop()
-        if not was_enabled:
-            obs_trace.disable()
-        if not mem_was_enabled:
-            obs_memory.disable()
-        if not events_were_enabled:
-            obs_events.disable()
-        if not attr_was_enabled:
-            obs_attr.disable()
-        if not health_was_enabled:
-            obs_health.disable()
     return rc
 
 
@@ -726,9 +678,9 @@ def cmd_tail(args) -> int:
     if os.path.isdir(path):
         path = os.path.join(path, "events.jsonl")
     if not os.path.exists(path):
-        raise FileNotFoundError(f"no event log at {path!r} (run with "
-                                "REPRO_EVENTS=1 under 'repro trace', or "
-                                "point REPRO_EVENTS at a sink path)")
+        raise FileNotFoundError(f"no event log at {path!r} (run under "
+                                "'repro trace', or set "
+                                "REPRO_OBS=events=<sink path>)")
     events = read_events(path)
     problems = validate_events(events)
     shown = events if args.n is None else events[-args.n:]
@@ -964,8 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the sampling stack profiler and write "
                    "profile.json + profile.folded")
     p.add_argument("--profile-hz", type=float, default=None,
-                   help="sampling rate for --profile (default: 97, or "
-                   "REPRO_PROFILE_HZ)")
+                   help="sampling rate for --profile (default: 97)")
     p.add_argument("rest", nargs=argparse.REMAINDER,
                    help="the command to trace, e.g. 'decompose data.tns "
                    "--rank 16'")
@@ -988,8 +939,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for trace + profile artifacts "
                    "(default: ./repro-trace)")
     p.add_argument("--hz", type=float, default=None, dest="profile_hz",
-                   help="sampling rate (default: 97, or REPRO_PROFILE_HZ; "
-                   "raise for short runs, lower for long ones)")
+                   help="sampling rate (default: 97; raise for short runs, "
+                   "lower for long ones)")
     p.add_argument("rest", nargs=argparse.REMAINDER,
                    help="the command to profile, e.g. 'decompose data.tns "
                    "--rank 16'")

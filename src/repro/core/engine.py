@@ -9,16 +9,14 @@ factor-row gather, Hadamard product, segmented sum.
 
 from __future__ import annotations
 
+import time
 from typing import Sequence
 
 import numpy as np
 
-import time
-
 from ..kernels import RebuildContext, WorkspaceArena, get_kernel
-from ..obs import attribution as _attr
 from ..obs import events as _events
-from ..obs import memory as _mem
+from ..obs import switch as _switch
 from ..obs import trace as _trace
 from ..obs.metrics import registry as _metrics
 from ..perf import counters as perf
@@ -135,14 +133,14 @@ class MemoizedMttkrp:
                 f"{(self.tensor.shape[mode], self.rank)}, got {U.shape}"
             )
         self.factors[mode] = U
-        tracker = _mem.get_tracker() if _mem.enabled() else None
+        tracker = _switch.get("mem") if _switch.is_on("mem") else None
         for nid in self.strategy.invalidated_by(mode):
             if tracker is not None and self._values[nid] is not None:
                 tracker.on_free(id(self), nid)
             self._values[nid] = None
 
     def invalidate_all(self) -> None:
-        tracker = _mem.get_tracker() if _mem.enabled() else None
+        tracker = _switch.get("mem") if _switch.is_on("mem") else None
         for nid in range(len(self._values)):
             if tracker is not None and self._values[nid] is not None:
                 tracker.on_free(id(self), nid)
@@ -176,11 +174,11 @@ class MemoizedMttkrp:
         matrices by the tree height.
         """
         mode = check_mode(mode, self.tensor.ndim)
-        attr = _attr.get_recorder() if _attr.enabled() else None
+        attr = _switch.get("attr") if _switch.is_on("attr") else None
         if attr is not None:
             attr.begin_mode(mode)
         with _trace.span("mttkrp", mode=mode):
-            tracker = _mem.get_tracker() if _mem.enabled() else None
+            tracker = _switch.get("mem") if _switch.is_on("mem") else None
             for nid in self.strategy.invalidated_by(mode):
                 if tracker is not None and self._values[nid] is not None:
                     tracker.on_free(id(self), nid)
@@ -197,7 +195,7 @@ class MemoizedMttkrp:
             perf.record(mttkrps=1, words=vals.size)
             if attr is not None:
                 attr.end_mode(mode, leaf_id, vals.size)
-            if _trace.enabled():
+            if _switch.is_on("trace"):
                 self._publish_memory_gauges()
             return out
 
@@ -225,7 +223,7 @@ class MemoizedMttkrp:
                 out[sym.index[:, 0]] = vals
                 perf.record(mttkrps=1, words=vals.size)
                 outs[mode] = out
-        if _trace.enabled():
+        if _switch.is_on("trace"):
             self._publish_memory_gauges()
         return outs
 
@@ -269,8 +267,8 @@ class MemoizedMttkrp:
         self._ensure_node(node.parent)
         value = self._compute_node(node_id)
         self._values[node_id] = value
-        if _mem.enabled():
-            _mem.get_tracker().on_store(id(self), node_id, value.nbytes)
+        if _switch.is_on("mem"):
+            _switch.get("mem").on_store(id(self), node_id, value.nbytes)
 
     def _rebuild_context(self, node_id: int) -> RebuildContext:
         """Assemble the static + numeric state a kernel backend consumes."""
@@ -298,27 +296,37 @@ class MemoizedMttkrp:
 
     def _compute_node(self, node_id: int) -> np.ndarray:
         ctx = self._rebuild_context(node_id)
-        attr = _attr.get_recorder() if _attr.enabled() else None
+        return self._rebuild(ctx, lambda traced: (
+            self._kernel.traced_rebuild(ctx) if traced
+            else self._kernel.rebuild(ctx)
+        ))
+
+    def _rebuild(self, ctx: RebuildContext, build, **attrs) -> np.ndarray:
+        """Run ``build(traced)`` as node ``ctx.node_id``'s rebuild.
+
+        Timed only when someone listens: under a ``node_rebuild`` span
+        while tracing, with a plain clock while events or attribution are
+        on; the ``node_rebuild`` event and ``attrs`` (extra span/event
+        fields) follow the measurement.  Records the rebuild's work in the
+        perf counters and, when on, the cost attribution.
+        """
+        node_id, nnz = ctx.node_id, ctx.sym.nnz
         seconds = 0.0
-        if _trace.enabled():
-            with _trace.span("node_rebuild", node=node_id,
-                             nnz=ctx.sym.nnz,
-                             parent_nnz=ctx.parent_sym.nnz) as rec:
-                result = self._kernel.traced_rebuild(ctx)
-            if rec is not None:
-                seconds = rec.duration
-                if _events.enabled():
-                    _events.emit("node_rebuild", node=node_id,
-                                 nnz=ctx.sym.nnz, seconds=seconds)
-        elif _events.enabled() or attr is not None:
+        if _switch.is_on("trace"):
+            with _trace.span("node_rebuild", node=node_id, nnz=nnz,
+                             parent_nnz=ctx.parent_sym.nnz, **attrs) as rec:
+                result = build(True)
+            seconds = rec.duration
+            _events.emit("node_rebuild", node=node_id, nnz=nnz,
+                         seconds=seconds, **attrs)
+        elif _switch.is_on("events") or _switch.is_on("attr"):
             t0 = time.perf_counter()
-            result = self._kernel.rebuild(ctx)
+            result = build(False)
             seconds = time.perf_counter() - t0
-            if _events.enabled():
-                _events.emit("node_rebuild", node=node_id, nnz=ctx.sym.nnz,
-                             seconds=seconds)
+            _events.emit("node_rebuild", node=node_id, nnz=nnz,
+                         seconds=seconds, **attrs)
         else:
-            result = self._kernel.rebuild(ctx)
+            result = build(False)
         flops, words = contraction_work(
             ctx.parent_sym.nnz, self.rank, len(ctx.sym.delta_modes)
         )
@@ -328,8 +336,8 @@ class MemoizedMttkrp:
             contractions=len(ctx.sym.delta_modes),
             node_builds=1,
         )
-        if attr is not None:
-            attr.on_rebuild(node_id, flops, words, seconds)
+        if _switch.is_on("attr"):
+            _switch.get("attr").on_rebuild(node_id, flops, words, seconds)
         return result
 
     def workspace_nbytes(self) -> int:

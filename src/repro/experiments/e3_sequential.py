@@ -108,7 +108,7 @@ def run(scale: float = DEFAULT_SCALE, rank: int = DEFAULT_RANK,
             "family at N=3 (only one nontrivial grouping exists), so the "
             "planner cannot always reach the best 3rd-order kernel; at "
             "N>=4 the strategy space dominates it.",
-            "Traced runs (--trace or REPRO_HEALTH=1) also record "
+            "Traced runs (--trace or REPRO_OBS=health) also record "
             "numerical-health columns (health.json): max κ(H) is the "
             "worst-mode Gram condition number (values approaching "
             "1/rcond = 1e12 mean the pseudoinverse fallback is about to "

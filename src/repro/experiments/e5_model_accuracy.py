@@ -23,7 +23,8 @@ from ..core.engine import MemoizedMttkrp
 from ..core.strategy import (balanced_binary, chain, star, two_way)
 from ..model.calibrate import calibrate_machine
 from ..model.planner import plan
-from ..obs import attribution as obs_attr
+from ..obs import switch
+from ..obs.observer import IterationRecord
 from ..synth.datasets import dataset_names
 from .common import (DEFAULT_RANK, DEFAULT_SCALE, ExperimentResult,
                      iteration_seconds, load_scaled)
@@ -52,7 +53,8 @@ def _max_node_flop_err(tensor, strategy, rank: int) -> float:
     """
     from ..core.dtypes import VALUE_DTYPE
 
-    with obs_attr.recording() as rec:
+    with switch.enabled("attr") as on:
+        rec = on["attr"]
         engine = MemoizedMttkrp(tensor, strategy)
         rng = np.random.default_rng(0)
         factors = [
@@ -63,11 +65,11 @@ def _max_node_flop_err(tensor, strategy, rank: int) -> float:
         rec.register(strategy, engine.symbolic.node_nnz(), rank)
         reading = None
         for iteration in range(2):
-            rec.begin_window()
+            rec.begin_iteration(iteration)
             for n in engine.mode_order:
                 engine.mttkrp(n)
                 engine.update_factor(n, factors[n])
-            reading = rec.observe_iteration(iteration)
+            reading = rec.end_iteration(IterationRecord(iteration))
     err = reading.max_node_err("flops") if reading is not None else None
     return float("nan") if err is None else err
 

@@ -17,7 +17,7 @@ from ..core.cpals import cp_als
 from ..core.strategy import balanced_binary, chain, star
 from ..core.symbolic import SymbolicTree
 from ..model.cost import cost_from_symbolic
-from ..obs import memory as obs_memory
+from ..obs import switch
 from .common import (DEFAULT_RANK, DEFAULT_SCALE, ExperimentResult,
                      load_scaled)
 
@@ -31,12 +31,12 @@ MEASURE_ITERS = 2
 
 def _measured_peak_bytes(tensor, strategy, rank: int) -> int:
     """Peak live memoized-value bytes from a real (short) CP-ALS run."""
-    with obs_memory.tracking(clear=True) as tracker:
+    with switch.enabled("mem") as on:
         result = cp_als(
             tensor, rank, strategy=strategy, n_iter_max=MEASURE_ITERS,
             tol=0.0, random_state=0,
         )
-        readings = result.memory_readings or tracker.readings
+        readings = result.memory_readings or on["mem"].readings
     return readings[-1].measured_peak_bytes if readings else 0
 
 

@@ -67,13 +67,13 @@ def _measured_imbalance(
     already-active outer trace (``--trace`` runs) without clearing it.
     None when the engine never fanned out (no pool tasks).
     """
-    from ..obs import trace as obs_trace
+    from ..obs import switch
     from ..obs.metrics import registry as _metrics
     from ..obs.utilization import utilization_from_spans
 
-    tracer = obs_trace.get_tracer()
+    tracer = switch.get("trace")
     n_before = len(tracer)
-    with obs_trace.tracing(clear=False):
+    with switch.enabled("trace", clear=False):
         with ParallelMemoizedMttkrp(tensor, strategy, n_workers=p) as engine:
             factors = initialize_factors(tensor, rank, "random", 0)
             engine.set_factors(factors)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.dtypes import VALUE_DTYPE
+from ..obs import switch as _switch
 from ..obs import trace as _trace
 from .blocking import resolve_block_rows
 from .workspace import WorkspaceArena
@@ -75,7 +76,7 @@ class KernelBackend:
     def traced_rebuild(self, ctx: RebuildContext) -> np.ndarray:
         """:meth:`rebuild` inside a ``kernel`` span attributing the pass to
         this backend (separating kernel time from the engine's accounting)."""
-        if not _trace.enabled():
+        if not _switch.is_on("trace"):
             return self.rebuild(ctx)
         with _trace.span("kernel", backend=self.name, node=ctx.node_id):
             return self.rebuild(ctx)

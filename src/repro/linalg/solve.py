@@ -17,6 +17,8 @@ path: the Cholesky branch touches nothing beyond NumPy/SciPy.
 
 from __future__ import annotations
 
+import contextvars
+
 import numpy as np
 from scipy import linalg as sla
 
@@ -24,6 +26,17 @@ from ..perf import counters as _perf
 
 #: Relative eigenvalue cutoff for the pseudoinverse fallback.
 PINV_RCOND = 1e-12
+
+#: the in-flight (iteration, mode) a normal-equation solve belongs to —
+#: set by the cp_als loop so the fallback telemetry can name its trigger
+#: site; (None, None) outside a run.
+_site: contextvars.ContextVar[tuple[int | None, int | None]] = \
+    contextvars.ContextVar("repro_solve_site", default=(None, None))
+
+
+def set_solve_site(iteration: int | None, mode: int | None) -> None:
+    """Mark the (iteration, mode) the next normal-equation solve serves."""
+    _site.set((iteration, mode))
 
 
 def solve_normal_equations(M: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -73,18 +86,21 @@ def _note_pinv_fallback(rank: int, n_truncated: int) -> None:
 
     Counts always land in the active perf counters (a no-op without a
     :func:`repro.perf.counters.counting` block); when the health
-    collector or event log is enabled, the fallback is additionally
+    collector or event log is on, the fallback is additionally
     attributed to the in-flight (iteration, mode) site the cp_als loop
-    registered.  Lazy imports keep the linalg layer observability-free
-    until a fallback actually fires.
+    registered with :func:`set_solve_site`.  Lazy imports keep the
+    linalg layer observability-free until a fallback actually fires.
     """
     _perf.record(pinv_fallbacks=1, truncated_eigenvalues=n_truncated)
     from ..obs import events as _events
-    from ..obs import health as _health
+    from ..obs import switch as _switch
 
-    iteration, mode = _health.current_site()
-    _health.record_fallback(n_truncated)
-    if _events.enabled():
+    iteration, mode = _site.get()
+    if _switch.is_on("health"):
+        _switch.get("health").record_fallback(
+            n_truncated, mode=mode, iteration=iteration
+        )
+    if _switch.is_on("events"):
         message = (
             f"normal-equation solve fell back to pseudoinverse "
             f"({n_truncated}/{rank} eigenvalues truncated)"

@@ -1,22 +1,29 @@
 """Observability: span tracing, metrics export, and model-drift detection.
 
-Zero-dependency instrumentation for the engine/kernel/parallel stack:
+Zero-dependency instrumentation for the engine/kernel/parallel stack.
+Import the submodules directly (``from repro.obs import trace``); this
+package re-exports nothing.
 
+* :mod:`repro.obs.switch` — the one on/off table for the six
+  instruments (trace, mem, events, attr, profile, health), read from
+  ``REPRO_OBS`` at import or driven in code with ``switch.enabled(...)``.
+* :mod:`repro.obs.observer` — the CP-ALS loop's per-iteration observer
+  protocol (``begin_iteration`` / ``observe_mode`` / ``end_iteration``).
 * :mod:`repro.obs.trace` — span-based tracer with contextvar propagation
   (worker-thread spans nest under their engine span); off by default,
-  no-op-cheap when off, enabled via :func:`enable` or ``REPRO_TRACE=1``.
+  no-op-cheap when off.
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (load in
   ``chrome://tracing`` / Perfetto), JSONL, and human-readable summaries.
 * :mod:`repro.obs.metrics` — per-span-kind wall-time histograms, the
-  engine's operation counters, and gauges, snapshotted by :func:`metrics`.
+  engine's operation counters, and gauges, snapshotted by
+  :func:`repro.obs.metrics.metrics`.
 * :mod:`repro.obs.watchdog` — per-iteration comparison of model-predicted
   cost against measured counters/time, warning on drift.  (Imported
   lazily: it depends on :mod:`repro.model`, which depends on the engine
   this package instruments.)
 * :mod:`repro.obs.memory` — memoized-value memory tracker fed by engine
   node lifecycle events; pairs measured peak bytes with the cost model's
-  prediction per ALS iteration.  Enabled via :func:`memory.enable`,
-  ``REPRO_TRACE=1``, or ``REPRO_MEMTRACK=1``.
+  prediction per ALS iteration.
 * :mod:`repro.obs.history` — append-only benchmark history (JSONL) and
   the noise-aware regression comparator behind ``repro bench-diff``.
 * :mod:`repro.obs.dashboard` — self-contained HTML dashboard (bench
@@ -24,8 +31,7 @@ Zero-dependency instrumentation for the engine/kernel/parallel stack:
   worker-utilization lanes).
 * :mod:`repro.obs.events` — structured JSON-lines run-event log
   (``repro-events/v1``): run start/stop, per-iteration fit/drift/memory,
-  node rebuilds, warnings; ring buffer + optional file sink, enabled via
-  :func:`events.enable` or ``REPRO_EVENTS``.
+  node rebuilds, warnings; ring buffer + optional file sink.
 * :mod:`repro.obs.serve` — stdlib HTTP OpenMetrics exporter
   (``/metrics``, ``/healthz``, ``/runz``) over the live registry, event
   log, and memory tracker; behind ``repro serve``.
@@ -44,14 +50,12 @@ Zero-dependency instrumentation for the engine/kernel/parallel stack:
 * :mod:`repro.obs.attribution` — measured per-tree-node / per-mode cost
   attribution during real runs, aligned node-for-node with the model's
   prediction; feeds the watchdog's node/mode blame and the
-  ``attr.mode*.flops_ratio`` gauges.  Enabled via
-  :func:`attribution.enable` or ``REPRO_ATTRIBUTION=1``.
+  ``attr.mode*.flops_ratio`` gauges.
 * :mod:`repro.obs.profiler` — sampling wall-clock stack profiler joined
   to the span tree: folded ``lane → span path → frames`` stacks across
   the thread *and* process execution tiers, persisted as a
   ``repro-profile/v1`` artifact (``profile.json`` + ``profile.folded``
-  for flamegraph.pl / speedscope).  Enabled via :func:`profiler.enable`,
-  ``REPRO_PROFILE=1``, or ``repro profile <cmd>``.
+  for flamegraph.pl / speedscope); also ``repro profile <cmd>``.
 * :mod:`repro.obs.artifacts` — one shared loader for ``repro trace``
   artifact directories (:class:`TraceArtifacts`): missing files are
   absent, malformed files warn and are skipped, consistently across
@@ -61,79 +65,23 @@ Zero-dependency instrumentation for the engine/kernel/parallel stack:
   mode), relative factor deltas, cross-mode column congruence
   (swamp detection), and a converging/stalled/swamped fit-trajectory
   classifier, persisted as a ``repro-health/v1`` artifact
-  (``health.json``).  Enabled via :func:`health.enable`,
-  ``REPRO_TRACE=1``, or ``REPRO_HEALTH=1``.
+  (``health.json``).
 
 Quickstart::
 
-    from repro import obs
+    from repro.obs import export, metrics, switch
 
-    with obs.trace.tracing():
+    with switch.enabled("trace"):
         repro.cp_als(X, rank=16, strategy="auto")
-    obs.export.write_chrome_trace("trace.json")
-    print(obs.export.tree_summary())
-    print(obs.metrics()["spans"]["mttkrp"])
+    export.write_chrome_trace("trace.json")
+    print(export.tree_summary())
+    print(metrics.metrics()["spans"]["mttkrp"])
 
 or, from the shell, ``repro trace decompose data.tns --rank 16``.
 """
 
 from __future__ import annotations
 
-from . import artifacts, attribution, dashboard, events, export, history
-from . import health, memory, profiler, runctx, serve, trace, utilization
-from .artifacts import TraceArtifacts
-from .attribution import AttributionReading, AttributionRecorder
-from .buildinfo import build_info, git_revision, version_string
-from .events import EventLog, RunState
-from .health import (FactorDeltaTracker, HealthCollector, HealthReading,
-                     validate_health_artifact, write_health)
-from .history import BenchEntry, BenchHistory, DiffResult, compare
-from .memory import MemReading, MemTracker
-from .metrics import MetricsRegistry, metrics, registry
-from .profiler import ProfileStore, validate_profile_artifact, write_profile
-from .runctx import RunContext, RunRegistry, run_registry
-from .serve import ObsServer
-from .trace import (SpanRecord, Tracer, disable, enable, enabled,
-                    get_tracer, span, tracing)
-from .utilization import UtilizationReport, utilization_from_spans
-
-__all__ = [
-    "export", "trace", "watchdog", "memory", "history", "dashboard",
-    "events", "serve", "utilization", "attribution", "explain", "runctx",
-    "profiler", "artifacts", "health",
-    "TraceArtifacts",
-    "ProfileStore", "validate_profile_artifact", "write_profile",
-    "HealthCollector", "HealthReading", "FactorDeltaTracker",
-    "validate_health_artifact", "write_health",
-    "RunContext", "RunRegistry", "run_registry",
-    "AttributionReading", "AttributionRecorder",
-    "PlanExplanation", "explain_plan", "validate_plan_artifact",
-    "SpanRecord", "Tracer", "span", "enabled", "enable", "disable",
-    "tracing", "get_tracer",
-    "MetricsRegistry", "metrics", "registry",
-    "MemReading", "MemTracker",
-    "EventLog", "RunState", "ObsServer",
-    "UtilizationReport", "utilization_from_spans",
-    "BenchEntry", "BenchHistory", "DiffResult", "compare",
-    "build_info", "git_revision", "version_string",
-    "ModelDriftWarning", "DriftWatchdog",
-]
-
-
-def __getattr__(name):
-    # Lazy: repro.obs.watchdog -> repro.model -> repro.core.engine -> here.
-    if name in ("watchdog", "DriftWatchdog", "ModelDriftWarning", "DriftReading"):
-        from . import watchdog
-
-        if name == "watchdog":
-            return watchdog
-        return getattr(watchdog, name)
-    # Lazy for the same reason: explain drives repro.model.planner.
-    if name in ("explain", "PlanExplanation", "explain_plan",
-                "validate_plan_artifact"):
-        from . import explain
-
-        if name == "explain":
-            return explain
-        return getattr(explain, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# First, so the REPRO_OBS spec read at its import can build instruments
+# (every instrument module imports the switch for its guards).
+from . import switch  # noqa: F401

@@ -70,7 +70,9 @@ class TraceArtifacts:
                      FILENAMES[name], self.trace_dir, exc)
         return None
 
-    def _load(self, name: str, loader):
+    def _load(self, name: str, loader, schema: str | None = None):
+        """Parse artifact ``name`` once; with ``schema`` given, a document
+        carrying another schema tag counts as malformed."""
         value = self._cache.get(name, _MISSING)
         if value is _MISSING:
             if not self.exists(name):
@@ -78,6 +80,10 @@ class TraceArtifacts:
             else:
                 try:
                     value = loader(self.path(name))
+                    found = (value.get("schema") if isinstance(value, dict)
+                             else None)
+                    if schema is not None and found != schema:
+                        raise ValueError(f"schema {found!r} != {schema!r}")
                 except (OSError, ValueError, KeyError, TypeError) as exc:
                     value = self._skip(name, exc)
             self._cache[name] = value
@@ -121,18 +127,9 @@ class TraceArtifacts:
         A present-but-invalid profile (wrong schema tag) is treated as
         malformed: skipped with a warning, like any other parse failure.
         """
-        doc = self._load("profile", self._load_json)
-        if doc is not None:
-            from .profiler import PROFILE_SCHEMA
+        from .profiler import PROFILE_SCHEMA
 
-            schema = doc.get("schema") if isinstance(doc, dict) else None
-            if schema != PROFILE_SCHEMA:
-                self._cache["profile"] = None
-                return self._skip(
-                    "profile",
-                    ValueError(f"schema {schema!r} != {PROFILE_SCHEMA!r}"),
-                )
-        return doc
+        return self._load("profile", self._load_json, schema=PROFILE_SCHEMA)
 
     def machine(self) -> dict | None:
         """The ``repro-machine/v1`` calibration snapshot."""
@@ -145,15 +142,6 @@ class TraceArtifacts:
         present-but-wrong schema tag is treated as malformed and skipped
         with a warning, like any other parse failure.
         """
-        doc = self._load("health", self._load_json)
-        if doc is not None:
-            from .health import HEALTH_SCHEMA
+        from .health import HEALTH_SCHEMA
 
-            schema = doc.get("schema") if isinstance(doc, dict) else None
-            if schema != HEALTH_SCHEMA:
-                self._cache["health"] = None
-                return self._skip(
-                    "health",
-                    ValueError(f"schema {schema!r} != {HEALTH_SCHEMA!r}"),
-                )
-        return doc
+        return self._load("health", self._load_json, schema=HEALTH_SCHEMA)

@@ -19,24 +19,22 @@ executes — deviations localize a real bug or a stale model to one node.
 
 Like the rest of the observability stack, attribution is **off by
 default** and no-op-cheap when off: engines guard every hook with one
-module-bool check (:func:`enabled`).  Enable with :func:`enable` /
-:func:`recording`, or ``REPRO_ATTRIBUTION=1`` (``repro trace`` and
+``switch.is_on("attr")`` check.  Turn it on through
+:mod:`repro.obs.switch` (``REPRO_OBS=attr``; ``repro trace`` and
 ``repro explain --measure`` turn it on for you).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .metrics import registry as _metrics
+from .observer import IterationObserver
 
 __all__ = [
     "ATTRIBUTION_SCHEMA", "AttributionReading", "AttributionRecorder",
-    "enabled", "enable", "disable", "recording", "get_recorder",
     "attribution_from_spans", "format_attribution",
 ]
 
@@ -139,14 +137,14 @@ class AttributionReading:
         }
 
 
-class AttributionRecorder:
-    """Process-global aggregator of engine-reported rebuild/scatter events.
+class AttributionRecorder(IterationObserver):
+    """Aggregator of engine-reported rebuild/scatter events.
 
     Engines call :meth:`begin_mode` / :meth:`on_rebuild` / :meth:`end_mode`
-    (guarded by :func:`enabled`); drivers call :meth:`register` once per
-    run to align measurements with the model's per-node prediction, then
-    :meth:`begin_window` / :meth:`observe_iteration` around each ALS
-    iteration.  All mutation happens under one lock, so parallel-engine
+    (guarded by ``switch.is_on("attr")``); drivers call :meth:`register`
+    once per run to align measurements with the model's per-node
+    prediction, then :meth:`begin_iteration` / :meth:`end_iteration`
+    around each ALS iteration.  All mutation happens under one lock, so parallel-engine
     rebuilds and a live scrape thread cannot tear the totals.
     """
 
@@ -169,7 +167,7 @@ class AttributionRecorder:
             self._pred_modes: dict[int, dict] = {}
 
     # ------------------------------------------------------------------
-    # engine-facing hooks (hot path; every caller is behind enabled())
+    # engine-facing hooks (hot path; every caller checks the switch)
     # ------------------------------------------------------------------
     def begin_mode(self, mode: int) -> None:
         with self._lock:
@@ -238,7 +236,7 @@ class AttributionRecorder:
             }
             self._pred_modes = {int(m): dict(v) for m, v in modes.items()}
 
-    def begin_window(self) -> None:
+    def begin_iteration(self, iteration: int) -> None:
         with self._lock:
             self._window_nodes = {
                 k: tuple(v) for k, v in self._nodes.items()
@@ -247,8 +245,9 @@ class AttributionRecorder:
                 k: tuple(v) for k, v in self._modes.items()
             }
 
-    def observe_iteration(self, iteration: int) -> AttributionReading:
-        """Close the window: the iteration's per-node/per-mode breakdown.
+    def end_iteration(self, record) -> AttributionReading:
+        """Close the window into ``record.attribution``: the iteration's
+        per-node/per-mode breakdown.
 
         When a strategy is registered, the reading carries comparison rows
         and the per-mode prediction-error gauges
@@ -276,8 +275,8 @@ class AttributionRecorder:
                         "flops": delta[_MF], "words": delta[_MW],
                         "seconds": delta[_MS], "mttkrps": delta[_MN],
                     }
-        reading = AttributionReading(iteration=iteration, nodes=nodes,
-                                     modes=modes)
+        reading = AttributionReading(iteration=record.iteration,
+                                     nodes=nodes, modes=modes)
         if self._pred_nodes:
             reading.node_rows = self._compare_nodes(nodes)
             reading.mode_rows = self._compare_modes(modes)
@@ -291,6 +290,7 @@ class AttributionRecorder:
             if err is not None:
                 _metrics.set_gauge("attr.max_node_flops_err", err)
         self.readings.append(reading)
+        record.attribution = reading
         return reading
 
     def _compare_nodes(self, measured: dict[int, dict]) -> list[dict]:
@@ -478,54 +478,3 @@ def format_attribution(doc: dict) -> str:
             title="per-mode time attribution (from spans)",
         ))
     return "\n\n".join(parts)
-
-
-def _truthy(value: str | None) -> bool:
-    return (value or "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-_recorder = AttributionRecorder()
-_enabled: bool = _truthy(os.environ.get("REPRO_ATTRIBUTION"))
-
-
-def enabled() -> bool:
-    """Whether attribution is on (the engines' call-site guard)."""
-    return _enabled
-
-
-def enable(*, clear: bool = False) -> None:
-    """Turn attribution on; ``clear=True`` resets accumulated state."""
-    global _enabled
-    if clear:
-        _recorder.reset()
-    _enabled = True
-
-
-def disable() -> None:
-    """Turn attribution off (accumulated state is kept until reset)."""
-    global _enabled
-    _enabled = False
-
-
-def get_recorder() -> AttributionRecorder:
-    """The process-global recorder the engines feed."""
-    return _recorder
-
-
-@contextmanager
-def recording(*, clear: bool = True):
-    """Enable attribution for a block, restoring prior state after.
-
-    Usage::
-
-        with attribution.recording() as rec:
-            result = cp_als(X, rank=16, strategy="bdt")
-        print(rec.snapshot()["nodes"])
-    """
-    was = _enabled
-    enable(clear=clear)
-    try:
-        yield _recorder
-    finally:
-        if not was:
-            disable()

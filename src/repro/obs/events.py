@@ -16,11 +16,12 @@ rebuilds, warnings — into a process-global :class:`EventLog`:
   they happen, not at exit.
 
 Like the tracer, events are **off by default** and no-op-cheap when off:
-hot call sites guard on :func:`enabled` (one module-bool check).  Enable
-with :func:`enable`, the :func:`logging_events` context manager, or the
-``REPRO_EVENTS`` environment variable — ``REPRO_EVENTS=1`` turns on the
-ring buffer only, ``REPRO_EVENTS=/path/events.jsonl`` additionally opens
-that file as the sink.
+:func:`emit` returns at once unless ``switch.is_on("events")``.  Turn
+them on through :mod:`repro.obs.switch` — ``REPRO_OBS=events`` keeps the
+ring buffer only, ``REPRO_OBS=events=/path/events.jsonl`` additionally
+opens that file as the sink.  :class:`IterationEvents` is the CP-ALS
+loop's observer (:mod:`repro.obs.observer`) that turns each finished
+iteration record into one ``iteration`` event.
 
 The log also folds ``run_start`` / ``iteration`` / ``run_stop`` events
 into a :class:`RunState` — current iteration, fit, trailing per-iteration
@@ -31,16 +32,18 @@ from __future__ import annotations
 
 import collections
 import json
+import math
 import os
 import threading
 import time
 
-from . import _ctx
+from . import switch as _switch
+from .observer import IterationObserver
 
 __all__ = [
     "EVENTS_SCHEMA", "EVENT_KINDS", "EventLog", "RunState",
-    "enabled", "enable", "disable", "emit", "get_log", "logging_events",
-    "read_events", "validate_events", "format_event",
+    "IterationEvents", "emit", "read_events", "validate_events",
+    "format_event",
 ]
 
 #: schema tag stamped on every event line (bump on layout change).
@@ -271,102 +274,58 @@ class EventLog:
             return len(self._ring)
 
 
-def _truthy(value: str | None) -> bool:
-    return (value or "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-def _init_from_env() -> tuple[bool, str | None]:
-    raw = (os.environ.get("REPRO_EVENTS") or "").strip()
-    if not raw or raw.lower() in {"0", "false", "no", "off"}:
-        return False, None
-    if _truthy(raw):
-        return True, None
-    # Any other value is a sink path: REPRO_EVENTS=out/events.jsonl.
-    return True, raw
-
-
-_on, _sink_path = _init_from_env()
-_log = EventLog(sink_path=_sink_path)
-_enabled: bool = _on
-del _on, _sink_path
-
-
-def enabled() -> bool:
-    """Whether event logging is on (the call-site guard).
-
-    A run context with an explicit ``events_enabled`` overrides the
-    module global, so concurrent runs control their own logging.
-    """
-    ctx = _ctx.current()
-    if ctx is not None and ctx.events_enabled is not None:
-        return ctx.events_enabled
-    return _enabled
-
-
-def enable(*, clear: bool = False, sink_path: str | None = None) -> None:
-    """Turn event logging on; optionally reset state / open a file sink."""
-    global _enabled
-    if clear:
-        _log.clear()
-    if sink_path is not None:
-        _log.open_sink(sink_path)
-    _enabled = True
-
-
-def disable() -> None:
-    """Turn event logging off (buffered events are kept until clear)."""
-    global _enabled
-    _enabled = False
-
-
-def get_log() -> EventLog:
-    """The active event log: the run context's when one carries its own,
-    else the process-global log."""
-    ctx = _ctx.current()
-    if ctx is not None and ctx.events is not None:
-        return ctx.events
-    return _log
-
-
 def emit(kind: str, **fields) -> dict | None:
-    """Emit an event if logging is enabled (None otherwise).
+    """Emit an event if logging is on (None otherwise).
 
     When a run context is active the event lands in *its* log and is
     stamped with the context's ``run_id``, so interleaved runs stay
     separable in a shared sink and on ``/runz``.
     """
-    ctx = _ctx.current()
-    if ctx is None:
-        if not _enabled:
-            return None
-        return _log.emit(kind, **fields)
-    on = ctx.events_enabled if ctx.events_enabled is not None else _enabled
-    if not on:
+    if not _switch.is_on("events"):
         return None
-    log = ctx.events if ctx.events is not None else _log
-    if ctx.run_id is not None:
+    ctx = _switch.current()
+    if ctx is not None and ctx.run_id is not None:
         fields.setdefault("run_id", ctx.run_id)
-    return log.emit(kind, **fields)
+    return _switch.get("events").emit(kind, **fields)
 
 
-class logging_events:
-    """Context manager enabling events for a block, restoring state after."""
+class IterationEvents(IterationObserver):
+    """Streams each finished ALS iteration as one ``iteration`` event,
+    with the memory / health / drift readings earlier observers filled
+    into the record."""
 
-    def __init__(self, *, clear: bool = True, sink_path: str | None = None):
-        self._clear = clear
-        self._sink_path = sink_path
-
-    def __enter__(self) -> EventLog:
-        self._was = _enabled
-        enable(clear=self._clear, sink_path=self._sink_path)
-        return _log
-
-    def __exit__(self, *exc) -> bool:
-        if not self._was:
-            disable()
-        if self._sink_path is not None:
-            _log.close_sink()
-        return False
+    def end_iteration(self, record) -> None:
+        fields = {"iteration": record.iteration, "fit": record.fit,
+                  "seconds": record.seconds}
+        if record.fit_delta is not None:
+            fields["delta"] = record.fit_delta
+        mem = record.mem
+        if mem is not None:
+            fields["mem_peak_bytes"] = mem.measured_peak_bytes
+            fields["mem_live_bytes"] = mem.live_bytes
+        health = record.health
+        if health is not None:
+            if math.isfinite(health.max_condition_number):
+                fields["health_max_condition"] = health.max_condition_number
+            if math.isfinite(health.max_factor_delta):
+                fields["health_max_factor_delta"] = health.max_factor_delta
+            fields["health_congruence"] = health.congruence
+            fields["health_trajectory"] = health.trajectory
+            if health.n_truncated:
+                fields["health_truncated_eigenvalues"] = health.n_truncated
+            if health.pinv_fallbacks:
+                fields["health_pinv_fallbacks"] = health.pinv_fallbacks
+        drift = record.drift
+        if drift is not None:
+            fields["drift_flops_ratio"] = drift.flops_ratio
+            fields["drift_words_ratio"] = drift.words_ratio
+            if drift.time_ratio is not None:
+                fields["drift_time_ratio"] = drift.time_ratio
+            if drift.mem_ratio is not None:
+                fields["drift_mem_ratio"] = drift.mem_ratio
+            if drift.fired:
+                fields["drift_fired"] = list(drift.fired)
+        emit("iteration", **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ import json
 import os
 from typing import Iterable, Sequence
 
-from .trace import SpanRecord, Tracer, get_tracer
+from . import switch as _switch
+from .trace import SpanRecord, Tracer
 
 __all__ = [
     "to_chrome_trace", "write_chrome_trace", "write_jsonl", "read_jsonl",
@@ -46,12 +47,12 @@ def to_chrome_trace(
 ) -> dict:
     """Spans as a Chrome ``trace_event`` JSON object (dict, not string).
 
-    ``mem_samples`` (e.g. ``repro.obs.memory.get_tracker().samples``) adds
+    ``mem_samples`` (e.g. ``switch.get("mem").samples``) adds
     a counter track (``"ph": "C"``) of total live memoized-value bytes, so
     the memory profile renders as a graph under the span timeline in
     ``chrome://tracing`` / Perfetto.
     """
-    tracer = tracer or get_tracer()
+    tracer = tracer or _switch.get("trace")
     if spans is None:
         spans = tracer.finished()
     pid = os.getpid()
@@ -169,7 +170,7 @@ def validate_span_tree(spans: Sequence[SpanRecord] | None = None, *,
     than the skew budget) is not.
     """
     if spans is None:
-        spans = get_tracer().finished()
+        spans = _switch.get("trace").finished()
     errors: list[str] = []
     by_id: dict[int, SpanRecord] = {}
     for rec in spans:
@@ -207,7 +208,7 @@ def validate_span_tree(spans: Sequence[SpanRecord] | None = None, *,
 def write_jsonl(path: str, spans: Sequence[SpanRecord] | None = None) -> int:
     """One span per line (lossless); returns the number written."""
     if spans is None:
-        spans = get_tracer().finished()
+        spans = _switch.get("trace").finished()
     with open(path, "w") as fh:
         for rec in spans:
             fh.write(json.dumps(rec.to_dict()) + "\n")
@@ -238,7 +239,7 @@ def tree_summary(spans: Iterable[SpanRecord] | None = None, *,
     usual outliers: cold caches, convergence) remain visible.
     """
     if spans is None:
-        spans = get_tracer().finished()
+        spans = _switch.get("trace").finished()
     spans = sorted(spans, key=lambda r: r.t0)
     by_parent: dict[int | None, list[SpanRecord]] = {}
     ids = {rec.id for rec in spans}
@@ -280,7 +281,7 @@ def tree_summary(spans: Iterable[SpanRecord] | None = None, *,
 def kind_table(spans: Iterable[SpanRecord] | None = None) -> str:
     """Per-kind aggregate table: count, total, mean, min, max."""
     if spans is None:
-        spans = get_tracer().finished()
+        spans = _switch.get("trace").finished()
     agg: dict[str, list[float]] = {}
     for rec in spans:
         agg.setdefault(rec.kind, []).append(rec.duration)

@@ -26,14 +26,14 @@ with four cheap per-iteration readings:
   convergence-rate estimate (the decay ratio of successive fit
   increments).
 
-Like the other instruments, collection is **off by default** and
-no-op-cheap when off (one :func:`enabled` check at the call site), is
-run-context aware (``RunContext.scoped(health=True)`` gives a run its own
-private collector), and is **bitwise-neutral**: every reading is computed
-from freshly derived arrays, never by mutating or reordering the numeric
+Like the other instruments, collection is **off by default** (turn it
+on through :mod:`repro.obs.switch`: ``REPRO_OBS=health``), is run-context
+aware (``RunContext.scoped(obs="health")`` gives a run its own private
+collector), and is **bitwise-neutral**: every reading is computed from
+freshly derived arrays, never by mutating or reordering the numeric
 path, so factor outputs are bit-identical with telemetry on or off (a
-tested invariant).  Enable with :func:`enable`, the :func:`collecting`
-context manager, ``REPRO_TRACE=1``, or ``REPRO_HEALTH=1``.
+tested invariant).  The collector is a per-iteration observer of the
+CP-ALS loop (:mod:`repro.obs.observer`).
 
 Readings land on :attr:`repro.core.cpals.CPResult.health_readings`,
 stream as extended ``repro-events/v1`` iteration fields, persist as a
@@ -45,19 +45,18 @@ versioned ``repro-health/v1`` artifact (``health.json``,
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import os
 import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..linalg.solve import PINV_RCOND
-from . import _ctx
+from . import switch as _switch
 from .metrics import registry as _metrics
+from .observer import IterationObserver
 
 __all__ = [
     "HEALTH_SCHEMA", "TRAJECTORY_CODES",
@@ -65,8 +64,6 @@ __all__ = [
     "HealthCollector",
     "rel_delta", "gram_conditioning", "congruence_from_grams",
     "congruence_from_factors",
-    "enabled", "enable", "disable", "get_collector", "collecting",
-    "set_site", "clear_site", "current_site", "record_fallback",
     "health_artifact", "validate_health_artifact", "write_health",
     "format_health",
 ]
@@ -383,19 +380,19 @@ class FitTrajectory:
 # the collector
 # ---------------------------------------------------------------------------
 
-class HealthCollector:
+class HealthCollector(IterationObserver):
     """Per-iteration numerical-health readings for a CP-ALS run.
 
     Driven by :func:`repro.core.cpals.cp_als` exactly like the memory
     tracker: ``start_run`` once, ``begin_iteration`` /
-    per-mode ``observe_mode`` / ``observe_iteration`` per ALS iteration.
+    per-mode ``observe_mode`` / ``end_iteration`` per ALS iteration.
     All state mutation happens under one lock (solver fallbacks can be
     reported from pool threads); all inputs are *read*, never modified,
     so collection is bitwise-neutral to the factors.
 
     Readings accumulate in :attr:`readings` across runs (like
     ``MemTracker.readings``); per-run isolation comes from scoped run
-    contexts (``RunContext.scoped(health=True)``).
+    contexts (``RunContext.scoped(obs="health")``).
     """
 
     def __init__(self, *, window: int = 5, stall_tol: float = 1e-6,
@@ -427,7 +424,7 @@ class HealthCollector:
         return bool(self.readings)
 
     # -- run / iteration lifecycle -------------------------------------
-    def start_run(self, n_modes: int, rank: int | None = None) -> None:
+    def start_run(self, n_modes: int) -> None:
         """Reset per-run state (trajectory, deltas) for a fresh run."""
         with self._lock:
             self._n_modes = int(n_modes)
@@ -475,16 +472,16 @@ class HealthCollector:
                 self.fallback_sites.append((iteration, mode))
         _metrics.incr("health.pinv_fallbacks")
 
-    def observe_iteration(self, iteration: int, *, grams=None,
-                          fit: float | None = None) -> HealthReading:
-        """Close the iteration into a :class:`HealthReading`.
+    def end_iteration(self, record) -> HealthReading:
+        """Close the iteration into ``record.health``.
 
-        ``grams`` is an indexable of per-mode factor Grams (a
+        ``record.grams`` is an indexable of per-mode factor Grams (a
         :class:`~repro.linalg.gram.GramCache` works directly) for the
-        congruence reading; ``fit`` feeds the trajectory classifier.
-        Publishes the ``health.*`` gauges the live ``/metrics`` endpoint
-        renders as ``repro_health_*``.
+        congruence reading; ``record.fit`` feeds the trajectory
+        classifier.  Publishes the ``health.*`` gauges the live
+        ``/metrics`` endpoint renders as ``repro_health_*``.
         """
+        grams, fit = record.grams, record.fit
         congruence, pair = 0.0, None
         if grams is not None:
             congruence, pair = congruence_from_grams(
@@ -500,7 +497,7 @@ class HealthCollector:
                 max(self._mode_condition, default=-1) + 1,
             )
             reading = HealthReading(
-                iteration=int(iteration),
+                iteration=int(record.iteration),
                 condition_numbers=[
                     self._mode_condition.get(m, float("nan"))
                     for m in range(n_modes)
@@ -536,6 +533,7 @@ class HealthCollector:
                            reading.n_truncated)
         _metrics.set_gauge("health.trajectory_code",
                            TRAJECTORY_CODES.get(label, -1))
+        record.health = reading
         return reading
 
     # -- reads ---------------------------------------------------------
@@ -570,107 +568,6 @@ class HealthCollector:
             f"fallbacks={self.total_pinv_fallbacks}, "
             f"trajectory={self.trajectory.label!r})"
         )
-
-
-# ---------------------------------------------------------------------------
-# module switch + solver site attribution
-# ---------------------------------------------------------------------------
-
-def _truthy(value: str | None) -> bool:
-    return (value or "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-_collector = HealthCollector()
-# REPRO_TRACE turns on the whole observability stack; REPRO_HEALTH can
-# enable just the numerical-health side.
-_enabled: bool = _truthy(os.environ.get("REPRO_TRACE")) or _truthy(
-    os.environ.get("REPRO_HEALTH")
-)
-
-#: the in-flight (iteration, mode) a normal-equation solve belongs to —
-#: set by the cp_als loop so the solver's fallback telemetry can name its
-#: trigger site; (None, None) outside an instrumented run.
-_site: contextvars.ContextVar[tuple[int | None, int | None]] = \
-    contextvars.ContextVar("repro_health_site", default=(None, None))
-
-
-def enabled() -> bool:
-    """Whether health collection is on (the cp_als call-site guard).
-
-    A run context with an explicit ``health_enabled`` overrides the
-    module global, mirroring the tracer/memory/event guards.
-    """
-    ctx = _ctx.current()
-    if ctx is not None and ctx.health_enabled is not None:
-        return ctx.health_enabled
-    return _enabled
-
-
-def enable(*, clear: bool = False) -> None:
-    """Turn health collection on; ``clear=True`` resets accumulated state."""
-    global _enabled
-    if clear:
-        _collector.reset()
-    _enabled = True
-
-
-def disable() -> None:
-    """Turn health collection off (readings are kept until reset)."""
-    global _enabled
-    _enabled = False
-
-
-def get_collector() -> HealthCollector:
-    """The active collector: the run context's when one carries its own,
-    else the process-global collector."""
-    ctx = _ctx.current()
-    if ctx is not None and ctx.health is not None:
-        return ctx.health
-    return _collector
-
-
-@contextmanager
-def collecting(*, clear: bool = True):
-    """Enable health collection for a block, restoring prior state after.
-
-    Usage::
-
-        with health.collecting() as hc:
-            cp_als(X, rank=16, strategy="bdt")
-        print(hc.readings[-1].trajectory)
-    """
-    was = _enabled
-    enable(clear=clear)
-    try:
-        yield _collector
-    finally:
-        if not was:
-            disable()
-
-
-def set_site(iteration: int | None, mode: int | None) -> None:
-    """Mark the (iteration, mode) the next normal-equation solve serves."""
-    _site.set((iteration, mode))
-
-
-def clear_site() -> None:
-    _site.set((None, None))
-
-
-def current_site() -> tuple[int | None, int | None]:
-    """The in-flight (iteration, mode) solve site, or (None, None)."""
-    return _site.get()
-
-
-def record_fallback(n_truncated: int) -> None:
-    """Solver hook: count a Cholesky→pinv fallback on the active collector,
-    attributed to the in-flight solve site (no-op when collection is off)."""
-    if not enabled():
-        return
-    iteration, mode = _site.get()
-    get_collector().record_fallback(
-        n_truncated, mode=mode, iteration=iteration
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +706,7 @@ def write_health(trace_dir: str, readings=None, *,
     """
     collector = None
     if readings is None:
-        collector = get_collector()
+        collector = _switch.get("health")
         readings = collector.readings
     doc = health_artifact(
         readings, run_id=run_id, rank=rank, strategy=strategy,

@@ -12,10 +12,11 @@ that capture what the allocator *actually* holds on top of the symbolic
 count.
 
 Like the tracer, tracking is **off by default** and must be no-op-cheap
-when off: engines guard every event with a single module-bool check
-(:func:`enabled`).  Enable with :func:`enable` / the :func:`tracking`
-context manager, or ``REPRO_TRACE=1`` (the tracer env var turns both on,
-so ``repro trace`` gets memory telemetry for free).
+when off: engines guard every event with one ``switch.is_on("mem")``
+check.  Turn it on through :mod:`repro.obs.switch` (``REPRO_OBS=mem``,
+or ``mem=tracemalloc`` to add allocator sampling; ``repro trace`` does
+both).  The tracker is a per-iteration observer of the CP-ALS loop
+(:mod:`repro.obs.observer`).
 
 Byte accounting is *exact by construction*: a node value matrix is a dense
 ``nnz_t x R`` float64 array, so ``value.nbytes`` equals the model's
@@ -27,19 +28,15 @@ drift watchdog rather than an exact one.
 
 from __future__ import annotations
 
-import os
 import threading
 import tracemalloc
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import _ctx
+from . import switch as _switch
 from .metrics import registry as _metrics
+from .observer import IterationObserver
 
-__all__ = [
-    "MemReading", "MemTracker", "enabled", "enable", "disable",
-    "tracking", "get_tracker",
-]
+__all__ = ["MemReading", "MemTracker"]
 
 
 @dataclass
@@ -90,7 +87,7 @@ class _Sample:
     live_bytes: int
 
 
-class MemTracker:
+class MemTracker(IterationObserver):
     """Exact live/peak accounting of memoized-value bytes.
 
     Engines report node-value lifecycle events keyed by
@@ -104,7 +101,8 @@ class MemTracker:
     ----------
     sample_tracemalloc:
         also record :func:`tracemalloc.get_traced_memory` at iteration
-        boundaries (starts tracemalloc if it is not already tracing).
+        boundaries (starts tracemalloc if it is not already tracing; the
+        peak is reset at each window start, so it is the window's peak).
         Symbolic byte counts are exact; this is the allocator-overhead
         view the watchdog's tolerance band watches.
     keep_samples:
@@ -127,11 +125,25 @@ class MemTracker:
         self.readings: list[MemReading] = []
         self.samples: list[_Sample] = []
         self._keep_samples = int(keep_samples)
-        self.sample_tracemalloc = bool(sample_tracemalloc)
+        #: the model's peak value bytes for the current run (0 if unknown).
+        self.predicted_peak_bytes = 0
+        self.sample_tracemalloc = False
         self._own_tracemalloc = False
-        if self.sample_tracemalloc and not tracemalloc.is_tracing():
+        self.set_tracemalloc(sample_tracemalloc)
+
+    def set_tracemalloc(self, on: bool) -> None:
+        """Start (or stop) sampling tracemalloc at iteration boundaries.
+
+        Turning it off stops tracemalloc when this tracker started it, so
+        a later run that did not ask for allocator sampling never reads a
+        trace left running by an earlier one.
+        """
+        if not on:
+            self.close()
+        elif not tracemalloc.is_tracing():
             tracemalloc.start()
             self._own_tracemalloc = True
+        self.sample_tracemalloc = bool(on)
 
     # -- engine feeds --------------------------------------------------
     def register_expected(self, engine_key: int,
@@ -184,53 +196,69 @@ class MemTracker:
 
     def _sample_locked(self) -> None:
         if len(self.samples) < self._keep_samples:
-            from .trace import get_tracer
+            self.samples.append(
+                _Sample(_switch.get("trace").now(), self.live_bytes)
+            )
 
-            self.samples.append(_Sample(get_tracer().now(), self.live_bytes))
+    # -- iteration windows (the CP-ALS observer protocol) ---------------
+    def start_run(self, engine, rank: int,
+                  predicted_peak_bytes: int = 0) -> None:
+        """Align with one run: the model's per-node byte prediction for
+        ``engine`` (see :meth:`register_expected`) and its peak."""
+        from ..core.dtypes import VALUE_ITEMSIZE
 
-    # -- iteration windows ---------------------------------------------
-    def begin_window(self) -> None:
+        self.register_expected(
+            id(engine),
+            [n * rank * VALUE_ITEMSIZE for n in engine.symbolic.node_nnz()],
+        )
+        self.predicted_peak_bytes = int(predicted_peak_bytes)
+
+    def begin_iteration(self, iteration: int) -> None:
         """Start a peak-measurement window (an ALS iteration)."""
+        if self.sample_tracemalloc and tracemalloc.is_tracing():
+            tracemalloc.reset_peak()
         with self._lock:
             self._window_peak = self.live_bytes
 
     def window_peak(self) -> int:
-        """Max total live bytes observed since :meth:`begin_window`."""
+        """Max total live bytes observed since :meth:`begin_iteration`."""
         with self._lock:
             return self._window_peak
 
-    def observe_iteration(self, iteration: int, *,
-                          predicted_peak_bytes: int = 0,
-                          workspace_bytes: int = 0,
-                          factor_bytes: int = 0) -> MemReading:
-        """Close the current window into a :class:`MemReading`.
+    def end_iteration(self, record) -> MemReading:
+        """Close the current window into ``record.mem``.
 
         Publishes ``mem.*`` gauges so ``repro trace`` metrics snapshots
         carry the latest reading, and appends to :attr:`readings` — the
-        measured-vs-predicted series the dashboard plots.
+        measured-vs-predicted series the dashboard plots.  Workspace and
+        factor bytes come from ``record.engine`` when it has one.
         """
+        engine = record.engine
+        predicted = self.predicted_peak_bytes
         traced_current = traced_peak = None
         if self.sample_tracemalloc and tracemalloc.is_tracing():
             traced_current, traced_peak = tracemalloc.get_traced_memory()
         with self._lock:
             reading = MemReading(
-                iteration=iteration,
+                iteration=record.iteration,
                 measured_peak_bytes=self._window_peak,
-                predicted_peak_bytes=predicted_peak_bytes,
+                predicted_peak_bytes=predicted,
                 live_bytes=self.live_bytes,
-                workspace_bytes=workspace_bytes,
-                factor_bytes=factor_bytes,
+                workspace_bytes=(engine.workspace_nbytes()
+                                 if engine is not None else 0),
+                factor_bytes=(engine.factor_bytes()
+                              if engine is not None else 0),
                 traced_current_bytes=traced_current,
                 traced_peak_bytes=traced_peak,
             )
             self.readings.append(reading)
         _metrics.set_gauge("mem.iter_peak_bytes", reading.measured_peak_bytes)
         _metrics.set_max_gauge("mem.peak_bytes", self.peak_bytes)
-        if predicted_peak_bytes > 0:
-            _metrics.set_gauge("mem.predicted_peak_bytes",
-                               predicted_peak_bytes)
+        if predicted > 0:
+            _metrics.set_gauge("mem.predicted_peak_bytes", predicted)
         if traced_peak is not None:
             _metrics.set_max_gauge("mem.tracemalloc_peak_bytes", traced_peak)
+        record.mem = reading
         return reading
 
     # -- reads ---------------------------------------------------------
@@ -258,6 +286,7 @@ class MemTracker:
             self.n_stores = 0
             self.n_frees = 0
             self.n_mismatches = 0
+            self.predicted_peak_bytes = 0
             self.readings.clear()
             self.samples.clear()
 
@@ -265,83 +294,10 @@ class MemTracker:
         """Stop tracemalloc if this tracker started it."""
         if self._own_tracemalloc and tracemalloc.is_tracing():
             tracemalloc.stop()
-            self._own_tracemalloc = False
+        self._own_tracemalloc = False
 
     def __repr__(self) -> str:
         return (
             f"MemTracker(live={self.live_bytes}, peak={self.peak_bytes}, "
             f"stores={self.n_stores}, frees={self.n_frees})"
         )
-
-
-def _truthy(value: str | None) -> bool:
-    return (value or "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-_tracker = MemTracker()
-# REPRO_TRACE turns on the whole observability stack; REPRO_MEMTRACK can
-# enable just the memory side (e.g. for memory-only profiling runs).
-_enabled: bool = _truthy(os.environ.get("REPRO_TRACE")) or _truthy(
-    os.environ.get("REPRO_MEMTRACK")
-)
-
-
-def enabled() -> bool:
-    """Whether memory tracking is on (the engines' call-site guard).
-
-    A run context with an explicit ``mem_enabled`` overrides the module
-    global, mirroring the tracer/event guards.
-    """
-    ctx = _ctx.current()
-    if ctx is not None and ctx.mem_enabled is not None:
-        return ctx.mem_enabled
-    return _enabled
-
-
-def enable(*, clear: bool = False, sample_tracemalloc: bool | None = None) -> None:
-    """Turn memory tracking on; ``clear=True`` resets accumulated state."""
-    global _enabled
-    if clear:
-        _tracker.reset()
-    if sample_tracemalloc is not None:
-        _tracker.sample_tracemalloc = bool(sample_tracemalloc)
-        if (_tracker.sample_tracemalloc
-                and not tracemalloc.is_tracing()):
-            tracemalloc.start()
-            _tracker._own_tracemalloc = True
-    _enabled = True
-
-
-def disable() -> None:
-    """Turn memory tracking off (accumulated state is kept until reset)."""
-    global _enabled
-    _enabled = False
-
-
-def get_tracker() -> MemTracker:
-    """The active tracker: the run context's when one carries its own,
-    else the process-global tracker the engines feed."""
-    ctx = _ctx.current()
-    if ctx is not None and ctx.memory is not None:
-        return ctx.memory
-    return _tracker
-
-
-@contextmanager
-def tracking(*, clear: bool = True, sample_tracemalloc: bool = False):
-    """Enable memory tracking for a block, restoring prior state after.
-
-    Usage::
-
-        with memory.tracking() as mt:
-            cp_als(X, rank=16, strategy="bdt")
-        print(mt.peak_bytes, mt.readings)
-    """
-    was = _enabled
-    enable(clear=clear, sample_tracemalloc=sample_tracemalloc or None)
-    try:
-        yield _tracker
-    finally:
-        if not was:
-            disable()
-        _tracker.close()

@@ -22,7 +22,7 @@ import math
 import threading
 
 from ..perf.counters import Counters
-from . import _ctx
+from . import switch as _switch
 
 __all__ = ["SpanStats", "MetricsRegistry", "registry", "metrics"]
 
@@ -156,7 +156,7 @@ class _DispatchingRegistry:
         self._global = MetricsRegistry()
 
     def _target(self) -> MetricsRegistry:
-        ctx = _ctx.current()
+        ctx = _switch.current()
         if ctx is not None and ctx.metrics is not None:
             return ctx.metrics
         return self._global

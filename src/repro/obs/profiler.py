@@ -14,10 +14,10 @@ render a flamegraph per span kind.
 
 Like every other instrument the profiler is **off by default** and
 no-op-cheap when off: the only always-on cost is one ``None`` check per
-span enter/exit in :mod:`repro.obs.trace`.  Enable with :func:`enable` /
-:func:`profiling`, ``REPRO_PROFILE=1`` before import, ``repro profile
-<cmd>``, or ``repro trace --profile``; ``REPRO_PROFILE_HZ`` overrides the
-default sampling rate.
+span enter/exit in :mod:`repro.obs.trace`.  Turn it on through
+:mod:`repro.obs.switch` (``REPRO_OBS=profile`` or ``profile=<hz>``
+before import, ``switch.enabled("profile=199")`` in code), ``repro
+profile <cmd>``, or ``repro trace --profile``.
 
 Both execution tiers are covered:
 
@@ -43,7 +43,7 @@ with a :func:`validate_profile_artifact` self-check, plus
 ``profile.folded`` collapsed-stack text).
 
 Scoped run contexts (:meth:`repro.obs.runctx.RunContext.scoped` with
-``profile=True``) each own a private store: two concurrent profiled runs
+``obs="profile"``) each own a private store: two concurrent profiled runs
 fold zero samples into each other's stores, because the span observer
 resolves the store *at span-enter time* from the run context that opened
 the span.
@@ -57,15 +57,14 @@ import os
 import sys
 import threading
 import time
-from contextlib import contextmanager
 
-from . import _ctx
+from . import switch as _switch
 from . import trace as _trace
 
 __all__ = [
-    "PROFILE_SCHEMA", "DEFAULT_HZ", "ProfileStore", "default_hz",
-    "enabled", "enable", "disable", "profiling", "get_store", "active_hz",
-    "retain_sampler", "release_sampler", "label_thread",
+    "PROFILE_SCHEMA", "DEFAULT_HZ", "ProfileStore", "active_hz",
+    "start_sampler", "stop_sampler", "retain_sampler", "release_sampler",
+    "label_thread",
     "bind_thread", "unbind_thread",
     "folded_lines", "profile_artifact", "validate_profile_artifact",
     "write_profile", "hotspots", "format_hotspots",
@@ -83,26 +82,6 @@ DEFAULT_HZ = 97
 MAX_STACK_DEPTH = 64
 
 _log = logging.getLogger("repro.obs.profiler")
-
-
-def _truthy(value: str | None) -> bool:
-    return (value or "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-def default_hz() -> float:
-    """``REPRO_PROFILE_HZ`` override (validated), else :data:`DEFAULT_HZ`."""
-    raw = (os.environ.get("REPRO_PROFILE_HZ") or "").strip()
-    if not raw:
-        return float(DEFAULT_HZ)
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_PROFILE_HZ must be a positive number, got {raw!r}"
-        ) from None
-    if not value > 0:
-        raise ValueError(f"REPRO_PROFILE_HZ must be > 0, got {value}")
-    return value
 
 
 #: stdlib modules whose leaf frame means "parked, not working": a thread
@@ -158,7 +137,7 @@ class ProfileStore:
     """
 
     def __init__(self, hz: float | None = None):
-        self.hz = float(hz) if hz else default_hz()
+        self.hz = float(hz) if hz else float(DEFAULT_HZ)
         self.wall_epoch = time.time()
         self._lock = threading.Lock()
         #: (lane, spans, frames) -> [count, seconds]
@@ -315,18 +294,10 @@ class _SpanObserver:
 
 
 def _resolve_store() -> ProfileStore | None:
-    """The store samples should land in for the *current* context.
-
-    A run context with a pinned ``profile_enabled`` wins (its private
-    store, or None when the run opted out); otherwise the module-global
-    store while :func:`enable`\\ d.
-    """
-    ctx = _ctx.current()
-    if ctx is not None:
-        pinned = getattr(ctx, "profile_enabled", None)
-        if pinned is not None:
-            return getattr(ctx, "profiler", None) if pinned else None
-    return _store if _enabled else None
+    """The store samples should land in for the *current* context: the
+    run context's private one, or the process-wide store while the
+    profiler is switched on (None when profiling is off here)."""
+    return _switch.get("profile") if _switch.is_on("profile") else None
 
 
 class _Sampler(threading.Thread):
@@ -376,11 +347,11 @@ def _sample_once(own_ident, weight: float) -> None:
         else:
             # No open span on this thread: a thread-level binding (a
             # profiled run context activated on it) wins over the
-            # module-global store.  Explicit None checks — an empty
+            # process-wide store.  Explicit None checks — an empty
             # ProfileStore is falsy (``__len__`` is the sample count).
             store = _bound.get(tid)
-            if store is None and _enabled:
-                store = _store
+            if store is None and "profile" in _switch.active():
+                store = _switch.get("profile")
             span_path = ()
         if store is None or _is_idle(frame):
             continue
@@ -398,10 +369,8 @@ def _sample_once(own_ident, weight: float) -> None:
 
 _lock = threading.RLock()
 _observer = _SpanObserver()
-_store: ProfileStore | None = None
 _sampler: _Sampler | None = None
 _retain_count = 0
-_enabled: bool = _truthy(os.environ.get("REPRO_PROFILE"))
 #: tid -> explicit lane label (worker pools register their threads here).
 _labels: dict[int, str] = {}
 #: tid -> store for samples taken *outside* any span on that thread
@@ -418,41 +387,19 @@ def _after_fork_in_child() -> None:
     keeps the forking thread's id, so a stale entry would silently route
     every worker sample into a discarded copy of the parent's store),
     and possibly mid-acquire locks.  Start from a clean slate; the
-    child's own ``enable()`` / scoped-context retain rebuilds what it
-    needs.
+    child's scoped-context retain rebuilds what it needs.
     """
-    global _lock, _observer, _sampler, _retain_count, _store
+    global _lock, _observer, _sampler, _retain_count
     _lock = threading.RLock()
     _observer = _SpanObserver()
     _sampler = None
     _retain_count = 0
-    _store = None
     _labels.clear()
     _bound.clear()
     _trace.set_span_observer(None)
 
 
 os.register_at_fork(after_in_child=_after_fork_in_child)
-
-
-def enabled() -> bool:
-    """Whether profiling is on (run-context pin overrides the global)."""
-    ctx = _ctx.current()
-    if ctx is not None:
-        pinned = getattr(ctx, "profile_enabled", None)
-        if pinned is not None:
-            return pinned
-    return _enabled
-
-
-def get_store() -> ProfileStore | None:
-    """The active store: the run context's private one when installed,
-    else the module-global store (kept after :func:`disable` so finished
-    runs can still be exported)."""
-    ctx = _ctx.current()
-    if ctx is not None and getattr(ctx, "profiler", None) is not None:
-        return ctx.profiler
-    return _store
 
 
 def active_hz() -> float | None:
@@ -529,58 +476,30 @@ def retain_sampler(hz: float | None = None) -> None:
     global _retain_count
     with _lock:
         _retain_count += 1
-        _start_locked(hz or default_hz())
+        _start_locked(hz or DEFAULT_HZ)
 
 
 def release_sampler() -> None:
     global _retain_count
     with _lock:
         _retain_count = max(_retain_count - 1, 0)
-        if _retain_count == 0 and not _enabled:
+        if _retain_count == 0 and "profile" not in _switch.active():
             _stop_locked()
 
 
-def enable(hz: float | None = None, *, clear: bool = False) -> None:
-    """Turn sampling on (module-global store); idempotent.
-
-    ``clear=True`` drops previously collected samples; otherwise a
-    re-enable keeps accumulating into the existing store.
-    """
-    global _enabled, _store
+def start_sampler(hz: float) -> None:
+    """The switch's on hook: sample at ``hz`` into the process-wide store
+    (an already-running sampler keeps its rate)."""
     with _lock:
-        if _store is None or clear:
-            _store = ProfileStore(hz=hz)
-        elif hz:
-            _store.hz = float(hz)
-        _enabled = True
-        _start_locked(hz or _store.hz)
+        _start_locked(hz)
 
 
-def disable() -> None:
-    """Stop sampling; collected samples are kept for export.  Idempotent
-    (and a no-op for scoped runs still holding the sampler)."""
-    global _enabled
+def stop_sampler() -> None:
+    """The switch's off hook: stop sampling unless a scoped profiled run
+    still holds the sampler.  Collected samples are kept for export."""
     with _lock:
-        _enabled = False
         if _retain_count == 0:
             _stop_locked()
-
-
-@contextmanager
-def profiling(hz: float | None = None, *, clear: bool = True):
-    """Enable sampling for a block, restoring the previous state after::
-
-        with profiler.profiling(hz=199) as store:
-            engine.mttkrp(0)
-        print(store.snapshot()["n_samples"])
-    """
-    was = _enabled
-    enable(hz, clear=clear)
-    try:
-        yield _store
-    finally:
-        if not was:
-            disable()
 
 
 # -- artifact ---------------------------------------------------------------
@@ -694,12 +613,7 @@ def write_profile(trace_dir: str, snapshot: dict | None = None, *,
     before anything touches disk; returns ``(json path, folded path)``.
     """
     if snapshot is None:
-        store = get_store()
-        if store is None:
-            raise ValueError(
-                "no profile samples to write (enable the profiler first)"
-            )
-        snapshot = store.snapshot()
+        snapshot = _switch.get("profile").snapshot()
     doc = profile_artifact(snapshot, run_id=run_id, command=command,
                            duration_seconds=duration_seconds)
     problems = validate_profile_artifact(doc)

@@ -1,28 +1,23 @@
 """Run-scoped telemetry contexts and the registry of concurrent runs.
 
-Until PR 7 the observability stack hung off process-global singletons —
-one :class:`~repro.obs.trace.Tracer`, one
-:class:`~repro.obs.events.EventLog`, one
-:class:`~repro.obs.metrics.MetricsRegistry`, one
-:class:`~repro.obs.memory.MemTracker` — which is exactly one concurrent
-run short of the decomposition-as-a-service roadmap.  A
-:class:`RunContext` bundles a ``run_id`` with a full set of instruments
-and rides a :mod:`contextvars` variable (:mod:`repro.obs._ctx`) that the
-instrument modules consult on every guarded call, so the *call sites*
-(engines, pools, kernels) did not change at all — the globals became
-thin compatibility shims that defer to the active context.
+A :class:`RunContext` bundles a ``run_id`` with (optionally) its own
+instruments and rides a :mod:`contextvars` variable
+(:func:`repro.obs.switch.current`) that :func:`repro.obs.switch.is_on`
+and :func:`repro.obs.switch.get` consult on every guarded call, so the call
+sites (engines, pools, kernels) are the same for scoped and process-wide
+telemetry.
 
 Two flavors:
 
 * :meth:`RunContext.ambient` — no instruments of its own; everything
-  still lands in the global singletons, but events are stamped with the
+  lands in the process-wide instruments, but events are stamped with the
   ``run_id`` and the run shows up on ``/runz``.  This is what a bare
-  ``cp_als`` call gets, and it behaves byte-for-byte like the pre-context
-  stack.
-* :meth:`RunContext.scoped` — fresh private instruments with explicit
-  enable flags.  Two scoped runs in one process (threads or interleaved)
-  keep fully separated spans/events/metrics/memory with zero cross-talk,
-  and ``/metrics`` labels each run's families with its ``run_id``.
+  ``cp_als`` call gets.
+* :meth:`RunContext.scoped` — fresh private instruments for a pinned
+  :mod:`repro.obs.switch` spec.  Two scoped runs in one process (threads
+  or interleaved) keep fully separated spans/events/metrics/memory with
+  zero cross-talk, and ``/metrics`` labels each run's families with its
+  ``run_id``.
 
 The process-wide :data:`run_registry` tracks every context that has been
 activated (finished runs are kept, bounded, for post-hoc inspection);
@@ -37,12 +32,8 @@ import time
 import uuid
 from contextlib import contextmanager
 
-from . import _ctx
-from . import events as _events_mod
-from . import health as _health_mod
-from . import memory as _memory_mod
 from . import profiler as _profiler_mod
-from . import trace as _trace_mod
+from . import switch as _switch
 from .metrics import MetricsRegistry
 
 __all__ = [
@@ -59,38 +50,24 @@ def new_run_id() -> str:
 class RunContext:
     """One run's identity plus (optionally) its own telemetry instruments.
 
-    Instrument fields left as ``None`` defer to the process-global
-    singleton; enable flags left as ``None`` defer to the module-global
-    on/off switches.  :meth:`ambient` leaves everything deferred;
-    :meth:`scoped` pins all of it.
+    ``instruments`` maps instrument names (see :mod:`repro.obs.switch`) to
+    private instances; names it lacks resolve to the process-wide ones.
+    ``enabled`` pins which instruments are on for this run; None defers
+    to the process-wide switch.  :meth:`ambient` leaves everything
+    deferred; :meth:`scoped` pins all of it.
     """
 
-    __slots__ = ("run_id", "tracer", "events", "metrics", "memory",
-                 "profiler", "health", "trace_enabled", "events_enabled",
-                 "mem_enabled", "profile_enabled", "health_enabled",
+    __slots__ = ("run_id", "instruments", "enabled", "metrics",
                  "created_at", "finished_at", "status", "meta")
 
     def __init__(self, run_id: str | None = None, *,
-                 tracer=None, events=None, metrics=None, memory=None,
-                 profiler=None, health=None,
-                 trace_enabled: bool | None = None,
-                 events_enabled: bool | None = None,
-                 mem_enabled: bool | None = None,
-                 profile_enabled: bool | None = None,
-                 health_enabled: bool | None = None,
+                 instruments: dict | None = None,
+                 enabled: frozenset | None = None, metrics=None,
                  meta: dict | None = None):
         self.run_id = run_id or new_run_id()
-        self.tracer = tracer
-        self.events = events
+        self.instruments = dict(instruments or {})
+        self.enabled = enabled
         self.metrics = metrics
-        self.memory = memory
-        self.profiler = profiler
-        self.health = health
-        self.trace_enabled = trace_enabled
-        self.events_enabled = events_enabled
-        self.mem_enabled = mem_enabled
-        self.profile_enabled = profile_enabled
-        self.health_enabled = health_enabled
         self.created_at = time.time()
         self.finished_at: float | None = None
         self.status = "created"
@@ -104,37 +81,21 @@ class RunContext:
         return cls(run_id, meta=meta)
 
     @classmethod
-    def scoped(cls, run_id: str | None = None, *,
-               trace: bool = False, events: bool = True, mem: bool = False,
-               profile: bool = False, health: bool = False,
-               profile_hz: float | None = None,
-               sink_path: str | None = None, events_maxlen: int = 4096,
+    def scoped(cls, run_id: str | None = None, *, obs="events",
                **meta) -> "RunContext":
         """A context with fresh, fully isolated instruments.
 
-        The enable flags are pinned (not deferred), so a scoped run is
-        unaffected by — and does not affect — the module-global switches.
-        With ``profile=True`` the context owns a private
-        :class:`~repro.obs.profiler.ProfileStore`; :func:`using` keeps
-        the process-wide sampler thread alive for the activation.
+        ``obs`` is a :mod:`repro.obs.switch` spec (``"trace,events"``,
+        ``"all"``, ``"trace,profile=199"``, ...) naming the instruments
+        this run turns on; it is pinned, so a scoped run is unaffected
+        by — and does not affect — the process-wide switch.  With
+        ``profile`` on, :func:`using` keeps the process-wide sampler
+        thread alive for the activation.
         """
-        return cls(
-            run_id,
-            tracer=_trace_mod.Tracer(),
-            events=_events_mod.EventLog(maxlen=events_maxlen,
-                                        sink_path=sink_path),
-            metrics=MetricsRegistry(),
-            memory=_memory_mod.MemTracker(),
-            profiler=(_profiler_mod.ProfileStore(hz=profile_hz)
-                      if profile else None),
-            health=_health_mod.HealthCollector(),
-            trace_enabled=trace,
-            events_enabled=events,
-            mem_enabled=mem,
-            profile_enabled=profile,
-            health_enabled=health,
-            meta=meta,
-        )
+        instruments = _switch.fresh(obs)
+        return cls(run_id, instruments=instruments,
+                   enabled=frozenset(instruments),
+                   metrics=MetricsRegistry(), meta=meta)
 
     # -- introspection -------------------------------------------------
     @property
@@ -151,20 +112,18 @@ class RunContext:
             "scoped": self.owns_telemetry,
             "created_at": self.created_at,
             "finished_at": self.finished_at,
-            "trace_enabled": self.trace_enabled,
-            "events_enabled": self.events_enabled,
-            "mem_enabled": self.mem_enabled,
-            "profile_enabled": self.profile_enabled,
-            "health_enabled": self.health_enabled,
+            "enabled": (None if self.enabled is None
+                        else sorted(self.enabled)),
             "meta": self.meta,
         }
-        if self.events is not None:
-            out["n_events"] = len(self.events)
-            out["run"] = self.events.run.to_dict()
-        if self.tracer is not None:
-            out["n_spans"] = len(self.tracer)
-        if self.profiler is not None:
-            out["n_profile_samples"] = self.profiler.n_samples
+        events = self.instruments.get("events")
+        if events is not None:
+            out["n_events"] = len(events)
+            out["run"] = events.run.to_dict()
+        if "trace" in self.instruments:
+            out["n_spans"] = len(self.instruments["trace"])
+        if "profile" in self.instruments:
+            out["n_profile_samples"] = self.instruments["profile"].n_samples
         return out
 
     def __repr__(self) -> str:
@@ -229,7 +188,7 @@ run_registry = RunRegistry()
 
 def current() -> RunContext | None:
     """The active run context in this execution context, if any."""
-    return _ctx.current()
+    return _switch.current()
 
 
 @contextmanager
@@ -243,16 +202,13 @@ def using(ctx: RunContext, *, register: bool = True):
     if register:
         run_registry.register(ctx)
     ctx.status = "running"
-    profiled = bool(ctx.profile_enabled)
-    bind_token = None
-    if profiled:
-        _profiler_mod.retain_sampler(
-            ctx.profiler.hz if ctx.profiler is not None else None
-        )
+    store = ctx.instruments.get("profile")
+    if store is not None:
+        _profiler_mod.retain_sampler(store.hz)
         # Samples on this thread taken outside any span (or with tracing
         # off entirely) still belong to this run's store.
-        bind_token = _profiler_mod.bind_thread(ctx.profiler)
-    token = _ctx.activate(ctx)
+        bind_token = _profiler_mod.bind_thread(store)
+    token = _switch.activate(ctx)
     try:
         yield ctx
     except BaseException:
@@ -262,8 +218,7 @@ def using(ctx: RunContext, *, register: bool = True):
         ctx.status = "finished"
     finally:
         ctx.finished_at = time.time()
-        _ctx.deactivate(token)
-        if profiled:
-            if bind_token is not None:
-                _profiler_mod.unbind_thread(bind_token)
+        _switch.deactivate(token)
+        if store is not None:
+            _profiler_mod.unbind_thread(bind_token)
             _profiler_mod.release_sampler()

@@ -38,8 +38,7 @@ import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from . import events as _events
-from . import memory as _memory
+from . import switch as _switch
 from .metrics import registry as _registry
 from .runctx import run_registry
 
@@ -227,9 +226,9 @@ def render_openmetrics(snapshot: dict | None = None,
     if snapshot is None:
         snapshot = _registry.snapshot()
     if run is None:
-        run = _events.get_log().run.to_dict()
+        run = _switch.get("events").run.to_dict()
     if live_bytes is None:
-        live_bytes = _memory.get_tracker().live_bytes
+        live_bytes = _switch.get("mem").live_bytes
 
     fam = _Families()
     _render_registry(fam, snapshot, run, live_bytes)
@@ -237,11 +236,13 @@ def render_openmetrics(snapshot: dict | None = None,
         for ctx in run_registry.runs():
             if not ctx.owns_telemetry:
                 continue
+            events = ctx.instruments.get("events")
+            mem = ctx.instruments.get("mem")
             _render_registry(
                 fam,
                 ctx.metrics.snapshot(),
-                ctx.events.run.to_dict() if ctx.events is not None else None,
-                ctx.memory.live_bytes if ctx.memory is not None else None,
+                events.run.to_dict() if events is not None else None,
+                mem.live_bytes if mem is not None else None,
                 labels={"run_id": ctx.run_id},
             )
     return fam.render()
@@ -320,7 +321,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif path == "/healthz":
             self._reply(200, "text/plain; charset=utf-8", b"ok\n")
         elif path == "/runz":
-            log = _events.get_log()
+            log = _switch.get("events")
             doc = {
                 "run": log.run.to_dict(),
                 "events": {
@@ -460,7 +461,7 @@ def load_trace_dir(trace_dir: str) -> dict:
     events = arts.events()
     if events is not None:
         found = True
-        log = _events.get_log()
+        log = _switch.get("events")
         loaded["events"] = log.replay(events)
 
     # Per-mode prediction-error gauges from a recorded attribution doc, so

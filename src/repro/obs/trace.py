@@ -10,32 +10,29 @@ microsecond of an engine run to the phase that spent it.
 
 Tracing is **off by default** and must be no-op-cheap when off: ``span()``
 returns a shared null context manager without allocating, and hot call
-sites additionally guard on :func:`enabled`.  Enable with
-:func:`enable` / the :func:`tracing` context manager, or set the
-``REPRO_TRACE`` environment variable before import::
+sites additionally guard on ``switch.is_on("trace")``.  Turn it on with
+the :mod:`repro.obs.switch` (``REPRO_OBS=trace`` before import, or
+``switch.enabled("trace")`` in code)::
 
-    REPRO_TRACE=1 python -m repro decompose nips --scale 0.05
+    REPRO_OBS=trace python -m repro decompose nips --scale 0.05
 
-Finished spans accumulate in a process-global :class:`Tracer`; export them
-with :mod:`repro.obs.export` (Chrome ``trace_event`` JSON, JSONL, or a
-human-readable tree).
+Finished spans accumulate in the active :class:`Tracer`
+(``switch.get("trace")``); export them with :mod:`repro.obs.export`
+(Chrome ``trace_event`` JSON, JSONL, or a human-readable tree).
 """
 
 from __future__ import annotations
 
 import contextvars
 import itertools
-import os
 import threading
 import time
-from contextlib import contextmanager
 
-from . import _ctx
+from . import switch as _switch
 from .metrics import registry as _metrics
 
 __all__ = [
-    "SpanRecord", "Tracer", "span", "record_span", "enabled", "enable",
-    "disable", "tracing", "get_tracer", "current_span_id",
+    "SpanRecord", "Tracer", "span", "record_span", "current_span_id",
     "merge_subprocess_spans", "set_span_observer",
 ]
 
@@ -138,52 +135,6 @@ _ids = itertools.count(1)
 _current: contextvars.ContextVar[int | None] = contextvars.ContextVar(
     "repro_current_span", default=None
 )
-_tracer = Tracer()
-
-
-def _truthy(value: str | None) -> bool:
-    return (value or "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-_enabled: bool = _truthy(os.environ.get("REPRO_TRACE"))
-
-
-def enabled() -> bool:
-    """Whether tracing is currently on (the call-site guard).
-
-    A run context with an explicit ``trace_enabled`` overrides the module
-    global, so a scoped run can trace while the process default is off —
-    and vice versa — without touching shared state.
-    """
-    ctx = _ctx.current()
-    if ctx is not None and ctx.trace_enabled is not None:
-        return ctx.trace_enabled
-    return _enabled
-
-
-def enable(*, clear: bool = False) -> None:
-    """Turn tracing on; ``clear=True`` also drops previously recorded spans."""
-    global _enabled
-    if clear:
-        _tracer.clear()
-    _enabled = True
-
-
-def disable() -> None:
-    """Turn tracing off (recorded spans are kept until :meth:`Tracer.clear`)."""
-    global _enabled
-    _enabled = False
-
-
-def get_tracer() -> Tracer:
-    """The active tracer: the run context's when one is installed, else
-    the process-global one holding recorded spans."""
-    ctx = _ctx.current()
-    if ctx is not None and ctx.tracer is not None:
-        return ctx.tracer
-    return _tracer
-
-
 def current_span_id() -> int | None:
     """Id of the innermost open span in this context, if any."""
     return _current.get()
@@ -228,7 +179,7 @@ class _Span:
         self.attrs = attrs
 
     def __enter__(self) -> SpanRecord:
-        tracer = get_tracer()
+        tracer = _switch.get("trace")
         rec = SpanRecord(
             id=next(_ids),
             parent=_current.get(),
@@ -262,9 +213,9 @@ def span(kind: str, **attrs):
 
     While tracing is disabled this returns a shared null context manager —
     the only cost is the call itself and the keyword dict.  Truly hot call
-    sites should guard with ``if trace.enabled():`` and skip even that.
+    sites should guard with ``if switch.is_on("trace"):`` and skip even that.
     """
-    if not enabled():
+    if not _switch.is_on("trace"):
         return _NULL_SPAN
     return _Span(kind, attrs)
 
@@ -280,9 +231,9 @@ def record_span(kind: str, t0: float, t1: float, *,
     span as parent (unless ``parent`` is given), and feeds the same metrics
     histogram as :func:`span`.  No-op (returns None) while tracing is off.
     """
-    if not enabled():
+    if not _switch.is_on("trace"):
         return None
-    tracer = get_tracer()
+    tracer = _switch.get("trace")
     rec = SpanRecord(
         id=next(_ids),
         parent=parent if parent is not None else _current.get(),
@@ -315,9 +266,9 @@ def merge_subprocess_spans(span_dicts, *, offset: float,
 
     Returns the merged records (empty while tracing is off).
     """
-    if not enabled() or not span_dicts:
+    if not _switch.is_on("trace") or not span_dicts:
         return []
-    tracer = get_tracer()
+    tracer = _switch.get("trace")
     id_map = {int(d["id"]): next(_ids) for d in span_dicts}
     merged: list[SpanRecord] = []
     for d in span_dicts:
@@ -338,22 +289,3 @@ def merge_subprocess_spans(span_dicts, *, offset: float,
             _metrics.observe_span(rec.kind, rec.duration)
         merged.append(rec)
     return merged
-
-
-@contextmanager
-def tracing(*, clear: bool = True):
-    """Enable tracing for a block, restoring the previous state after.
-
-    Usage::
-
-        with tracing():
-            engine.mttkrp(0)
-        spans = get_tracer().finished()
-    """
-    was = _enabled
-    enable(clear=clear)
-    try:
-        yield _tracer
-    finally:
-        if not was:
-            disable()

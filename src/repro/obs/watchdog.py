@@ -54,6 +54,7 @@ from ..model.cost import CostReport
 from ..perf.counters import Counters
 from . import events as _events
 from .metrics import registry as _metrics
+from .observer import IterationObserver
 
 __all__ = ["ModelDriftWarning", "DriftReading", "DriftWatchdog"]
 
@@ -130,8 +131,12 @@ class DriftReading:
         return not self.fired
 
 
-class DriftWatchdog:
+class DriftWatchdog(IterationObserver):
     """Per-iteration comparator between a :class:`CostReport` and reality.
+
+    As a CP-ALS observer (:mod:`repro.obs.observer`) it reads the
+    iteration record the memory, attribution and health observers filled
+    and stores its reading in ``record.drift``.
 
     Parameters
     ----------
@@ -199,6 +204,13 @@ class DriftWatchdog:
         self.readings: list[DriftReading] = []
         self._warmup_ratios: list[float] = []
         self.time_baseline: float | None = None
+
+    def end_iteration(self, record) -> None:
+        record.drift = self.observe(
+            record.iteration, record.counters, record.seconds,
+            mem=record.mem, attribution=record.attribution,
+            health=record.health,
+        )
 
     def observe(self, iteration: int, counters: Counters,
                 seconds: float, mem=None, attribution=None,

@@ -19,15 +19,10 @@ import numpy as np
 
 from ..core.coo import CooTensor
 from ..core.dtypes import VALUE_DTYPE
-from ..core.engine import MemoizedMttkrp, contraction_work
-import time
-
+from ..core.engine import MemoizedMttkrp
 from ..kernels import get_kernel
-from ..obs import attribution as _attr
-from ..obs import events as _events
-from ..obs import memory as _mem
+from ..obs import switch as _switch
 from ..obs import trace as _trace
-from ..perf import counters as perf
 from .pool import WorkerPool
 
 
@@ -63,10 +58,10 @@ class ParallelMemoizedMttkrp(MemoizedMttkrp):
     def close(self) -> None:
         if self._own_pool:
             self.pool.close()
-        if _mem.enabled():
+        if _switch.is_on("mem"):
             # Pool engines are commonly short-lived context managers; drop
             # their entries so the tracker's live total reflects reality.
-            _mem.get_tracker().release_engine(id(self))
+            _switch.get("mem").release_engine(id(self))
 
     def __enter__(self) -> "ParallelMemoizedMttkrp":
         return self
@@ -88,51 +83,24 @@ class ParallelMemoizedMttkrp(MemoizedMttkrp):
 
         ctx = self._rebuild_context(node_id)
         kernel = self._chunk_kernel
-        attr = _attr.get_recorder() if _attr.enabled() else None
-        seconds = 0.0
         out = np.empty((sym.nnz, self.rank), dtype=VALUE_DTYPE)
-        if _trace.enabled():
-            def chunk_fn(s, g):
+
+        def chunk(s, g, traced):
+            if traced:
                 with _trace.span("kernel_chunk", backend=kernel.name,
                                  node=node_id):
                     kernel.rebuild_chunk(ctx, s, g, out)
+            else:
+                kernel.rebuild_chunk(ctx, s, g, out)
 
-            with _trace.span("node_rebuild", node=node_id, nnz=sym.nnz,
-                             parent_nnz=ctx.parent_sym.nnz,
-                             chunks=len(chunks)) as rec:
-                self.pool.run([
-                    (lambda s=s, g=g: chunk_fn(s, g)) for s, g in chunks
-                ])
-            if rec is not None:
-                seconds = rec.duration
-                if _events.enabled():
-                    _events.emit("node_rebuild", node=node_id, nnz=sym.nnz,
-                                 seconds=seconds, chunks=len(chunks))
-        elif _events.enabled() or attr is not None:
-            t0 = time.perf_counter()
+        def build(traced):
             self.pool.run([
-                (lambda s=s, g=g: kernel.rebuild_chunk(ctx, s, g, out))
-                for s, g in chunks
+                (lambda s=s, g=g: chunk(s, g, traced)) for s, g in chunks
             ])
-            seconds = time.perf_counter() - t0
-            if _events.enabled():
-                _events.emit("node_rebuild", node=node_id, nnz=sym.nnz,
-                             seconds=seconds, chunks=len(chunks))
-        else:
-            self.pool.run([
-                (lambda s=s, g=g: kernel.rebuild_chunk(ctx, s, g, out))
-                for s, g in chunks
-            ])
-        flops, words = contraction_work(
-            ctx.parent_sym.nnz, self.rank, len(sym.delta_modes)
-        )
-        perf.record(
-            flops=flops, words=words,
-            contractions=len(sym.delta_modes), node_builds=1,
-        )
-        if attr is not None:
-            attr.on_rebuild(node_id, flops, words, seconds)
-        if _trace.enabled():
+            return out
+
+        self._rebuild(ctx, build, chunks=len(chunks))
+        if _switch.is_on("trace"):
             # Chunked rebuilds grow per-worker arena buffers; refresh the
             # workspace gauge here so the peak is visible even between
             # mttkrp span boundaries.

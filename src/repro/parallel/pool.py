@@ -21,8 +21,8 @@ from ..core.coo import CooTensor
 from ..core.dtypes import VALUE_DTYPE
 from ..core.validate import check_mode, check_positive_int
 from ..baselines.base import MttkrpBackend
-from ..obs import _ctx as _run_ctx
 from ..obs import profiler as _profiler
+from ..obs import switch as _switch
 from ..obs import trace as _trace
 from ..obs.metrics import registry as _metrics
 from .partition import partition_nonzeros
@@ -161,7 +161,7 @@ class WorkerPool:
         is entirely skipped while tracing is off.
         """
         if self._executor is None or len(tasks) <= 1:
-            if _trace.enabled():
+            if _switch.is_on("trace"):
                 durations: list[float] = []
                 results = [
                     self._run_span(t, i, None, durations)
@@ -170,13 +170,13 @@ class WorkerPool:
                 self._publish_imbalance(durations)
                 return results
             return [t() for t in tasks]
-        if _trace.enabled() or _run_ctx.current() is not None:
+        if _switch.is_on("trace") or _switch.current() is not None:
             # One context copy per task: a Context cannot be entered by two
             # threads at once, and the copy carries the parent span id and
             # the active run context (so worker-thread events/metrics land
             # in the right run even when tracing itself is off).
             durations = []
-            tracer = _trace.get_tracer()
+            tracer = _switch.get("trace")
             futures = [
                 self._executor.submit(
                     contextvars.copy_context().run, self._run_span, t, i,
@@ -195,7 +195,7 @@ class WorkerPool:
                   durations: list[float]) -> object:
         # t_submit None = inline execution: no queue, wait is exactly 0.0.
         queue_wait = (
-            max(_trace.get_tracer().now() - t_submit, 0.0)
+            max(_switch.get("trace").now() - t_submit, 0.0)
             if t_submit is not None else 0.0
         )
         with _trace.span(

@@ -64,6 +64,7 @@ from ..core.validate import check_mode
 from ..kernels.alto import AltoEncoding, aligned_chunks, fits_alto
 from ..obs import events as _events
 from ..obs import profiler as _profiler
+from ..obs import switch as _switch
 from ..obs import trace as _trace
 from ..obs.metrics import registry as _metrics
 from .pool import ParallelCooMttkrp, resolve_worker_count
@@ -117,12 +118,10 @@ def _timed_call(fn: Callable, args: tuple, capture: bool = False,
         return result, time.perf_counter() - t0, os.getpid(), None
     from ..obs import runctx as _runctx
 
-    ctx = _runctx.RunContext.scoped(
-        trace=True, events=False, mem=False,
-        profile=profile_hz is not None, profile_hz=profile_hz,
-    )
+    spec = "trace" if profile_hz is None else f"trace,profile={profile_hz}"
+    ctx = _runctx.RunContext.scoped(obs=spec)
     with _runctx.using(ctx, register=False):
-        tracer = ctx.tracer
+        tracer = ctx.instruments["trace"]
         t0 = tracer.now()
         result = fn(*args)
         t1 = tracer.now()
@@ -134,8 +133,8 @@ def _timed_call(fn: Callable, args: tuple, capture: bool = False,
         "tid": threading.get_ident(),
         "spans": [s.to_dict() for s in tracer.finished()],
         "counters": ctx.metrics.counters,
-        "profile": (ctx.profiler.snapshot()
-                    if ctx.profiler is not None else None),
+        "profile": (ctx.instruments["profile"].snapshot()
+                    if profile_hz is not None else None),
     }
     return result, t1 - t0, os.getpid(), payload
 
@@ -202,15 +201,15 @@ class ProcessPool:
             self._publish_imbalance(durations)
             return results
         executor = self._ensure_executor()
-        traced = _trace.enabled()
+        traced = _switch.is_on("trace")
         capture = traced and self.capture
         # Ship the parent's sampling rate to the workers only when both
         # capture and profiling are live; workers then sample themselves
         # for the task's duration and return the folded stacks.
         profile_hz = None
-        if capture and _profiler.enabled():
-            profile_hz = _profiler.active_hz() or _profiler.default_hz()
-        tracer = _trace.get_tracer() if traced else None
+        if capture and _switch.is_on("profile"):
+            profile_hz = _profiler.active_hz() or _profiler.DEFAULT_HZ
+        tracer = _switch.get("trace") if traced else None
         parent_span = _trace.current_span_id()
         submits = []
         futures = []
@@ -250,12 +249,11 @@ class ProcessPool:
                     _metrics.counters.add(counters)
                 profile = payload.get("profile")
                 if profile and profile.get("n_samples") \
-                        and _profiler.enabled():
-                    store = _profiler.get_store()
-                    if store is not None:
-                        # Same re-rooting as the spans above: worker
-                        # stacks land under pool_task, one lane per pid.
-                        store.merge_child(profile, lane=f"pid-{pid}")
+                        and _switch.is_on("profile"):
+                    # Same re-rooting as the spans above: worker stacks
+                    # land under pool_task, one lane per pid.
+                    _switch.get("profile").merge_child(
+                        profile, lane=f"pid-{pid}")
             else:
                 # No payload (worker ran without capture): synthesize the
                 # span from the reported duration, as before PR 7, and
@@ -500,12 +498,11 @@ class ProcessMttkrp(MttkrpBackend):
             f"falling back to the thread tier for the rest of the run"
         )
         warnings.warn(message, RuntimeWarning, stacklevel=3)
-        if _events.enabled():
-            _events.emit(
-                "warning", message=message, tier="process",
-                fallback="thread", layout=self.layout,
-                n_workers=self.pool.n_workers,
-            )
+        _events.emit(
+            "warning", message=message, tier="process",
+            fallback="thread", layout=self.layout,
+            n_workers=self.pool.n_workers,
+        )
         _metrics.incr("procpool.broken")
         if self._own_pool:
             self.pool.close()

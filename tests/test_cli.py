@@ -6,6 +6,7 @@ import pytest
 from repro.cli import load_input, main
 from repro.core.coo import CooTensor
 from repro.io.frostt import write_tns
+from repro.obs import switch
 from repro.synth.lowrank import lowrank_tensor
 
 from .helpers import random_coo
@@ -152,12 +153,11 @@ class TestCommands:
 class TestTraceCommands:
     @pytest.fixture(autouse=True)
     def clean_obs_state(self):
-        from repro.obs import trace
         from repro.obs.metrics import registry
 
         yield
-        trace.disable()
-        trace.get_tracer().clear()
+        switch.disable("trace")
+        switch.get("trace").clear()
         registry.reset()
 
     def _trace_run(self, tmp_path, capsys):
@@ -187,11 +187,9 @@ class TestTraceCommands:
         assert "als_iteration" in snap["metrics"]["spans"]
 
     def test_trace_restores_disabled_state(self, tmp_path, capsys):
-        from repro.obs import trace
-
-        assert not trace.enabled()
+        assert not switch.is_on("trace")
         self._trace_run(tmp_path, capsys)
-        assert not trace.enabled()
+        assert not switch.is_on("trace")
 
     def test_report_renders_saved_trace(self, tmp_path, capsys):
         trace_dir, _ = self._trace_run(tmp_path, capsys)
@@ -231,15 +229,14 @@ class TestTraceCommands:
 class TestServeAndTail:
     @pytest.fixture(autouse=True)
     def clean_obs_state(self):
-        from repro.obs import events, trace
         from repro.obs.metrics import registry
 
         yield
-        trace.disable()
-        trace.get_tracer().clear()
-        events.disable()
-        events.get_log().close_sink()
-        events.get_log().clear()
+        switch.disable("trace")
+        switch.get("trace").clear()
+        switch.disable("events")
+        switch.get("events").close_sink()
+        switch.get("events").clear()
         registry.reset()
 
     @pytest.fixture

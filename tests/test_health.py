@@ -10,8 +10,8 @@ import repro
 from repro.core.coo import CooTensor
 from repro.linalg import gram
 from repro.linalg.solve import PINV_RCOND
-from repro.obs import events as obs_events
 from repro.obs import health
+from repro.obs import switch
 from repro.obs.artifacts import TraceArtifacts
 from repro.obs.health import (FactorDeltaTracker, FitTrajectory,
                               HealthCollector, TRAJECTORY_CONVERGING,
@@ -20,6 +20,7 @@ from repro.obs.health import (FactorDeltaTracker, FitTrajectory,
                               congruence_from_grams, gram_conditioning,
                               health_artifact, rel_delta,
                               validate_health_artifact, write_health)
+from repro.obs.observer import IterationRecord
 from repro.synth.lowrank import lowrank_tensor
 
 from .helpers import random_coo
@@ -203,14 +204,14 @@ class TestFitTrajectory:
 class TestHealthCollector:
     def test_observe_cycle(self):
         hc = HealthCollector()
-        hc.start_run(n_modes=2, rank=2)
+        hc.start_run(n_modes=2)
         hc.begin_iteration(0)
         H = np.diag([2.0, 1.0])
         U0, U1 = np.eye(3)[:, :2], np.eye(4)[:, :2]
         hc.observe_mode(0, H, U0, U0)
         hc.observe_mode(1, H, U1, 2.0 * U1)
-        reading = hc.observe_iteration(
-            0, grams=[gram(U0), gram(U1)], fit=0.5
+        reading = hc.end_iteration(
+            IterationRecord(0, grams=[gram(U0), gram(U1)], fit=0.5)
         )
         assert reading.condition_numbers == [pytest.approx(2.0)] * 2
         assert reading.factor_deltas[0] == 0.0
@@ -225,13 +226,13 @@ class TestHealthCollector:
         hc.record_fallback(1, mode=1, iteration=3)
         assert hc.total_pinv_fallbacks == 1
         assert hc.fallback_sites == [(3, 1)]
-        reading = hc.observe_iteration(3, fit=0.1)
+        reading = hc.end_iteration(IterationRecord(3, fit=0.1))
         assert reading.pinv_fallbacks == 1
 
     def test_reset(self):
         hc = HealthCollector()
         hc.start_run(n_modes=1)
-        hc.observe_iteration(0, fit=0.1)
+        hc.end_iteration(IterationRecord(0, fit=0.1))
         hc.reset()
         assert not hc.has_data
         assert hc.total_pinv_fallbacks == 0
@@ -250,7 +251,8 @@ class TestCpAlsHealth:
         assert res.health_readings is None
 
     def test_collecting_populates_readings(self, planted):
-        with health.collecting() as hc:
+        with switch.enabled("health") as _on:
+            hc = _on["health"]
             res = repro.cp_als(planted.tensor, rank=2, n_iter_max=5,
                                tol=0.0, strategy="bdt", random_state=0)
         assert res.health_readings is not None
@@ -265,32 +267,55 @@ class TestCpAlsHealth:
                                 TRAJECTORY_SWAMPED)
         assert [x.iteration for x in hc.readings] == list(range(5))
 
-    def test_factors_bitwise_identical_with_telemetry(self, planted):
-        """Health collection must not perturb the numeric path at all."""
+    @pytest.mark.parametrize("how", ["switch:health", "switch:all",
+                                     "scoped:all", "env:all"])
+    def test_factors_bitwise_identical_with_telemetry(self, planted, how,
+                                                      tmp_path):
+        """Telemetry must not perturb the numeric path at all: the same
+        factors and fits with ``REPRO_OBS`` unset, with the switch on in
+        code, under a scoped run context, and with ``REPRO_OBS`` set."""
+        from repro.obs import runctx
+        from repro.obs.watchdog import ModelDriftWarning
+
         kwargs = dict(rank=2, n_iter_max=6, tol=0.0, strategy="bdt",
                       random_state=42)
         off = repro.cp_als(planted.tensor, **kwargs)
-        with health.collecting():
-            on = repro.cp_als(planted.tensor, **kwargs)
+        where, spec = how.split(":")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelDriftWarning)
+            if where == "switch":
+                with switch.enabled(spec):
+                    on = repro.cp_als(planted.tensor, **kwargs)
+            elif where == "scoped":
+                ctx = runctx.RunContext.scoped(obs=spec)
+                try:
+                    on = repro.cp_als(planted.tensor, run_ctx=ctx, **kwargs)
+                finally:
+                    # Keep its span histograms off later /metrics renders.
+                    runctx.run_registry.unregister(ctx.run_id)
+            else:
+                on = _cp_als_in_fresh_process(planted.tensor, kwargs,
+                                              {"REPRO_OBS": spec}, tmp_path)
         assert (off.ktensor.weights == on.ktensor.weights).all()
         for a, b in zip(off.ktensor.factors, on.ktensor.factors):
             assert (a == b).all()
-        assert off.fit == on.fit
+        assert off.fits == on.fits
 
     def test_scoped_run_context_isolates_collector(self, planted):
         from repro.obs import runctx
 
-        before = len(health._collector.readings)
-        ctx = runctx.RunContext.scoped(health=True)
+        before = len(switch.get("health").readings)
+        ctx = runctx.RunContext.scoped(obs="health")
         with runctx.using(ctx):
             repro.cp_als(planted.tensor, rank=2, n_iter_max=3,
                          strategy="bdt", random_state=0)
-        assert ctx.health.has_data
+        assert ctx.instruments["health"].has_data
         # Nothing leaked into the process-global collector.
-        assert len(health._collector.readings) == before
+        assert len(switch.get("health").readings) == before
 
     def test_events_carry_health_fields(self, planted):
-        with health.collecting(), obs_events.logging_events() as log:
+        with switch.enabled("health,events") as on:
+            log = on["events"]
             repro.cp_als(planted.tensor, rank=2, n_iter_max=3, tol=0.0,
                          strategy="bdt", random_state=0)
         iterations = [e for e in log.tail() if e["kind"] == "iteration"]
@@ -298,6 +323,31 @@ class TestCpAlsHealth:
         assert "health_congruence" in iterations[-1]
         assert "health_trajectory" in iterations[-1]
         assert "health_max_condition" in iterations[-1]
+
+
+def _cp_als_in_fresh_process(tensor, kwargs, env, tmp_path):
+    """``cp_als`` in a new interpreter with ``env`` set before import."""
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    job = tmp_path / "job.pkl"
+    out = tmp_path / "result.pkl"
+    with open(job, "wb") as fh:
+        pickle.dump((tensor, kwargs), fh)
+    code = (
+        "import pickle, sys, warnings; import repro; "
+        "warnings.simplefilter('ignore'); "
+        "tensor, kwargs = pickle.load(open(sys.argv[1], 'rb')); "
+        "result = repro.cp_als(tensor, **kwargs); "
+        "assert result.health_readings is not None; "
+        "pickle.dump(result, open(sys.argv[2], 'wb'))"
+    )
+    subprocess.run([sys.executable, "-c", code, str(job), str(out)],
+                   check=True, env={**os.environ, **env})
+    with open(out, "rb") as fh:
+        return pickle.load(fh)
 
 
 class TestEarlyStopCallback:
@@ -319,7 +369,8 @@ class TestEarlyStopCallback:
 
 class TestHealthArtifact:
     def _readings(self, tensor):
-        with health.collecting() as hc:
+        with switch.enabled("health") as _on:
+            hc = _on["health"]
             repro.cp_als(tensor, rank=2, n_iter_max=4, tol=0.0,
                          strategy="bdt", random_state=0)
         return list(hc.readings)
@@ -401,7 +452,8 @@ class TestServeReplay:
 
         rng = np.random.default_rng(6)
         t = random_coo(rng, (7, 6, 5), 150)
-        with health.collecting() as hc:
+        with switch.enabled("health") as _on:
+            hc = _on["health"]
             repro.cp_als(t, rank=2, n_iter_max=4, tol=0.0,
                          strategy="bdt", random_state=0)
         write_health(str(tmp_path), hc.readings, run_id="r")
@@ -484,7 +536,8 @@ class TestDashboardPanel:
 
         rng = np.random.default_rng(8)
         t = random_coo(rng, (7, 6, 5), 150)
-        with health.collecting() as hc:
+        with switch.enabled("health") as _on:
+            hc = _on["health"]
             repro.cp_als(t, rank=2, n_iter_max=4, tol=0.0,
                          strategy="bdt", random_state=0)
         doc = health_artifact(hc.readings, run_id="r", rank=2,

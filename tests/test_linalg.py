@@ -11,6 +11,7 @@ from repro.linalg import (GramCache, column_norms, gram, hadamard_grams,
                           innerprod_from_mttkrp, khatri_rao, khatri_rao_rows,
                           normalize_columns, psd_pinv,
                           solve_normal_equations, sparse_kruskal_innerprod)
+from repro.obs import switch
 
 from .helpers import dense_mttkrp, random_coo, random_factors
 
@@ -200,12 +201,11 @@ class TestSolve:
         assert "pinv_fallbacks" not in c.extra
 
     def test_fallback_emits_structured_warning_event(self):
-        from repro.obs import events as obs_events
-
         H = np.zeros((3, 3))
         H[0, 0] = 1.0
         M = np.ones((4, 3))
-        with obs_events.logging_events() as log:
+        with switch.enabled("events") as _on:
+            log = _on["events"]
             solve_normal_equations(M, H)
         warnings_ = [e for e in log.tail() if e["kind"] == "warning"]
         assert len(warnings_) == 1
@@ -215,16 +215,17 @@ class TestSolve:
         assert "pseudoinverse" in event["message"]
 
     def test_fallback_site_attribution(self):
-        from repro.obs import health
+        from repro.linalg.solve import set_solve_site
 
         H = np.array([[1.0, 1.0], [1.0, 1.0]])
         M = np.array([[2.0, 2.0]])
-        with health.collecting() as hc:
-            health.set_site(4, 1)
+        with switch.enabled("health") as _on:
+            hc = _on["health"]
+            set_solve_site(4, 1)
             try:
                 solve_normal_equations(M, H)
             finally:
-                health.clear_site()
+                set_solve_site(None, None)
         assert hc.fallback_sites == [(4, 1)]
         assert hc.total_pinv_fallbacks == 1
 

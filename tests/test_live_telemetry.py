@@ -8,8 +8,7 @@ import pytest
 
 from repro.core.cpals import cp_als
 from repro.obs import events as obs_events
-from repro.obs import memory as obs_memory
-from repro.obs import trace
+from repro.obs import switch
 from repro.obs.metrics import registry
 from repro.obs.serve import (ObsServer, load_trace_dir, render_openmetrics,
                              validate_openmetrics)
@@ -23,13 +22,13 @@ from repro.synth.lowrank import lowrank_tensor
 def clean_telemetry_state():
     """Every test starts and ends with events/trace off and state empty."""
     def reset():
-        trace.disable()
-        trace.get_tracer().clear()
-        obs_events.disable()
-        obs_events.get_log().close_sink()
-        obs_events.get_log().clear()
-        obs_memory.disable()
-        obs_memory.get_tracker().reset()
+        switch.disable("trace")
+        switch.get("trace").clear()
+        switch.disable("events")
+        switch.get("events").close_sink()
+        switch.get("events").clear()
+        switch.disable("mem")
+        switch.get("mem").reset()
         registry.reset()
 
     reset()
@@ -39,7 +38,7 @@ def clean_telemetry_state():
 
 def emit_run(n_iters=3, seconds=0.5):
     """A canned run_start / iteration* / run_stop event sequence."""
-    obs_events.enable()
+    switch.enable("events")
     obs_events.emit("run_start", shape=[4, 4, 4], nnz=30, rank=2,
                     strategy="bdt", n_iter_max=10, tol=1e-5)
     for i in range(n_iters):
@@ -52,12 +51,12 @@ def emit_run(n_iters=3, seconds=0.5):
 
 class TestEventLog:
     def test_disabled_emits_nothing(self):
-        assert not obs_events.enabled()
+        assert not switch.is_on("events")
         assert obs_events.emit("warning", message="x") is None
-        assert len(obs_events.get_log()) == 0
+        assert len(switch.get("events")) == 0
 
     def test_envelope_stamped(self):
-        obs_events.enable()
+        switch.enable("events")
         event = obs_events.emit("warning", message="hello")
         assert event["schema"] == obs_events.EVENTS_SCHEMA
         assert event["kind"] == "warning"
@@ -74,7 +73,7 @@ class TestEventLog:
 
     def test_sink_flushed_per_event(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        obs_events.enable(sink_path=str(path))
+        switch.enable(f"events={path}")
         obs_events.emit("warning", message="first")
         # Visible on disk before any close: the sink flushes per event.
         events = obs_events.read_events(str(path))
@@ -83,7 +82,7 @@ class TestEventLog:
     def test_write_jsonl_roundtrip(self, tmp_path):
         emit_run(n_iters=2)
         path = tmp_path / "dump.jsonl"
-        n = obs_events.get_log().write_jsonl(str(path))
+        n = switch.get("events").write_jsonl(str(path))
         events = obs_events.read_events(str(path))
         assert len(events) == n == 4
         assert obs_events.validate_events(events) == []
@@ -91,7 +90,7 @@ class TestEventLog:
     def test_replay_restores_run_state(self, tmp_path):
         emit_run(n_iters=3)
         path = tmp_path / "dump.jsonl"
-        obs_events.get_log().write_jsonl(str(path))
+        switch.get("events").write_jsonl(str(path))
         events = obs_events.read_events(str(path))
 
         fresh = obs_events.EventLog()
@@ -101,12 +100,13 @@ class TestEventLog:
         assert not fresh.run.active
 
     def test_logging_events_restores_disabled(self):
-        assert not obs_events.enabled()
-        with obs_events.logging_events() as log:
-            assert obs_events.enabled()
+        assert not switch.is_on("events")
+        with switch.enabled("events") as _on:
+            log = _on["events"]
+            assert switch.is_on("events")
             obs_events.emit("warning", message="inside")
             assert len(log) == 1
-        assert not obs_events.enabled()
+        assert not switch.is_on("events")
 
     def test_validate_catches_broken_events(self):
         errors = obs_events.validate_events([
@@ -133,7 +133,7 @@ class TestEventLog:
 class TestRunState:
     def test_fold_and_eta(self):
         emit_run(n_iters=4, seconds=0.5)
-        run = obs_events.get_log().run
+        run = switch.get("events").run
         assert run.rate_seconds_per_iteration() == pytest.approx(0.5)
         # run_stop deactivates the run, so the ETA is gone.
         assert run.eta_seconds() is None
@@ -143,17 +143,18 @@ class TestRunState:
         assert doc["converged"] is False
 
     def test_eta_while_active(self):
-        obs_events.enable()
+        switch.enable("events")
         obs_events.emit("run_start", shape=[4], nnz=1, rank=1,
                         strategy="bdt", n_iter_max=10)
         obs_events.emit("iteration", iteration=0, fit=0.1, seconds=2.0)
-        run = obs_events.get_log().run
+        run = switch.get("events").run
         # 9 iterations left at 2 s each.
         assert run.eta_seconds() == pytest.approx(18.0)
 
     def test_cpals_emits_schema_valid_events(self):
         planted = lowrank_tensor((6, 5, 4), rank=2, nnz=80, random_state=0)
-        with obs_events.logging_events() as log:
+        with switch.enabled("events") as _on:
+            log = _on["events"]
             result = cp_als(planted.tensor, rank=2, strategy="bdt",
                             n_iter_max=3, tol=0.0, random_state=1)
         events = log.tail()
@@ -236,12 +237,12 @@ class TestLoadTraceDir:
 
     def test_replays_events_and_metrics(self, tmp_path):
         emit_run(n_iters=2)
-        obs_events.get_log().write_jsonl(str(tmp_path / "events.jsonl"))
+        switch.get("events").write_jsonl(str(tmp_path / "events.jsonl"))
         with open(tmp_path / "metrics.json", "w") as fh:
             json.dump({"metrics": {"gauges": {"pool.imbalance": 1.5},
                                    "counters": {"flops": 123},
                                    "events": {"drift.warnings": 2}}}, fh)
-        obs_events.get_log().clear()
+        switch.get("events").clear()
         registry.reset()
 
         loaded = load_trace_dir(str(tmp_path))
@@ -250,7 +251,7 @@ class TestLoadTraceDir:
         text = render_openmetrics()
         assert "repro_pool_imbalance 1.5" in text
         assert "repro_counter_flops_total 123" in text
-        assert obs_events.get_log().run.iteration == 1
+        assert switch.get("events").run.iteration == 1
 
 
 def task_span(id, parent, worker, t0, t1, wait=0.0):
@@ -308,11 +309,11 @@ class TestUtilization:
         rng = np.random.default_rng(0)
         t = random_coo(rng, (12, 11, 10, 9), 400)
         factors = random_factors(rng, t.shape, 3)
-        with trace.tracing():
+        with switch.enabled("trace"):
             with ParallelMemoizedMttkrp(t, "bdt", factors, n_workers=2,
                                         min_chunk_rows=1) as eng:
                 eng.mttkrp(0)
-        report = utilization_from_spans(trace.get_tracer().finished())
+        report = utilization_from_spans(switch.get("trace").finished())
         assert report is not None
         assert report.n_tasks >= 2
         assert all(w.busy_fraction <= 1.0 + 1e-9 for w in report.workers)

@@ -11,11 +11,12 @@ from repro.core.cpals import cp_als
 from repro.core.engine import MemoizedMttkrp
 from repro.core.strategy import balanced_binary
 from repro.model.cost import cost_from_symbolic
-from repro.obs import export, metrics, trace
+from repro.obs import export, switch, trace
 from repro.obs import memory as obs_memory
 from repro.obs.buildinfo import (artifact_envelope, build_info,
                                  version_string)
-from repro.obs.metrics import registry
+from repro.obs.metrics import metrics, registry
+from repro.obs.observer import IterationRecord
 from repro.obs.watchdog import DriftWatchdog, ModelDriftWarning
 from repro.parallel.engine import ParallelMemoizedMttkrp
 
@@ -25,16 +26,16 @@ from .helpers import random_coo
 @pytest.fixture(autouse=True)
 def clean_obs_state():
     """Every test starts and ends with tracing off and empty global state."""
-    trace.disable()
-    trace.get_tracer().clear()
-    obs_memory.disable()
-    obs_memory.get_tracker().reset()
+    switch.disable("trace")
+    switch.get("trace").clear()
+    switch.disable("mem")
+    switch.get("mem").reset()
     registry.reset()
     yield
-    trace.disable()
-    trace.get_tracer().clear()
-    obs_memory.disable()
-    obs_memory.get_tracker().reset()
+    switch.disable("trace")
+    switch.get("trace").clear()
+    switch.disable("mem")
+    switch.get("mem").reset()
     registry.reset()
 
 
@@ -48,51 +49,51 @@ def small_engine(parallel=False, rank=4, **kwargs):
 
 class TestSpans:
     def test_disabled_records_nothing(self):
-        assert not trace.enabled()
+        assert not switch.is_on("trace")
         with trace.span("mttkrp", mode=0) as rec:
             assert rec is None
-        assert len(trace.get_tracer()) == 0
+        assert len(switch.get("trace")) == 0
 
     def test_disabled_span_is_shared_singleton(self):
         assert trace.span("a") is trace.span("b", x=1)
 
     def test_nesting_sets_parent(self):
-        trace.enable(clear=True)
+        switch.enable("trace", clear=True)
         with trace.span("outer") as outer:
             assert trace.current_span_id() == outer.id
             with trace.span("inner") as inner:
                 assert inner.parent == outer.id
         assert trace.current_span_id() is None
-        spans = trace.get_tracer().finished()
+        spans = switch.get("trace").finished()
         assert [s.kind for s in spans] == ["inner", "outer"]  # exit order
         assert spans[1].parent is None
         assert all(s.duration >= 0 for s in spans)
 
     def test_tracing_context_restores_state(self):
-        assert not trace.enabled()
-        with trace.tracing():
-            assert trace.enabled()
+        assert not switch.is_on("trace")
+        with switch.enabled("trace"):
+            assert switch.is_on("trace")
             with trace.span("x"):
                 pass
-        assert not trace.enabled()
-        assert len(trace.get_tracer()) == 1
+        assert not switch.is_on("trace")
+        assert len(switch.get("trace")) == 1
 
     def test_attrs_recorded(self):
-        trace.enable(clear=True)
+        switch.enable("trace", clear=True)
         with trace.span("node_rebuild", node=(0, 1), nnz=42):
             pass
-        (rec,) = trace.get_tracer().finished()
+        (rec,) = switch.get("trace").finished()
         assert rec.attrs == {"node": (0, 1), "nnz": 42}
 
     def test_engine_emits_expected_kinds(self):
         engine = small_engine()
-        trace.enable(clear=True)
+        switch.enable("trace", clear=True)
         engine.mttkrp(0)
-        kinds = {s.kind for s in trace.get_tracer().finished()}
+        kinds = {s.kind for s in switch.get("trace").finished()}
         assert {"mttkrp", "node_rebuild", "kernel"} <= kinds
 
     def test_spans_feed_metrics(self):
-        trace.enable(clear=True)
+        switch.enable("trace", clear=True)
         with trace.span("mttkrp", mode=0):
             pass
         snap = metrics()
@@ -104,11 +105,11 @@ class TestPoolNesting:
     def test_worker_spans_nest_under_engine_span(self):
         engine = small_engine(parallel=True, n_workers=2, min_chunk_rows=1)
         try:
-            trace.enable(clear=True)
+            switch.enable("trace", clear=True)
             engine.mttkrp(0)
         finally:
             engine.close()
-        spans = {s.id: s for s in trace.get_tracer().finished()}
+        spans = {s.id: s for s in switch.get("trace").finished()}
         pool_tasks = [s for s in spans.values() if s.kind == "pool_task"]
         chunks = [s for s in spans.values() if s.kind == "kernel_chunk"]
         assert pool_tasks and chunks
@@ -131,9 +132,9 @@ class TestPoolNesting:
 class TestExporters:
     def _traced_spans(self):
         engine = small_engine()
-        trace.enable(clear=True)
+        switch.enable("trace", clear=True)
         engine.mttkrp(1)
-        return trace.get_tracer().finished()
+        return switch.get("trace").finished()
 
     def test_chrome_trace_is_valid(self):
         spans = self._traced_spans()
@@ -181,7 +182,7 @@ class TestExporters:
         assert any(line.startswith("  ") for line in text.splitlines())
 
     def test_tree_summary_elides_long_sibling_lists(self):
-        trace.enable(clear=True)
+        switch.enable("trace", clear=True)
         with trace.span("root"):
             for i in range(30):
                 with trace.span("child", index=i):
@@ -271,7 +272,7 @@ class TestWatchdog:
 
     def test_cp_als_attaches_watchdog_when_tracing(self):
         t = random_coo(np.random.default_rng(3), (10, 9, 8, 7), 300)
-        trace.enable(clear=True)
+        switch.enable("trace", clear=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ModelDriftWarning)
             result = cp_als(t, 3, strategy=balanced_binary(4),
@@ -294,12 +295,12 @@ class TestCpAlsTracing:
     def test_span_tree_covers_engine_time(self):
         t = random_coo(np.random.default_rng(4), (14, 13, 12, 11), 800)
         n_iter = 3
-        trace.enable(clear=True)
+        switch.enable("trace", clear=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ModelDriftWarning)
             cp_als(t, 4, strategy=balanced_binary(4), n_iter_max=n_iter,
                    random_state=1)
-        spans = trace.get_tracer().finished()
+        spans = switch.get("trace").finished()
         iters = [s for s in spans if s.kind == "als_iteration"]
         mttkrps = [s for s in spans if s.kind == "mttkrp"]
         assert len(iters) == n_iter
@@ -363,10 +364,10 @@ class TestMetricsRegistry:
 
 class TestMemTracker:
     def test_disabled_by_default(self):
-        assert not obs_memory.enabled()
+        assert not switch.is_on("mem")
         engine = small_engine()
         engine.mttkrp(0)
-        assert obs_memory.get_tracker().n_stores == 0
+        assert switch.get("mem").n_stores == 0
 
     def test_store_free_accounting(self):
         t = obs_memory.MemTracker()
@@ -398,11 +399,12 @@ class TestMemTracker:
         t = obs_memory.MemTracker()
         t.on_store(1, 0, 100)
         t.on_free(1, 0)
-        t.begin_window()
+        t.begin_iteration(0)
         t.on_store(1, 1, 30)
         t.on_free(1, 1)
         assert t.window_peak() == 30  # not the pre-window 100
-        r = t.observe_iteration(0, predicted_peak_bytes=30)
+        t.predicted_peak_bytes = 30
+        r = t.end_iteration(IterationRecord(0))
         assert r.measured_peak_bytes == 30 and r.ratio == 1.0
 
     def test_register_expected_counts_mismatches(self):
@@ -415,9 +417,9 @@ class TestMemTracker:
 
     def test_engine_feeds_tracker(self):
         engine = small_engine()
-        obs_memory.enable(clear=True)
+        switch.enable("mem", clear=True)
         engine.mttkrp(0)
-        tracker = obs_memory.get_tracker()
+        tracker = switch.get("mem")
         assert tracker.n_stores > 0
         assert tracker.live_bytes == engine.live_value_bytes()
 
@@ -427,10 +429,10 @@ class TestMemTracker:
         engine = small_engine()
         node_nnz = engine.symbolic.node_nnz()
         predicted = simulate_peak_value_bytes(engine.strategy, node_nnz, 4)
-        obs_memory.enable(clear=True)
-        tracker = obs_memory.get_tracker()
+        switch.enable("mem", clear=True)
+        tracker = switch.get("mem")
         for i in range(2):
-            tracker.begin_window()
+            tracker.begin_iteration(i)
             for n in engine.mode_order:
                 engine.mttkrp(n)
                 engine.update_factor(n, engine.factors[n])
@@ -473,9 +475,9 @@ class TestMemTracker:
             predicted = simulate_peak_value_bytes(
                 engine.strategy, node_nnz, 4
             )
-            obs_memory.enable(clear=True)
-            tracker = obs_memory.get_tracker()
-            tracker.begin_window()
+            switch.enable("mem", clear=True)
+            tracker = switch.get("mem")
+            tracker.begin_iteration(0)
             for n in engine.mode_order:
                 engine.mttkrp(n)
                 engine.update_factor(n, engine.factors[n])
@@ -484,17 +486,20 @@ class TestMemTracker:
             engine.close()
 
     def test_tracking_context_restores_state(self):
-        assert not obs_memory.enabled()
-        with obs_memory.tracking() as t:
-            assert obs_memory.enabled()
+        assert not switch.is_on("mem")
+        with switch.enabled("mem") as _on:
+            t = _on["mem"]
+            assert switch.is_on("mem")
             t.on_store(1, 0, 10)
-        assert not obs_memory.enabled()
+        assert not switch.is_on("mem")
 
     def test_snapshot_roundtrips_to_json(self):
-        with obs_memory.tracking() as t:
+        with switch.enabled("mem") as _on:
+            t = _on["mem"]
             t.on_store(1, 0, 10)
-            t.begin_window()
-            t.observe_iteration(0, predicted_peak_bytes=10)
+            t.begin_iteration(0)
+            t.predicted_peak_bytes = 10
+            t.end_iteration(IterationRecord(0))
         snap = t.snapshot()
         json.dumps(snap)
         assert snap["readings"][0]["measured_peak_bytes"] == 10
@@ -508,7 +513,7 @@ class TestCpAlsMemory:
         from repro.model.cost import cost_from_symbolic as _cfs
 
         t = self._tensor()
-        with obs_memory.tracking():
+        with switch.enabled("mem"):
             result = cp_als(t, 4, strategy=balanced_binary(4),
                             n_iter_max=3, tol=0, random_state=0)
         assert result.memory_readings is not None
@@ -527,10 +532,45 @@ class TestCpAlsMemory:
                         random_state=0)
         assert result.memory_readings is None
 
+    def test_tracemalloc_sampling_ends_with_its_run(self):
+        """A run that asked for allocator sampling stops it at exit, so a
+        later plain ``mem`` run reads no allocator trace (whose peak would
+        count everything the process allocated in between)."""
+        import tracemalloc
+
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already running in this process")
+        t = self._tensor()
+        with switch.enabled("mem=tracemalloc"):
+            traced = cp_als(t, 4, strategy=balanced_binary(4),
+                            n_iter_max=2, tol=0, random_state=0)
+        assert traced.memory_readings[-1].traced_peak_bytes is not None
+        assert not tracemalloc.is_tracing()
+        with switch.enabled("mem"):
+            plain = cp_als(t, 4, strategy=balanced_binary(4),
+                           n_iter_max=2, tol=0, random_state=0)
+        assert plain.memory_readings[-1].traced_peak_bytes is None
+
+    def test_traced_peak_is_the_windows_peak(self):
+        import tracemalloc
+
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already running in this process")
+        tracker = obs_memory.MemTracker(sample_tracemalloc=True)
+        try:
+            scratch = bytearray(16 << 20)
+            del scratch
+            tracker.begin_iteration(0)
+            reading = tracker.end_iteration(IterationRecord(0))
+        finally:
+            tracker.close()
+        # The 16 MiB allocated before the window is not its peak.
+        assert reading.traced_peak_bytes < 16 << 20
+
     def test_watchdog_mem_band_quiet_on_exact_match(self):
         t = self._tensor()
-        trace.enable(clear=True)
-        obs_memory.enable(clear=True)
+        switch.enable("trace", clear=True)
+        switch.enable("mem", clear=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ModelDriftWarning)
             result = cp_als(t, 4, strategy=balanced_binary(4),
@@ -547,16 +587,16 @@ class TestCpAlsMemory:
             cost, peak_value_bytes=cost.peak_value_bytes * 2
         )
         dog = DriftWatchdog(perturbed, mem_warmup=0)
-        obs_memory.enable(clear=True)
-        tracker = obs_memory.get_tracker()
+        switch.enable("mem", clear=True)
+        tracker = switch.get("mem")
         from repro.perf import counters as perf
 
-        tracker.begin_window()
+        tracker.begin_iteration(0)
         with perf.counting() as c:
             for n in engine.mode_order:
                 engine.mttkrp(n)
                 engine.update_factor(n, engine.factors[n])
-        reading = tracker.observe_iteration(0)
+        reading = tracker.end_iteration(IterationRecord(0))
         with pytest.warns(ModelDriftWarning, match="mem"):
             drift = dog.observe(0, c, seconds=0.01, mem=reading)
         assert "mem" in drift.fired
@@ -571,8 +611,8 @@ class TestCpAlsMemory:
         )
         dog = DriftWatchdog(perturbed, mem_warmup=1)
         tracker = obs_memory.MemTracker()
-        tracker.begin_window()
-        reading = tracker.observe_iteration(0)
+        tracker.begin_iteration(0)
+        reading = tracker.end_iteration(IterationRecord(0))
         from repro.perf.counters import Counters
 
         c = Counters()
@@ -583,13 +623,13 @@ class TestCpAlsMemory:
 
     def test_chrome_trace_memory_counter_track(self):
         t = self._tensor()
-        trace.enable(clear=True)
-        obs_memory.enable(clear=True)
+        switch.enable("trace", clear=True)
+        switch.enable("mem", clear=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ModelDriftWarning)
             cp_als(t, 4, strategy=balanced_binary(4), n_iter_max=2,
                    tol=0, random_state=0)
-        tracker = obs_memory.get_tracker()
+        tracker = switch.get("mem")
         assert tracker.samples
         doc = export.to_chrome_trace(mem_samples=tracker.samples)
         assert export.validate_chrome_trace(doc) == []
@@ -600,8 +640,8 @@ class TestCpAlsMemory:
 
     def test_gauges_published_at_span_boundaries(self):
         t = self._tensor()
-        trace.enable(clear=True)
-        obs_memory.enable(clear=True)
+        switch.enable("trace", clear=True)
+        switch.enable("mem", clear=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ModelDriftWarning)
             cp_als(t, 4, strategy=balanced_binary(4), n_iter_max=2,
@@ -612,4 +652,25 @@ class TestCpAlsMemory:
                      "mem.iter_peak_bytes", "mem.peak_bytes"):
             assert name in gauges, name
         assert gauges["mem.factor_bytes"] > 0
-        assert gauges["mem.peak_bytes"] == obs_memory.get_tracker().peak_bytes
+        assert gauges["mem.peak_bytes"] == switch.get("mem").peak_bytes
+
+
+class TestGoldenTrace:
+    def test_trace_run_matches_recorded_shape(self, tmp_path):
+        """``repro trace`` still writes the artifact set, schema tags, key
+        trees, event sequence and replayed metric families recorded in
+        ``fixtures/golden_trace_shape.json`` (timings and ids excluded)."""
+        import subprocess
+        import sys
+
+        from . import trace_shape
+
+        trace_shape.record_run(str(tmp_path))
+        # Replay in a fresh process: the shape reads the global registry.
+        out = subprocess.run(
+            [sys.executable, trace_shape.__file__, "--shape", str(tmp_path)],
+            check=True, capture_output=True, text=True,
+        )
+        with open(trace_shape.FIXTURE) as fh:
+            expected = json.load(fh)
+        assert json.loads(out.stdout) == expected

@@ -8,6 +8,7 @@ from repro.core.coo import CooTensor
 from repro.core.cpals import cp_als
 from repro.model.cost import cost_from_symbolic
 from repro.core.symbolic import SymbolicTree
+from repro.obs import switch
 from repro.parallel import (ParallelCooMttkrp, ParallelMemoizedMttkrp,
                             ScalingParams, WorkerPool, contiguous_chunks,
                             greedy_partition, load_imbalance,
@@ -195,24 +196,20 @@ class TestResolveWorkerCount:
 class TestPoolTaskSpans:
     @pytest.fixture(autouse=True)
     def clean_trace(self):
-        from repro.obs import trace
-
-        trace.disable()
-        trace.get_tracer().clear()
+        switch.disable("trace")
+        switch.get("trace").clear()
         yield
-        trace.disable()
-        trace.get_tracer().clear()
+        switch.disable("trace")
+        switch.get("trace").clear()
 
     def _task_spans(self, n_workers, n_tasks=4):
-        from repro.obs import trace
-
-        with trace.tracing():
+        with switch.enabled("trace"):
             with WorkerPool(n_workers) as pool:
                 results = pool.run(
                     [(lambda i=i: i * i) for i in range(n_tasks)]
                 )
         assert results == [i * i for i in range(n_tasks)]
-        return [s for s in trace.get_tracer().finished()
+        return [s for s in switch.get("trace").finished()
                 if s.kind == "pool_task"]
 
     def test_inline_path_emits_identical_span_shape(self):
@@ -241,23 +238,21 @@ class TestPoolTaskSpans:
     def test_single_task_fanout_runs_inline(self):
         # len(tasks) <= 1 short-circuits to the inline path even with a
         # threaded pool: exactly one span, zero queue wait.
-        from repro.obs import trace
 
-        with trace.tracing():
+        with switch.enabled("trace"):
             with WorkerPool(4) as pool:
                 assert pool.run([lambda: 42]) == [42]
-        (span,) = [s for s in trace.get_tracer().finished()
+        (span,) = [s for s in switch.get("trace").finished()
                    if s.kind == "pool_task"]
         assert span.attrs["queue_wait"] == 0.0
 
     def test_imbalance_gauge_published(self):
         import time
 
-        from repro.obs import trace
         from repro.obs.metrics import registry
 
         registry.reset()
-        with trace.tracing():
+        with switch.enabled("trace"):
             with WorkerPool(1) as pool:
                 pool.run([lambda: time.sleep(0.002), lambda: None])
         gauges = registry.snapshot()["gauges"]

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.coo import CooTensor
+from repro.obs import switch
 from repro.parallel import ParallelCooMttkrp
 from repro.parallel.procpool import ProcessMttkrp, ProcessPool
 from repro.parallel.shm import (SharedArrayGroup, SharedArraySpec,
@@ -142,9 +143,8 @@ class TestProcessPool:
                 pool.run([(_boom, (1,)), (_boom, (2,))])
 
     def test_pool_task_spans_measured_from_workers(self):
-        from repro.obs import trace
-
-        with make_pool(2) as pool, trace.tracing() as tracer:
+        with make_pool(2) as pool, switch.enabled("trace") as on:
+            tracer = on["trace"]
             pool.run([(_square, (i,)) for i in range(4)])
         spans = [s for s in tracer.finished() if s.kind == "pool_task"]
         assert len(spans) == 4
@@ -163,12 +163,11 @@ class TestProcessPool:
         assert workers <= {0, 1}  # stable lane ids, first-seen
 
     def test_pool_task_spans_synthesized_without_capture(self):
-        from repro.obs import trace
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             pool = ProcessPool(2, allow_oversubscribe=True, capture=False)
-        with pool, trace.tracing() as tracer:
+        with pool, switch.enabled("trace") as on:
+            tracer = on["trace"]
             pool.run([(_square, (i,)) for i in range(4)])
         spans = [s for s in tracer.finished() if s.kind == "pool_task"]
         assert len(spans) == 4
@@ -353,8 +352,6 @@ class TestCrashFallback:
     def test_worker_death_falls_back_to_threads(self):
         """A dying worker process must surface a structured warning and
         permanently reroute to an equivalent thread-tier backend."""
-        from repro.obs import events as obs_events
-
         rng = np.random.default_rng(19)
         tensor = random_coo(rng, (12, 10, 8), 300)
         factors = random_factors(rng, tensor.shape, 6)
@@ -363,16 +360,16 @@ class TestCrashFallback:
             backend.set_factors(factors)
             expected = [backend.mttkrp(m) for m in range(3)]
             # Kill the pool out from under the backend.
-            obs_events.enable(clear=True)
+            switch.enable("events", clear=True)
             try:
                 with pytest.warns(RuntimeWarning, match="falling back"):
                     try:
                         backend.pool.run([(_exit_hard, (0,))] * 2)
                     except Exception as exc:
                         backend._activate_fallback(exc)
-                events = obs_events.get_log().tail()
+                events = switch.get("events").tail()
             finally:
-                obs_events.disable()
+                switch.disable("events")
             assert backend._fallback is not None
             warnings_seen = [e for e in events if e["kind"] == "warning"]
             assert warnings_seen

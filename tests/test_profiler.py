@@ -24,8 +24,8 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.obs import events as obs_events
 from repro.obs import profiler, runctx, trace
+from repro.obs import switch
 from repro.obs.artifacts import TraceArtifacts
 from repro.obs.export import write_jsonl
 from repro.obs.metrics import registry
@@ -40,17 +40,17 @@ from repro.parallel.procpool import ProcessPool
 def clean_state():
     """Each test starts and ends with profiler/tracer off and empty."""
     def reset():
-        profiler.disable()
-        store = profiler.get_store()
+        switch.disable("profile")
+        store = switch.get("profile")
         if store is not None:
             store.clear()
         profiler._labels.clear()
         profiler._bound.clear()
         profiler._observer.clear()
-        trace.disable()
-        trace.get_tracer().clear()
-        obs_events.disable()
-        obs_events.get_log().clear()
+        switch.disable("trace")
+        switch.get("trace").clear()
+        switch.disable("events")
+        switch.get("events").clear()
         registry.reset()
         runctx.run_registry.clear()
     reset()
@@ -73,30 +73,31 @@ def _sampler_threads():
 
 class TestLifecycle:
     def test_enable_disable_idempotent(self):
-        assert not profiler.enabled()
-        profiler.enable(hz=50)
-        store = profiler.get_store()
-        profiler.enable(hz=50)  # second enable: same store, same sampler
-        assert profiler.enabled()
-        assert profiler.get_store() is store
+        assert not switch.is_on("profile")
+        switch.enable(f"profile={50}")
+        store = switch.get("profile")
+        switch.enable(f"profile={50}")  # second enable: same store, same sampler
+        assert switch.is_on("profile")
+        assert switch.get("profile") is store
         assert len(_sampler_threads()) == 1
-        profiler.disable()
-        profiler.disable()
-        assert not profiler.enabled()
+        switch.disable("profile")
+        switch.disable("profile")
+        assert not switch.is_on("profile")
         assert not any(t.is_alive() for t in _sampler_threads())
         # samples collected so far survive disable for export
-        assert profiler.get_store() is store
+        assert switch.get("profile") is store
 
     def test_enable_clear_drops_samples(self):
-        profiler.enable(hz=50)
-        profiler.get_store().add("main", (), ("m.f",), 0.02)
-        assert profiler.get_store().n_samples == 1
-        profiler.enable(clear=True)
-        assert profiler.get_store().n_samples == 0
-        profiler.disable()
+        switch.enable(f"profile={50}")
+        switch.get("profile").add("main", (), ("m.f",), 0.02)
+        assert switch.get("profile").n_samples == 1
+        switch.enable("profile", clear=True)
+        assert switch.get("profile").n_samples == 0
+        switch.disable("profile")
 
     def test_instant_exit_records_zero_samples(self):
-        with profiler.profiling(hz=50) as store:
+        with switch.enabled(f"profile={50}") as _on:
+            store = _on["profile"]
             pass  # exits before the sampler's first sweep fires
         assert store.n_samples == 0
         assert store.sampled_seconds == 0.0
@@ -106,19 +107,20 @@ class TestLifecycle:
         assert format_hotspots(doc) == "(no samples)"
 
     def test_env_off_means_cheap_noop(self):
-        assert not profiler.enabled()
+        assert not switch.is_on("profile")
         assert profiler.active_hz() is None
         with trace.span("untraced_unprofiled"):
             _busy(0.01)
-        store = profiler.get_store()
+        store = switch.get("profile")
         assert store is None or store.n_samples == 0
 
 
 class TestSpanJoin:
     def test_span_seconds_agree_with_measured_duration(self):
-        trace.enable()
+        switch.enable("trace")
         t0 = time.perf_counter()
-        with profiler.profiling(hz=250) as store:
+        with switch.enabled(f"profile={250}") as _on:
+            store = _on["profile"]
             with trace.span("hotwork"):
                 _busy(0.4)
         elapsed = time.perf_counter() - t0
@@ -133,8 +135,9 @@ class TestSpanJoin:
         assert all(ln.rsplit(" ", 1)[1].isdigit() for ln in lines)
 
     def test_concurrent_scoped_runs_zero_crosstalk(self):
-        ctxs = [runctx.RunContext.scoped(run_id=f"run-{i}", profile=True,
-                                         profile_hz=250) for i in range(2)]
+        ctxs = [runctx.RunContext.scoped(run_id=f"run-{i}",
+                                         obs="events,profile=250")
+                for i in range(2)]
 
         def drive(ctx):
             with runctx.using(ctx):
@@ -149,19 +152,20 @@ class TestSpanJoin:
             t.join()
         # Both private stores sampled, each only from its own thread.
         for i, ctx in enumerate(ctxs):
-            snap = ctx.profiler.snapshot()
+            snap = ctx.instruments["profile"].snapshot()
             assert snap["n_samples"] > 0, f"run-{i} collected no samples"
             lanes = {e["lane"] for e in snap["folded"]}
             assert lanes == {f"ctxthread-{i}"}
         # The scoped runs never turned the module-global profiler on.
-        assert not profiler.enabled()
+        assert not switch.is_on("profile")
         assert not any(t.is_alive() for t in _sampler_threads())
 
 
 class TestTiers:
     def test_thread_tier_worker_lanes(self):
-        trace.enable()
-        with profiler.profiling(hz=250) as store:
+        switch.enable("trace")
+        with switch.enabled(f"profile={250}") as _on:
+            store = _on["profile"]
             with trace.span("fanout"):
                 pool = WorkerPool(3)
                 try:
@@ -176,8 +180,8 @@ class TestTiers:
         assert any("pool_task" in e["spans"] for e in worker)
 
     def test_process_tier_worker_stacks(self):
-        trace.enable()
-        profiler.enable(hz=250, clear=True)
+        switch.enable("trace")
+        switch.enable(f"profile={250}", clear=True)
         try:
             with trace.span("fanout"):
                 pool = ProcessPool(2, allow_oversubscribe=True)
@@ -186,8 +190,8 @@ class TestTiers:
                 finally:
                     pool.close()
         finally:
-            profiler.disable()
-        snap = profiler.get_store().snapshot()
+            switch.disable("profile")
+        snap = switch.get("profile").snapshot()
         child = [e for e in snap["folded"] if e["lane"].startswith("pid-")]
         assert child, "no worker-process samples merged into the parent"
         pids = {int(e["lane"].split("-", 1)[1]) for e in child}
@@ -199,11 +203,12 @@ class TestTiers:
 
 class TestArtifact:
     def _profiled_snapshot(self):
-        trace.enable()
-        with profiler.profiling(hz=250) as store:
+        switch.enable("trace")
+        with switch.enabled(f"profile={250}") as _on:
+            store = _on["profile"]
             with trace.span("hotwork"):
                 _busy(0.3)
-        trace.disable()
+        switch.disable("trace")
         return store.snapshot()
 
     def test_write_validate_roundtrip(self, tmp_path):
@@ -238,15 +243,15 @@ class TestArtifact:
 
 def _make_trace_dir(tmp_path):
     """A minimal pre-profiler trace dir: spans only, no profile.json."""
-    trace.enable()
+    switch.enable("trace")
     with trace.span("als_iteration"):
         with trace.span("mttkrp"):
             pass
     trace_dir = tmp_path / "tr"
     trace_dir.mkdir()
     write_jsonl(str(trace_dir / "trace.jsonl"))
-    trace.disable()
-    trace.get_tracer().clear()
+    switch.disable("trace")
+    switch.get("trace").clear()
     return trace_dir
 
 

@@ -24,8 +24,8 @@ import pytest
 from repro.core.cpals import cp_als
 from repro.core.strategy import balanced_binary
 from repro.obs import events as obs_events
-from repro.obs import memory as obs_memory
 from repro.obs import runctx
+from repro.obs import switch
 from repro.obs import trace
 from repro.obs.export import validate_span_tree
 from repro.obs.metrics import registry
@@ -42,12 +42,12 @@ pytestmark = pytest.mark.filterwarnings(
 def clean_state():
     """Each test starts and ends with globals off/empty and no runs."""
     def reset():
-        trace.disable()
-        trace.get_tracer().clear()
-        obs_memory.disable()
-        obs_memory.get_tracker().reset()
-        obs_events.disable()
-        obs_events.get_log().clear()
+        switch.disable("trace")
+        switch.get("trace").clear()
+        switch.disable("mem")
+        switch.get("mem").reset()
+        switch.disable("events")
+        switch.get("events").clear()
         registry.reset()
         runctx.run_registry.clear()
     reset()
@@ -69,54 +69,54 @@ class TestRunContext:
     def test_ambient_defers_to_globals(self):
         ctx = runctx.RunContext.ambient()
         assert not ctx.owns_telemetry
-        trace.enable(clear=True)
+        switch.enable("trace", clear=True)
         with runctx.using(ctx):
-            assert trace.get_tracer() is not ctx.tracer  # ctx.tracer is None
+            assert not ctx.instruments  # no private instruments
             with trace.span("kernel", mode=0):
                 pass
-        spans = trace.get_tracer().finished()
+        spans = switch.get("trace").finished()
         assert [s.kind for s in spans] == ["kernel"]
 
     def test_ambient_stamps_run_id_on_events(self):
-        obs_events.enable(clear=True)
+        switch.enable("events", clear=True)
         ctx = runctx.RunContext.ambient()
         with runctx.using(ctx):
             obs_events.emit("iteration", iteration=1)
-        (event,) = obs_events.get_log().tail(1)
+        (event,) = switch.get("events").tail(1)
         assert event["run_id"] == ctx.run_id
 
     def test_scoped_isolates_all_instruments(self):
-        ctx = runctx.RunContext.scoped(trace=True, mem=True)
+        ctx = runctx.RunContext.scoped(obs="trace,events,mem")
         assert ctx.owns_telemetry
         with runctx.using(ctx):
-            assert trace.enabled()
-            assert trace.get_tracer() is ctx.tracer
-            assert obs_events.get_log() is ctx.events
-            assert obs_memory.get_tracker() is ctx.memory
+            assert switch.is_on("trace")
+            assert switch.get("trace") is ctx.instruments["trace"]
+            assert switch.get("events") is ctx.instruments["events"]
+            assert switch.get("mem") is ctx.instruments["mem"]
             with trace.span("kernel", mode=1):
                 pass
             obs_events.emit("iteration", iteration=3)
             registry.incr("als.iterations")
         # Nothing leaked into the globals; everything is on the context.
-        assert len(trace._tracer) == 0
-        assert len(obs_events._log) == 0
+        assert len(switch._global("trace")) == 0
+        assert len(switch._global("events")) == 0
         assert registry.snapshot()["events"] == {}
-        assert len(ctx.tracer) == 1
+        assert len(ctx.instruments["trace"]) == 1
         assert ctx.metrics.snapshot()["events"] == {"als.iterations": 1}
-        assert ctx.events.tail(1)[0]["run_id"] == ctx.run_id
+        assert ctx.instruments["events"].tail(1)[0]["run_id"] == ctx.run_id
 
     def test_scoped_flags_pin_over_globals(self):
         """A scoped run traces even when the process default is off —
         and an off-scoped run stays dark when the default is on."""
-        ctx_on = runctx.RunContext.scoped(trace=True)
-        ctx_off = runctx.RunContext.scoped(trace=False, events=False)
-        assert not trace.enabled()
+        ctx_on = runctx.RunContext.scoped(obs="trace,events")
+        ctx_off = runctx.RunContext.scoped(obs="")
+        assert not switch.is_on("trace")
         with runctx.using(ctx_on):
-            assert trace.enabled()
-        trace.enable()
+            assert switch.is_on("trace")
+        switch.enable("trace")
         with runctx.using(ctx_off):
-            assert not trace.enabled()
-            assert not obs_events.enabled()
+            assert not switch.is_on("trace")
+            assert not switch.is_on("events")
 
     def test_status_lifecycle_and_registry(self):
         ctx = runctx.RunContext.scoped()
@@ -159,7 +159,8 @@ class TestConcurrentRuns:
         """The acceptance-criteria scenario: two concurrent decompositions,
         each with a scoped context, end with fully separated telemetry."""
         ctxs = [
-            runctx.RunContext.scoped(run_id=f"run-iso{i}", trace=True)
+            runctx.RunContext.scoped(run_id=f"run-iso{i}",
+                                     obs="trace,events")
             for i in range(2)
         ]
         errors = []
@@ -180,15 +181,15 @@ class TestConcurrentRuns:
 
         for i, ctx in enumerate(ctxs):
             assert ctx.status == "finished"
-            spans = ctx.tracer.finished()
+            spans = ctx.instruments["trace"].finished()
             assert any(s.kind == "als_iteration" for s in spans)
             assert validate_span_tree(spans) == []
-            run_ids = {e["run_id"] for e in ctx.events.tail(10_000)}
+            run_ids = {e["run_id"] for e in ctx.instruments["events"].tail(10_000)}
             assert run_ids == {ctx.run_id}
             snap = ctx.metrics.snapshot()
             assert snap["spans"]["als_iteration"]["count"] >= 1
         # Globals stayed untouched: the runs really were isolated.
-        assert len(trace._tracer) == 0
+        assert len(switch._global("trace")) == 0
         assert registry.snapshot()["events"] == {}
         listed = {c.run_id for c in runctx.run_registry.runs()}
         assert {"run-iso0", "run-iso1"} <= listed
@@ -208,8 +209,7 @@ class TestConcurrentRuns:
         from two runs (4 threads each), with exact final accounting."""
         n_threads, n_each = 4, 200
         ctxs = [
-            runctx.RunContext.scoped(run_id=f"run-stress{i}",
-                                     events_maxlen=2 * n_threads * n_each)
+            runctx.RunContext.scoped(run_id=f"run-stress{i}")
             for i in range(2)
         ]
         barrier = threading.Barrier(2 * n_threads)
@@ -236,12 +236,12 @@ class TestConcurrentRuns:
             t.join()
         assert not errors
         for ctx in ctxs:
-            assert len(ctx.events) == n_threads * n_each
-            assert ctx.events.n_dropped == 0
+            assert len(ctx.instruments["events"]) == n_threads * n_each
+            assert ctx.instruments["events"].n_dropped == 0
             snap = ctx.metrics.snapshot()
             assert snap["events"]["als.iterations"] == n_threads * n_each
             assert snap["spans"]["kernel"]["count"] == n_threads * n_each
-            assert {e["run_id"] for e in ctx.events.tail(10_000)} == \
+            assert {e["run_id"] for e in ctx.instruments["events"].tail(10_000)} == \
                 {ctx.run_id}
 
 
@@ -254,7 +254,8 @@ class TestServeTwoRuns:
         """Satellite 3: both run_ids on /runz, distinct run_id labels on
         /metrics, and the exposition still validates."""
         ctxs = [
-            runctx.RunContext.scoped(run_id=f"run-serve{i}", trace=True)
+            runctx.RunContext.scoped(run_id=f"run-serve{i}",
+                                     obs="trace,events")
             for i in range(2)
         ]
         threads = [
@@ -305,7 +306,7 @@ class TestMergeSubprocessSpans:
         ]
 
     def test_remaps_ids_offsets_times_and_reparents(self):
-        trace.enable(clear=True)
+        switch.enable("trace", clear=True)
         with trace.span("pool_task", index=0) as rec:
             pass
         merged = trace.merge_subprocess_spans(
@@ -319,13 +320,13 @@ class TestMergeSubprocessSpans:
         assert chunk.t1 == pytest.approx(10.4)
         assert kernel.tid == chunk.tid == 4242
         assert registry.snapshot()["spans"]["kernel_chunk"]["count"] == 1
-        assert validate_span_tree(trace.get_tracer().finished(),
+        assert validate_span_tree(switch.get("trace").finished(),
                                   epsilon=20.0) == []
 
     def test_noop_when_tracing_off(self):
         assert trace.merge_subprocess_spans(
             self.payload(), offset=0.0) == []
-        assert len(trace.get_tracer().finished()) == 0
+        assert len(switch.get("trace").finished()) == 0
 
     def test_validate_span_tree_catches_breakage(self):
         from repro.obs.trace import SpanRecord
@@ -366,9 +367,9 @@ class TestProcessTierWorkerSpans:
             )
         try:
             backend.set_factors(factors)
-            with trace.tracing():
+            with switch.enabled("trace"):
                 backend.mttkrp(0)
-                spans = trace.get_tracer().finished()
+                spans = switch.get("trace").finished()
         finally:
             backend.close()
 
