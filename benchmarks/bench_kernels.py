@@ -8,7 +8,8 @@ tree construction, CSF build, and the planner's distinct-count pass.
 Also sweeps the pluggable kernel backends (``repro.kernels``) over the full
 memoized CP-ALS iteration, and — when run as a script — writes the
 backend x block-size sweep on the acceptance workload (order-4, >=1M nnz,
-R=16) to ``benchmarks/results/BENCH_kernels.{json,txt}``::
+R=16; configs interleaved round by round) to
+``benchmarks/results/BENCH_kernels.{json,txt}``::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -138,53 +139,66 @@ ACCEPT_RANK = 16
 BLOCK_SWEEP = (0, 2048, 4096, 8192, 16384, 32768)
 
 
-def _time_iteration(engine: MemoizedMttkrp, repeats: int = 3) -> float:
-    _als_iteration(engine)  # warm-up: symbolic phase, index caches, arena
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        _als_iteration(engine)
-        best = min(best, time.perf_counter() - t0)
-    return best
+def run_acceptance_sweep(rounds: int = 5) -> dict:
+    """Backend x block-size sweep on the acceptance workload.
 
-
-def run_acceptance_sweep(repeats: int = 3) -> dict:
-    """Backend x block-size sweep on the acceptance workload."""
+    The configs run interleaved: each round times one full iteration of
+    every config in turn (after one warm-up iteration of its own), so the
+    clock drift of shared hosts spreads over all configs instead of
+    landing on whichever ran last.  Each config reports the median over
+    rounds and the interquartile range.  The engines share one symbolic
+    tree, hence one set of kernel indices.
+    """
     tensor = skewed_random_tensor(
         ACCEPT_SHAPE, ACCEPT_NNZ, 1.1, random_state=0
     )
     rng = np.random.default_rng(42)
     factors = _random_factors(rng, tensor.shape, ACCEPT_RANK)
     strategy = balanced_binary(4)
-
-    runs = []
+    symbolic = SymbolicTree(tensor, strategy)
+    configs = [
+        (backend, block)
+        for backend in available_kernels()
+        for block in (BLOCK_SWEEP if backend == "numpy" else (None,))
+    ]
+    samples: dict = {cfg: [] for cfg in configs}
     reference_out = None
-    for backend in available_kernels():
-        blocks = BLOCK_SWEEP if backend == "numpy" else (None,)
-        for block in blocks:
+    for round_no in range(rounds):
+        for backend, block in configs:
             if block is None:
                 os.environ.pop("REPRO_KERNEL_BLOCK", None)
             else:
                 os.environ["REPRO_KERNEL_BLOCK"] = str(block)
             engine = MemoizedMttkrp(
-                tensor, strategy, [f.copy() for f in factors], kernel=backend
+                tensor, strategy, [f.copy() for f in factors],
+                kernel=backend, symbolic=symbolic,
             )
-            seconds = _time_iteration(engine, repeats)
-            out = engine.mttkrp(0)
-            if reference_out is None:
-                reference_out = out
-            else:
-                assert np.allclose(out, reference_out, rtol=1e-12), (
-                    f"{backend} block={block} diverges from reference"
-                )
-            runs.append({
-                "backend": backend,
-                "block_rows": block,
-                "seconds_per_iteration": seconds,
-            })
-            print(f"  {backend:10s} block={str(block):>6s}  "
-                  f"{seconds * 1e3:8.1f} ms/iter")
+            _als_iteration(engine)  # warm-up: node values, arena
+            t0 = time.perf_counter()
+            _als_iteration(engine)
+            samples[backend, block].append(time.perf_counter() - t0)
+            if round_no == 0:
+                out = engine.mttkrp(0)
+                if reference_out is None:
+                    reference_out = out
+                else:
+                    assert np.allclose(out, reference_out, rtol=1e-12), (
+                        f"{backend} block={block} diverges from reference"
+                    )
+        print(f"  round {round_no + 1}/{rounds} done")
     os.environ.pop("REPRO_KERNEL_BLOCK", None)
+
+    runs = []
+    for (backend, block), secs in samples.items():
+        q25, q50, q75 = np.percentile(secs, [25, 50, 75])
+        runs.append({
+            "backend": backend,
+            "block_rows": block,
+            "seconds_per_iteration": float(q50),
+            "seconds_iqr": float(q75 - q25),
+        })
+        print(f"  {backend:10s} block={str(block):>6s}  "
+              f"{q50 * 1e3:8.1f} ms/iter (IQR {(q75 - q25) * 1e3:.1f})")
 
     baseline = next(r for r in runs if r["backend"] == "reference")
     for r in runs:
@@ -200,7 +214,7 @@ def run_acceptance_sweep(repeats: int = 3) -> dict:
             "rank": ACCEPT_RANK,
             "strategy": "balanced_binary",
             "skew": 1.1,
-            "repeats": repeats,
+            "repeats": rounds,
         },
         "unavailable_backends": unavailable_kernels(),
         "runs": runs,
@@ -222,12 +236,15 @@ def main() -> None:
         json.dump(artifact_envelope("BENCH_kernels", report), fh, indent=2)
         fh.write("\n")
     lines = [
-        f"{'backend':10s} {'block':>6s} {'ms/iter':>9s} {'speedup':>8s}",
+        f"median of {report['workload']['repeats']} interleaved rounds",
+        f"{'backend':10s} {'block':>6s} {'ms/iter':>9s} {'IQR':>7s} "
+        f"{'speedup':>8s}",
     ]
     for r in report["runs"]:
         lines.append(
             f"{r['backend']:10s} {str(r['block_rows']):>6s} "
             f"{r['seconds_per_iteration'] * 1e3:9.1f} "
+            f"{r['seconds_iqr'] * 1e3:7.1f} "
             f"{r['speedup_vs_reference']:7.2f}x"
         )
     lines.append(

@@ -152,9 +152,11 @@ class MemoizedMttkrp:
         The symbolic tree depends only on the coordinate pattern, so callers
         whose values change but whose pattern is fixed — e.g. the residual
         tensor in gradient-based completion — reuse all symbolic work.
-        Drops every cached node.
+        Drops every cached node.  The engine keeps its own copy: kernel
+        indices cache permuted root values per array, so a caller's buffer
+        changed in place and passed again must not look unchanged.
         """
-        vals = np.ascontiguousarray(vals, dtype=VALUE_DTYPE)
+        vals = np.array(vals, dtype=VALUE_DTYPE, order="C")
         if vals.shape != (self.tensor.nnz,):
             raise ValueError(
                 f"values must have shape ({self.tensor.nnz},), got {vals.shape}"

@@ -17,10 +17,9 @@ differential tests), and ``numba`` (fused ``prange`` loop, auto-detected).
 
 from .alto import AltoEncoding, AltoKernel, aligned_chunks, fits_alto
 from .backends import KernelBackend, NumpyKernel, RebuildContext, ReferenceKernel
-from .blocking import (CANDIDATE_BLOCK_ROWS, autotune_block_rows,
-                       clear_tuning_cache, default_block_rows,
-                       resolve_block_rows, segment_blocks)
-from .indices import NodeKernelIndex, build_node_index
+from .blocking import default_block_rows, resolve_block_rows, segment_blocks
+from .indices import (MAX_CLASS_ROWS, NodeKernelIndex, build_node_index,
+                      length_class_sum, make_node_index)
 from .registry import (DEFAULT_KERNEL, available_kernels, get_kernel,
                        register_kernel, register_unavailable,
                        unavailable_kernels)
@@ -38,22 +37,22 @@ except Exception as _numba_err:  # pragma: no cover - depends on environment
 __all__ = [
     "AltoEncoding",
     "AltoKernel",
-    "CANDIDATE_BLOCK_ROWS",
     "DEFAULT_KERNEL",
     "KernelBackend",
+    "MAX_CLASS_ROWS",
     "NodeKernelIndex",
     "NumpyKernel",
     "RebuildContext",
     "ReferenceKernel",
     "WorkspaceArena",
     "aligned_chunks",
-    "autotune_block_rows",
     "fits_alto",
     "available_kernels",
     "build_node_index",
-    "clear_tuning_cache",
     "default_block_rows",
     "get_kernel",
+    "length_class_sum",
+    "make_node_index",
     "register_kernel",
     "register_unavailable",
     "resolve_block_rows",

@@ -195,57 +195,20 @@ def _packed_for(ki, dims: tuple[int, ...]):
 class AltoKernel(NumpyKernel):
     """Blocked rebuild reading one packed code array per node.
 
-    Identical block structure and float operation order to
-    :class:`~repro.kernels.backends.NumpyKernel` — only the *source* of
-    the gather integers differs — so outputs are bitwise equal.  Nodes
-    with a single delta mode, or whose fields overflow 63 bits, run the
-    plain numpy path (same result either way).
+    Runs :class:`~repro.kernels.backends.NumpyKernel`'s block loop with
+    only the *source* of the gather integers swapped, so outputs are
+    bitwise equal.  Nodes with a single delta mode, or whose fields
+    overflow 63 bits, run the plain numpy path (same result either way).
     """
 
     name = "alto"
-    supports_chunks = True
 
-    def _run_blocks(self, ctx: RebuildContext, ki, blocks, out) -> None:
-        dims = tuple(
-            ctx.factors[d].shape[0] for d in ki.delta_modes
-        )
+    def _index_reader(self, ctx: RebuildContext, ki):
+        dims = tuple(ctx.factors[d].shape[0] for d in ki.delta_modes)
         packed = _packed_for(ki, dims)
         if packed is False:
-            NumpyKernel._run_blocks(self, ctx, ki, blocks, out)
-            return
-        factors = ctx.factors
-        arena = ctx.arena
-        parent_vals = ctx.parent_vals
-        root_vals = ctx.root_vals
-        perm = ki.perm
-        d0 = ki.delta_modes[0]
-        rest = tuple(enumerate(ki.delta_modes[1:], start=1))
-        for lo, hi, seg_lo, seg_hi, lstarts in blocks:
-            n = hi - lo
-            prod = out[lo:hi] if ki.identity else arena.request("prod", n, ctx.rank)
-            np.take(factors[d0], packed.decode(0, lo, hi), axis=0, out=prod,
-                    mode="clip")
-            for field, d_mode in rest:
-                scratch = arena.request("scratch", n, ctx.rank)
-                np.take(factors[d_mode], packed.decode(field, lo, hi),
-                        axis=0, out=scratch, mode="clip")
-                np.multiply(prod, scratch, out=prod)
-            if parent_vals is not None:
-                if perm is None:
-                    np.multiply(prod, parent_vals[lo:hi], out=prod)
-                else:
-                    scratch = arena.request("scratch", n, ctx.rank)
-                    np.take(parent_vals, perm[lo:hi], axis=0, out=scratch,
-                            mode="clip")
-                    np.multiply(prod, scratch, out=prod)
-            else:
-                svals = (
-                    root_vals[lo:hi] if perm is None
-                    else root_vals[perm[lo:hi]]
-                )
-                np.multiply(prod, svals[:, None], out=prod)
-            if not ki.identity:
-                np.add.reduceat(prod, lstarts, axis=0, out=out[seg_lo:seg_hi])
+            return super()._index_reader(ctx, ki)
+        return packed.decode
 
 
 # The thread-tier COO backend on packed codes (AltoCooMttkrp) lives in

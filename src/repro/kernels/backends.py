@@ -9,8 +9,9 @@ segmented-sum pipeline is executed:
 ``numpy``
     The default.  Pre-permuted flat gather indices (no per-rebuild
     permutation pass), ``np.take`` into reused workspace buffers (no large
-    allocations), in-place Hadamard, and cache-sized segment-aligned blocks.
-    Bitwise identical to ``reference``.
+    allocations), in-place Hadamard, cache-sized segment-aligned blocks, and
+    length-class sums for segments of at most eight rows (see
+    :mod:`repro.kernels.indices`).  Bitwise identical to ``reference``.
 
 ``reference``
     The original engine's numeric path, kept as the plain-numpy baseline
@@ -29,6 +30,7 @@ from ..core.dtypes import VALUE_DTYPE
 from ..obs import switch as _switch
 from ..obs import trace as _trace
 from .blocking import resolve_block_rows
+from .indices import length_class_sum
 from .workspace import WorkspaceArena
 
 
@@ -94,7 +96,12 @@ class KernelBackend:
 
 
 class NumpyKernel(KernelBackend):
-    """Blocked gather → in-place Hadamard → ``reduceat`` on cached indices."""
+    """Blocked gather → in-place Hadamard → segmented sum on cached indices.
+
+    Segments longer than eight rows are summed by ``reduceat``; shorter
+    ones by their length class (:func:`~repro.kernels.indices
+    .length_class_sum`), bitwise identical either way.
+    """
 
     name = "numpy"
     supports_chunks = True
@@ -109,51 +116,63 @@ class NumpyKernel(KernelBackend):
 
     def rebuild_chunk(self, ctx: RebuildContext, source_slice: slice,
                       segment_slice: slice, out: np.ndarray) -> None:
-        from .blocking import segment_blocks
-
         ki = ctx.kernel_index()
-        blocks = segment_blocks(
-            ki.starts, ki.n_sources, resolve_block_rows(ctx.rank),
-            seg_lo=segment_slice.start, seg_hi=segment_slice.stop,
-        )
+        blocks = ki.blocks(resolve_block_rows(ctx.rank),
+                           segment_slice.start, segment_slice.stop)
         self._run_blocks(ctx, ki, blocks, out)
 
+    def _index_reader(self, ctx: RebuildContext, ki):
+        """``read(field, lo, hi)``: gather indices of delta mode number
+        ``field`` for sources ``lo:hi`` (the hook :class:`~repro.kernels
+        .alto.AltoKernel` overrides)."""
+        gather = ki.gather
+        return lambda field, lo, hi: gather[field][lo:hi]
+
     def _run_blocks(self, ctx: RebuildContext, ki, blocks, out) -> None:
+        read = self._index_reader(ctx, ki)
         factors = ctx.factors
         arena = ctx.arena
+        rank = ctx.rank
         parent_vals = ctx.parent_vals
-        root_vals = ctx.root_vals
+        root_vals = (None if parent_vals is not None
+                     else ki.root_values(ctx.root_vals))
         perm = ki.perm
         d0 = ki.delta_modes[0]
-        g0 = ki.gather[0]
-        rest = tuple(zip(ki.delta_modes[1:], ki.gather[1:]))
-        for lo, hi, seg_lo, seg_hi, lstarts in blocks:
+        rest = tuple(enumerate(ki.delta_modes[1:], start=1))
+        for lo, hi, width, rows, lstarts in blocks:
             n = hi - lo
             # Identity plans map source row k to output row k: gather
             # straight into the output and skip the reduction entirely.
-            prod = out[lo:hi] if ki.identity else arena.request("prod", n, ctx.rank)
-            np.take(factors[d0], g0[lo:hi], axis=0, out=prod, mode="clip")
-            for d_mode, g in rest:
-                scratch = arena.request("scratch", n, ctx.rank)
-                np.take(factors[d_mode], g[lo:hi], axis=0, out=scratch,
+            prod = out[lo:hi] if ki.identity else arena.request("prod", n, rank)
+            np.take(factors[d0], read(0, lo, hi), axis=0, out=prod, mode="clip")
+            for field, d_mode in rest:
+                scratch = arena.request("scratch", n, rank)
+                np.take(factors[d_mode], read(field, lo, hi), axis=0,
+                        out=scratch, mode="clip")
+                np.multiply(prod, scratch, out=prod)
+            if root_vals is not None:
+                np.multiply(prod, root_vals[lo:hi, None], out=prod)
+            elif perm is None:
+                np.multiply(prod, parent_vals[lo:hi], out=prod)
+            else:
+                scratch = arena.request("scratch", n, rank)
+                np.take(parent_vals, perm[lo:hi], axis=0, out=scratch,
                         mode="clip")
                 np.multiply(prod, scratch, out=prod)
-            if parent_vals is not None:
-                if perm is None:
-                    np.multiply(prod, parent_vals[lo:hi], out=prod)
-                else:
-                    scratch = arena.request("scratch", n, ctx.rank)
-                    np.take(parent_vals, perm[lo:hi], axis=0, out=scratch,
-                            mode="clip")
-                    np.multiply(prod, scratch, out=prod)
+            if ki.identity:
+                continue
+            if isinstance(rows, slice):
+                np.add.reduceat(prod, lstarts, axis=0, out=out[rows])
+                continue
+            if width == 1:  # one-row segments: scatter the products
+                out[rows] = prod
+                continue
+            sums = arena.request("sums", rows.shape[0], rank)
+            if width:
+                length_class_sum(prod, width, sums)
             else:
-                svals = (
-                    root_vals[lo:hi] if perm is None
-                    else root_vals[perm[lo:hi]]
-                )
-                np.multiply(prod, svals[:, None], out=prod)
-            if not ki.identity:
-                np.add.reduceat(prod, lstarts, axis=0, out=out[seg_lo:seg_hi])
+                np.add.reduceat(prod, lstarts, axis=0, out=sums)
+            out[rows] = sums
 
 
 class ReferenceKernel(KernelBackend):

@@ -1,4 +1,4 @@
-"""Cache-blocked execution: segment-aligned blocks and a block-size tuner.
+"""Cache-blocked execution: segment-aligned blocks and the block size.
 
 The fused gather → Hadamard → segmented-sum pipeline streams ``(nnz, R)``
 scratch; for large nodes those temporaries spill every cache level and each
@@ -10,31 +10,21 @@ loop would win.
 Blocks always end on segment boundaries, so per-block ``np.add.reduceat``
 results are bitwise identical to the unblocked reduction.
 
-Block size resolution order:
-
-1. ``REPRO_KERNEL_BLOCK`` environment variable (``0`` disables blocking);
-2. a cached :func:`autotune_block_rows` measurement for the rank
-   (run explicitly, or lazily when ``REPRO_KERNEL_AUTOTUNE=1``);
-3. a cache-capacity heuristic (:func:`default_block_rows`).
+The block size is the ``REPRO_KERNEL_BLOCK`` environment variable (``0``
+disables blocking) or else a cache-capacity heuristic
+(:func:`default_block_rows`).
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
 from ..core.dtypes import VALUE_DTYPE
 
-#: candidate block sizes (rows) swept by the auto-tuner; 0 = unblocked.
-CANDIDATE_BLOCK_ROWS: tuple[int, ...] = (2048, 4096, 8192, 16384, 32768, 65536)
-
 #: scratch working set targeted by the heuristic (≈ per-core L2 capacity).
 _TARGET_WORKING_SET = 2 * 1024 * 1024
-
-#: rank -> tuned block rows, filled by :func:`autotune_block_rows`.
-_TUNED: dict[int, int] = {}
 
 
 def default_block_rows(rank: int) -> int:
@@ -49,66 +39,7 @@ def resolve_block_rows(rank: int) -> int:
     env = os.environ.get("REPRO_KERNEL_BLOCK")
     if env is not None and env.strip():
         return max(0, int(env))
-    tuned = _TUNED.get(rank)
-    if tuned is not None:
-        return tuned
-    if os.environ.get("REPRO_KERNEL_AUTOTUNE", "").strip() == "1":
-        return autotune_block_rows(rank)
     return default_block_rows(rank)
-
-
-def clear_tuning_cache() -> None:
-    _TUNED.clear()
-
-
-def autotune_block_rows(
-    rank: int,
-    candidates: tuple[int, ...] = CANDIDATE_BLOCK_ROWS,
-    *,
-    sample_rows: int = 1 << 18,
-    mean_segment: int = 4,
-    repeats: int = 3,
-    random_state: int = 0,
-) -> int:
-    """Pick a block size by timing the pipeline on synthetic data.
-
-    Runs the gather → Hadamard → ``reduceat`` sequence the numpy kernel
-    executes, at each candidate block size, and caches the fastest.  The
-    synthetic workload (one factor gather, one value multiply, segments of
-    ``mean_segment`` average length) matches a typical leaf rebuild.
-    """
-    rng = np.random.default_rng(random_state)
-    n_rows = max(int(sample_rows), max(candidates) if candidates else 1)
-    factor = rng.random((50_000, rank))
-    gather_idx = rng.integers(0, factor.shape[0], n_rows).astype(np.intp)
-    svals = rng.random(n_rows)
-    starts = np.flatnonzero(rng.random(n_rows) < 1.0 / mean_segment).astype(np.intp)
-    if starts.size == 0 or starts[0] != 0:
-        starts = np.concatenate(([0], starts[starts > 0])).astype(np.intp)
-    out = np.empty((starts.size, rank), dtype=VALUE_DTYPE)
-    prod = np.empty((n_rows, rank), dtype=VALUE_DTYPE)
-
-    def run(block_rows: int) -> None:
-        for lo, hi, seg_lo, seg_hi, lstarts in segment_blocks(
-            starts, n_rows, block_rows
-        ):
-            p = prod[: hi - lo]
-            np.take(factor, gather_idx[lo:hi], axis=0, out=p, mode="clip")
-            np.multiply(p, svals[lo:hi, None], out=p)
-            np.add.reduceat(p, lstarts, axis=0, out=out[seg_lo:seg_hi])
-
-    best_rows, best_time = 0, float("inf")
-    for block_rows in (0,) + tuple(candidates):
-        run(block_rows)  # warm-up (and first-touch of the buffers)
-        elapsed = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            run(block_rows)
-            elapsed = min(elapsed, time.perf_counter() - t0)
-        if elapsed < best_time:
-            best_rows, best_time = block_rows, elapsed
-    _TUNED[rank] = best_rows
-    return best_rows
 
 
 def segment_blocks(

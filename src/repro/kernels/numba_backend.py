@@ -7,10 +7,11 @@ the rest of the library never depends on it.
 The fused loop does per segment what the numpy backend does in passes:
 gather the delta-mode factor rows, multiply them with the source value, and
 accumulate into the output row — one trip through memory, ``prange`` over
-segments (disjoint output rows, no atomics).  Within a segment the
-accumulation order matches ``np.add.reduceat``; across the factor product
-the association differs from the numpy backend, so outputs agree to
-``AGREEMENT_RTOL`` rather than bitwise.
+segments (disjoint output rows, no atomics).  Within a segment it sums from
+``0.0`` left to right.  ``np.add.reduceat`` computes ``x0 + (((x1 + x2) +
+x3) ...)`` below 9 rows and sums pairwise from 9, so the two differ from 3
+rows up; the association of the factor product differs from the numpy
+backend too.  Outputs agree to ``AGREEMENT_RTOL`` rather than bitwise.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .registry import register_kernel
 
 
 @njit(parallel=True, cache=False)
-def _fused_rebuild(gather, factor_list, source_vals, starts, out):
+def _fused_rebuild(gather, factor_list, source_vals, starts, rows, out):
     """gather: (k, m) intp; factor_list: typed list of (I_d, R) float64;
-    source_vals: (m,) permuted parent/root values; starts: (u,) intp;
-    out: (u, R) float64."""
+    source_vals: (m,) permuted parent/root values; starts: (u,) intp run
+    starts; rows: (u,) intp output row per run; out: (u, R) float64."""
     n_delta = gather.shape[0]
     m = gather.shape[1]
     n_seg = starts.shape[0]
@@ -37,15 +38,16 @@ def _fused_rebuild(gather, factor_list, source_vals, starts, out):
     for s in prange(n_seg):
         lo = starts[s]
         hi = starts[s + 1] if s + 1 < n_seg else m
+        row = rows[s]
         for r in range(rank):
-            out[s, r] = 0.0
+            out[row, r] = 0.0
         for i in range(lo, hi):
             v = source_vals[i]
             for r in range(rank):
                 acc = v
                 for j in range(n_delta):
                     acc *= factor_list[j][gather[j, i], r]
-                out[s, r] += acc
+                out[row, r] += acc
 
 
 @njit(parallel=True, cache=False)
@@ -69,24 +71,25 @@ class NumbaKernel(KernelBackend):
         factor_list = NumbaList()
         for d_mode in ki.delta_modes:
             factor_list.append(ctx.factors[d_mode])
+        starts, rows = ki.runs()
         if ctx.parent_vals is None:
-            source_vals = (
-                ctx.root_vals if ki.perm is None else ctx.root_vals[ki.perm]
+            source_vals = np.ascontiguousarray(
+                ki.root_values(ctx.root_vals), dtype=VALUE_DTYPE
             )
-            source_vals = np.ascontiguousarray(source_vals, dtype=VALUE_DTYPE)
             _fused_rebuild(
-                ki.stacked_gather(), factor_list, source_vals, ki.starts, out
+                ki.stacked_gather(), factor_list, source_vals, starts, rows,
+                out,
             )
         else:
             # Fold the (m, R) parent into the product by treating it as one
             # more "factor" gathered with the permutation itself.
             factor_list.append(np.ascontiguousarray(ctx.parent_vals))
-            gather = np.vstack(
-                (ki.stacked_gather(), ki.perm_or_identity()[None, :])
-            )
+            perm = (ki.perm if ki.perm is not None
+                    else np.arange(ki.n_sources, dtype=np.intp))
+            gather = np.vstack((ki.stacked_gather(), perm[None, :]))
             ones = np.ones(ki.n_sources, dtype=VALUE_DTYPE)
             _fused_rebuild(np.ascontiguousarray(gather), factor_list, ones,
-                           ki.starts, out)
+                           starts, rows, out)
         return out
 
 
@@ -97,7 +100,7 @@ def _warmup() -> None:  # pragma: no cover - requires numba
     factors.append(np.ones((1, 2), dtype=VALUE_DTYPE))
     out = np.empty((1, 2), dtype=VALUE_DTYPE)
     _fused_rebuild(gather, factors, np.ones(2, dtype=VALUE_DTYPE),
-                   np.zeros(1, dtype=np.intp), out)
+                   np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), out)
 
 
 register_kernel("numba", NumbaKernel)

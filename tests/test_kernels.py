@@ -16,10 +16,13 @@ from repro.core.coo import CooTensor
 from repro.core.dtypes import AGREEMENT_RTOL
 from repro.core.engine import MemoizedMttkrp
 from repro.core.symbolic import SymbolicTree
-from repro.kernels import (KernelBackend, WorkspaceArena, autotune_block_rows,
-                           available_kernels, clear_tuning_cache,
-                           default_block_rows, get_kernel, resolve_block_rows,
-                           segment_blocks, unavailable_kernels)
+from repro.kernels import (MAX_CLASS_ROWS, KernelBackend, WorkspaceArena,
+                           available_kernels, default_block_rows, get_kernel,
+                           length_class_sum, make_node_index,
+                           resolve_block_rows, segment_blocks,
+                           unavailable_kernels)
+from repro.kernels.backends import RebuildContext
+from repro.kernels.indices import length_class_layout
 from repro.parallel import ParallelCooMttkrp, ParallelMemoizedMttkrp
 from repro.perf import counting
 
@@ -284,16 +287,6 @@ class TestBlocking:
             rows = default_block_rows(rank)
             assert 1024 <= rows <= 1 << 18
 
-    def test_autotune_returns_candidate_and_caches(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BLOCK", raising=False)
-        clear_tuning_cache()
-        chosen = autotune_block_rows(
-            4, candidates=(1024, 8192), sample_rows=20_000, repeats=1
-        )
-        assert chosen in (0, 1024, 8192)
-        assert resolve_block_rows(4) == chosen
-        clear_tuning_cache()
-
     def test_blocked_equals_unblocked_bitwise(self, monkeypatch):
         rng = np.random.default_rng(3)
         tensor = random_coo(rng, (15, 12, 18, 9), 3000)
@@ -321,10 +314,15 @@ class TestParallelKernels:
             kernel=backend,
         ) as par:
             for mode in sequential.mode_order:
-                np.testing.assert_allclose(
-                    par.mttkrp(mode), sequential.mttkrp(mode),
-                    rtol=AGREEMENT_RTOL, atol=AGREEMENT_RTOL,
-                )
+                if backend in ("numpy", "reference", "alto"):
+                    np.testing.assert_array_equal(
+                        par.mttkrp(mode), sequential.mttkrp(mode)
+                    )
+                else:
+                    np.testing.assert_allclose(
+                        par.mttkrp(mode), sequential.mttkrp(mode),
+                        rtol=AGREEMENT_RTOL, atol=AGREEMENT_RTOL,
+                    )
 
     def test_context_manager_closes_owned_pool(self):
         tensor = random_coo(np.random.default_rng(0), (5, 5, 5), 50)
@@ -387,18 +385,250 @@ class TestKernelIndexCache:
         ) == sym.index_nbytes()
 
     def test_gather_arrays_are_flat_and_permuted(self):
+        """gather = the parent's index column taken through the source
+        order: the plan's permutation, then the length-class layout."""
         rng = np.random.default_rng(4)
         tensor = random_coo(rng, (9, 7, 8, 6), 250)
         sym = SymbolicTree(tensor, S.balanced_binary(4))
+        n_layouts = 0
         for node in sym.strategy.nodes:
             if node.is_root:
                 continue
             ki = sym.kernel_index(node.id)
             plan = sym.nodes[node.id].plan
             parent_index = sym.nodes[node.parent].index
+            order = np.arange(plan.n_sources)
+            built = length_class_layout(plan.starts, plan.n_sources)
+            reorders = not plan.has_identity_perm or sym.strategy.nodes[
+                node.parent].is_root
+            if built is not None and not plan.is_identity and reorders:
+                order = built[0]
+                n_layouts += 1
+                assert ki.layout is not None
+            perm = ki.perm if ki.perm is not None else order
+            np.testing.assert_array_equal(perm, plan.perm[order])
             for g, d_col in zip(
                 ki.gather, sym.nodes[node.id].delta_parent_cols
             ):
                 assert g.flags.c_contiguous
-                expected = parent_index[:, d_col][plan.perm]
+                expected = parent_index[:, d_col][plan.perm[order]]
                 np.testing.assert_array_equal(g, expected)
+        assert n_layouts > 0
+
+
+# ---------------------------------------------------------------------------
+# length-class layout: bitwise equal to np.add.reduceat
+# ---------------------------------------------------------------------------
+
+class _OneIndexTree:
+    """Stands in for a SymbolicTree holding a single kernel index."""
+
+    def __init__(self, ki):
+        self.ki = ki
+
+    def kernel_index(self, node_id):
+        return self.ki
+
+
+def layout_segment_sum(values, lengths, block_rows):
+    """Segment-sum ``values`` (``(n, R)``) over consecutive runs of
+    ``lengths`` through the numpy kernel's real block loop.
+
+    The node has one delta mode whose factor is ``values`` itself and root
+    values of exactly 1.0, so every product is the value unchanged.
+    """
+    n, rank = values.shape
+    starts = (np.cumsum(lengths) - lengths).astype(np.intp)
+    ki = make_node_index(1, (0,), [np.arange(n)], None, starts, n,
+                         identity=False, parent_is_root=True)
+    ctx = RebuildContext(_OneIndexTree(ki), 1, None, None, [values], None,
+                         np.ones(n), rank, WorkspaceArena())
+    out = np.empty((len(lengths), rank))
+    if n:
+        with np.errstate(over="ignore", invalid="ignore"):
+            get_kernel("numpy")._run_blocks(ctx, ki, ki.blocks(block_rows),
+                                            out)
+    return ki, out
+
+
+def reduceat(values, lengths):
+    """The reference: ``np.add.reduceat`` over consecutive runs."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.add.reduceat(values, np.cumsum(lengths) - lengths, axis=0)
+
+
+def assert_bitwise(a, b):
+    """Equal bit for bit, signed zeros included; NaNs must sit in the same
+    places, but their sign and payload are left to the hardware (x86
+    returns the first NaN operand of an add, and compilers may swap a
+    commutative add's operands)."""
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    np.testing.assert_array_equal(nan, np.isnan(b))
+    np.testing.assert_array_equal(a[~nan].view(np.uint64),
+                                  b[~nan].view(np.uint64))
+
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308,
+                     5e-324, 1.0, -1.0, 1e-16, 3.0])
+
+
+def special_values(seed, n, rank, special_frac):
+    """Values spanning 24 decades, with ``special_frac`` of the entries
+    replaced by signed zeros, infinities, NaN and extremes."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, rank)) * 10.0 ** rng.integers(
+        -12, 12, (n, rank))
+    mask = rng.random((n, rank)) < special_frac
+    values[mask] = rng.choice(SPECIALS, int(mask.sum()))
+    return values
+
+
+class TestLengthClassSum:
+    @pytest.mark.parametrize("width", range(2, MAX_CLASS_ROWS + 1))
+    def test_class_sum_matches_reduceat(self, width):
+        rng = np.random.default_rng(width)
+        block = rng.standard_normal((50 * width, 5)) * 10.0 ** rng.integers(
+            -12, 12, (50 * width, 5))
+        out = np.empty((50, 5))
+        length_class_sum(block, width, out)
+        assert_bitwise(out, np.add.reduceat(
+            block, np.arange(0, 50 * width, width), axis=0))
+
+    @given(
+        lengths=hst.lists(hst.one_of(
+            hst.integers(1, 9),
+            hst.sampled_from([9, 16, 128, 129, 1000]),
+        ), max_size=40),
+        rank=hst.sampled_from([1, 3, 16]),
+        block_rows=hst.sampled_from([0, 1, 7, 64, 5000]),
+        seed=hst.integers(0, 2**31 - 1),
+        special_frac=hst.sampled_from([0.0, 0.05, 0.5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_layout_matches_reduceat(self, lengths, rank, block_rows, seed,
+                                     special_frac):
+        lengths = np.array(lengths, dtype=np.intp)
+        values = special_values(seed, int(lengths.sum()), rank, special_frac)
+        _, out = layout_segment_sum(values, lengths, block_rows)
+        if values.shape[0]:
+            assert_bitwise(out, reduceat(values, lengths))
+
+    @pytest.mark.parametrize("block_rows", [0, 5, 100])
+    def test_fixed_lengths_and_special_values(self, block_rows):
+        lengths = np.array([1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 128, 129, 1000,
+                            8, 3, 1, 9, 2], dtype=np.intp)
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((int(lengths.sum()), 4)) * 1e8
+        # sign of zero: -0.0 sums stay -0.0, mixed zeros give +0.0
+        values[:, 0] = -0.0
+        values[1:3, 1] = [0.0, -0.0]
+        values[3:6, 2] = [np.inf, 1.0, -np.inf]
+        values[36:45, 2] = np.nan
+        values[6:10, 3] = [1e308, 1e308, -1e308, 1.0]
+        ki, out = layout_segment_sum(values, lengths, block_rows)
+        assert ki.layout is not None
+        assert_bitwise(out, reduceat(values, lengths))
+        assert np.signbit(out[:, 0]).all()
+
+    def test_empty_node(self):
+        ki, out = layout_segment_sum(np.empty((0, 3)),
+                                     np.zeros(0, dtype=np.intp), 64)
+        assert out.shape == (0, 3)
+        assert ki.layout is None and ki.n_sources == 0
+
+    def test_only_long_segments_keep_plain_order(self):
+        lengths = np.array([9, 12, 30], dtype=np.intp)
+        ki, _ = layout_segment_sum(np.ones((51, 2)), lengths, 64)
+        assert ki.layout is None and ki.perm is None
+
+    def test_runs_cover_every_segment_once(self):
+        """``runs()`` (what fused backends iterate) sums to the plain
+        reduction when each run is scattered to its row."""
+        lengths = np.array([3, 12, 1, 1, 8, 2, 40, 5], dtype=np.intp)
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal((int(lengths.sum()), 3))
+        ki, out = layout_segment_sum(values, lengths, 0)
+        run_starts, rows = ki.runs()
+        sums = np.add.reduceat(values[ki.perm], run_starts, axis=0)
+        got = np.empty_like(sums)
+        got[rows] = sums
+        assert_bitwise(got, out)
+
+    def test_chunks_map_to_layout_regions(self):
+        """Any segment range maps to whole runs of each region, and the
+        ranges of a partition reproduce the whole-node blocks."""
+        lengths = np.array([1, 9, 2, 2, 1, 30, 3, 1, 8, 9], dtype=np.intp)
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((int(lengths.sum()), 2))
+        ki, full = layout_segment_sum(values, lengths, 4)
+        ctx = RebuildContext(_OneIndexTree(ki), 1, None, None, [values],
+                             None, np.ones(values.shape[0]), 2,
+                             WorkspaceArena())
+        out = np.full_like(full, np.nan)
+        kernel = get_kernel("numpy")
+        for lo, hi in [(0, 3), (3, 4), (4, 9), (9, 10)]:
+            kernel.rebuild_chunk(ctx, slice(None), slice(lo, hi), out)
+        assert_bitwise(out, full)
+
+    def test_zipf_cp_als_reference_equals_default(self, monkeypatch):
+        """A skewed tensor with many one-row segments: CP-ALS factors from
+        the seed numeric path and from the default kernel are bitwise
+        equal."""
+        from repro.core.cpals import cp_als
+        from repro.synth.skewed import skewed_random_tensor
+
+        tensor = skewed_random_tensor((60, 50, 40, 30), 3000, 1.2,
+                                      random_state=0,
+                                      value_distribution="uniform")
+        sym = SymbolicTree(tensor, S.balanced_binary(4))
+        plan = sym.nodes[1].plan
+        lens = np.diff(plan.starts, append=plan.n_sources)
+        assert (lens == 1).sum() > plan.n_segments // 2
+        results = {}
+        for kernel in ("reference", "numpy"):
+            monkeypatch.setenv("REPRO_KERNEL", kernel)
+            results[kernel] = cp_als(tensor, 6, strategy="bdt", n_iter_max=4,
+                                     tol=0.0, random_state=1).ktensor
+        ref, new = results["reference"], results["numpy"]
+        assert_bitwise(ref.weights, new.weights)
+        for a, b in zip(ref.factors, new.factors):
+            assert_bitwise(a, b)
+
+    def test_root_values_buffer_reused_in_place(self):
+        """Root values changed in place and set again are not mistaken
+        for the cached ones."""
+        rng = np.random.default_rng(8)
+        tensor = random_coo(rng, (12, 10, 9, 8), 600)
+        factors = random_factors(rng, tensor.shape, 3)
+        engine = MemoizedMttkrp(tensor, "bdt", factors)
+        buf = rng.standard_normal(tensor.nnz)
+        engine.set_root_values(buf)
+        engine.mttkrp(0)
+        buf *= -2.0
+        engine.set_root_values(buf)
+        fresh = MemoizedMttkrp(
+            CooTensor(tensor.idx, buf, tensor.shape, canonical=True),
+            "bdt", factors, kernel="reference",
+        )
+        np.testing.assert_array_equal(engine.mttkrp(0), fresh.mttkrp(0))
+
+    def test_nbytes_counts_layout_and_root_value_cache(self):
+        rng = np.random.default_rng(6)
+        tensor = random_coo(rng, (30, 25, 20, 15), 2000)
+        sym = SymbolicTree(tensor, S.balanced_binary(4))
+        sym.build_kernel_indices()
+        total = sym.kernel_index_nbytes()
+        # the root child on mode 0's path: the one mttkrp(0) rebuilds
+        root_child = sym.strategy.path_to_root(sym.strategy.leaf_id(0))[-2]
+        ki = sym.kernel_index(root_child)
+        assert ki.layout is not None
+        base = (ki.starts.nbytes + sum(g.nbytes for g in ki.gather)
+                + ki.perm.nbytes)
+        layout_bytes = ki.layout.segs.nbytes + ki.layout.long_starts.nbytes
+        assert ki.nbytes() == base + layout_bytes
+        MemoizedMttkrp(tensor, sym.strategy,
+                       random_factors(rng, tensor.shape, 4),
+                       symbolic=sym).mttkrp(0)
+        assert ki.nbytes() == base + layout_bytes + tensor.nnz * 8
+        assert sym.kernel_index_nbytes() == total + tensor.nnz * 8
