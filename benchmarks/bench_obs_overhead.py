@@ -41,13 +41,6 @@ three configurations:
   the duration, i.e. the full ``repro serve <cmd>`` live-telemetry
   stack.
 
-The process tier gets its own trio on the same workload (baseline
-``process_disabled`` with tracing off, ``process_worker_capture`` with
-in-worker span capture shipping worker-interior spans back per task, and
-``process_synthesized`` with capture off — parent-side reconstructed
-spans only); the cost under test there is the per-task shipping of
-worker telemetry.
-
 Writes ``benchmarks/results/BENCH_obs_overhead.json`` (shared
 ``repro-bench/v1`` envelope) with per-config ms/iteration and overhead
 percentages relative to ``disabled``, and appends the per-config timings
@@ -275,16 +268,14 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
 
     def _roofline_pass() -> None:
         publish_roofline_gauges(None, throughput_from_spans(
-            tracer.finished(), shape=tensor.shape, rank=ACCEPT_RANK,
-            node_terms=node_terms,
+            tracer.finished(), node_terms=node_terms,
         ))
 
     with_roofline = _best_iteration_seconds(
         engine, repeats, roofline_pass=_roofline_pass
     )
     roofline_configs = len(throughput_from_spans(
-        tracer.finished(), shape=tensor.shape, rank=ACCEPT_RANK,
-        node_terms=node_terms,
+        tracer.finished(), node_terms=node_terms,
     ))
 
     from repro.obs.serve import ObsServer
@@ -301,46 +292,8 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
     switch.disable("trace")
     switch.get("trace").clear()
 
-    # -- process tier: in-worker capture vs synthesized vs off ---------
-    import warnings
-
-    from repro.parallel.procpool import ProcessMttkrp, ProcessPool
-
-    def _process_best(traced: bool, capture: bool) -> float:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            backend = ProcessMttkrp(
-                tensor, layout="alto",
-                pool=ProcessPool(2, allow_oversubscribe=True,
-                                 capture=capture),
-            )
-        try:
-            backend.set_factors([f.copy() for f in factors])
-            if traced:
-                switch.enable("trace", clear=True)
-            else:
-                switch.disable("trace")
-            _als_iteration(backend)  # warm: workers, shm, span path
-            best = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                _als_iteration(backend)
-                best = min(best, time.perf_counter() - t0)
-            return best
-        finally:
-            backend.close()
-            switch.disable("trace")
-            switch.get("trace").clear()
-
-    process_disabled = _process_best(traced=False, capture=True)
-    process_capture = _process_best(traced=True, capture=True)
-    process_synth = _process_best(traced=True, capture=False)
-
     def pct(seconds: float) -> float:
         return (seconds / disabled - 1.0) * 100.0
-
-    def process_pct(seconds: float) -> float:
-        return (seconds / process_disabled - 1.0) * 100.0
 
     return {
         "workload": {
@@ -387,18 +340,6 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
             "enabled_events_serve": {
                 "seconds_per_iteration": with_events_serve,
                 "overhead_pct": pct(with_events_serve),
-            },
-            "process_disabled": {
-                "seconds_per_iteration": process_disabled,
-                "overhead_pct": 0.0,
-            },
-            "process_worker_capture": {
-                "seconds_per_iteration": process_capture,
-                "overhead_pct": process_pct(process_capture),
-            },
-            "process_synthesized": {
-                "seconds_per_iteration": process_synth,
-                "overhead_pct": process_pct(process_synth),
             },
         },
         "spans_per_measured_block": span_count,
@@ -477,14 +418,6 @@ def main() -> None:
     )
     assert report["roofline"]["configs"] >= 1, (
         "roofline pass attributed no kernel configs on a traced run"
-    )
-    capture = report["runs"]["process_worker_capture"]
-    synth = report["runs"]["process_synthesized"]
-    capture_cost = (capture["seconds_per_iteration"]
-                    / synth["seconds_per_iteration"] - 1.0) * 100.0
-    assert capture_cost < 2.0, (
-        f"in-worker span capture costs {capture_cost:.2f}% over the "
-        f"synthesized-span baseline, exceeding the 2% budget"
     )
     if not os.environ.get("REPRO_BENCH_NO_HISTORY"):
         from repro.obs.history import BenchHistory

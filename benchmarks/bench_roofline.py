@@ -75,9 +75,7 @@ def run_roofline_bench(quick: bool = False) -> dict:
                                   random_state=0)
     spans, node_terms = _traced_iteration_spans(tensor, ACCEPT_RANK)
     t0 = time.perf_counter()
-    configs = throughput_from_spans(
-        spans, shape=tensor.shape, rank=ACCEPT_RANK, node_terms=node_terms
-    )
+    configs = throughput_from_spans(spans, node_terms=node_terms)
     attribution_seconds = time.perf_counter() - t0
     report = roofline_report(configs, roofline, load=False)
 

@@ -135,12 +135,10 @@ def cmd_plan(args) -> int:
     machine = calibrate_machine() if args.calibrate else None
     if args.explain or args.json:
         from .obs.explain import explain_plan
-        from .parallel.pool import resolve_worker_count
 
         expl = explain_plan(
             tensor, args.rank, memory_budget=args.memory_budget,
             machine=machine,
-            n_workers=resolve_worker_count(args.workers),
         )
         if args.json:
             import json as _json
@@ -165,13 +163,11 @@ def cmd_plan(args) -> int:
 def cmd_explain(args) -> int:
     from .model.calibrate import calibrate_machine
     from .obs.explain import explain_plan, validate_plan_artifact
-    from .parallel.pool import resolve_worker_count
 
     tensor = load_input(args.input, args.scale)
     machine = calibrate_machine() if args.calibrate else None
     expl = explain_plan(
         tensor, args.rank, memory_budget=args.memory_budget, machine=machine,
-        n_workers=resolve_worker_count(args.workers),
     )
     measured = None
     if args.measure:
@@ -223,45 +219,9 @@ def cmd_decompose(args) -> int:
     else:
         from .core.cpals import cp_als
 
-        tier, layout = args.tier, args.layout
-        if tier == "auto" and (layout != "auto" or args.workers is not None):
-            # A layout or worker request implies an execution decision:
-            # let the model pick the tier for it.
-            from .model.cost import recommend_execution
-            from .parallel.pool import resolve_worker_count
-
-            rec = recommend_execution(
-                tensor.shape, tensor.nnz, args.rank,
-                resolve_worker_count(args.workers),
-            )
-            tier = rec.tier
-            if layout == "auto":
-                layout = rec.layout
-            print(f"model picked tier={tier} layout={layout}")
         closeables: list = []
         engine_factory = None
-        if tier == "process":
-            from .model.cost import recommend_execution
-            from .parallel.pool import resolve_worker_count
-            from .parallel.procpool import ProcessMttkrp
-
-            def engine_factory(t, _layout=layout):
-                if _layout == "auto":
-                    _layout = recommend_execution(
-                        t.shape, t.nnz, args.rank,
-                        resolve_worker_count(args.workers),
-                    ).layout
-                engine = ProcessMttkrp(t, args.workers, layout=_layout)
-                closeables.append(engine)
-                return engine
-        elif tier == "thread" and layout == "alto":
-            from .parallel.procpool import AltoCooMttkrp
-
-            def engine_factory(t):
-                engine = AltoCooMttkrp(t, args.workers)
-                closeables.append(engine)
-                return engine
-        elif args.workers is not None and args.workers > 1:
+        if args.workers is not None and args.workers > 1:
             # Parallel memoized engine: resolve 'auto' through the planner
             # here, since engine_factory bypasses cp_als's own planning path.
             def engine_factory(t, _w=args.workers):
@@ -272,10 +232,12 @@ def cmd_decompose(args) -> int:
                     from .model.planner import plan
 
                     strategy = plan(t, args.rank).best.strategy
-                return ParallelMemoizedMttkrp(
+                engine = ParallelMemoizedMttkrp(
                     t, strategy, n_workers=_w,
                     min_chunk_rows=args.min_chunk_rows,
                 )
+                closeables.append(engine)
+                return engine
 
         try:
             result = cp_als(
@@ -823,9 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--explain", action="store_true",
                    help="full decision trace: margins, dominant cost "
                    "terms, the winner's per-node predicted costs")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker count for the execution tier/layout "
-                   "decision (default: REPRO_WORKERS, else cpu count)")
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser(
@@ -857,9 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the artifact JSON instead of tables")
     p.add_argument("--out", default=None,
                    help="also write the artifact JSON to this path")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker count for the execution tier/layout "
-                   "decision (default: REPRO_WORKERS, else cpu count)")
     p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser("decompose", help="CP-ALS / nonnegative CP")
@@ -877,17 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-chunk-rows", type=int, default=None,
                    help="parallel-engine chunking threshold override "
                    "(lower it to force pool fan-out on small tensors)")
-    p.add_argument("--tier", choices=("auto", "thread", "process"),
-                   default="auto",
-                   help="execution tier: worker threads (GIL-released "
-                   "kernels) or worker processes with shared-memory "
-                   "factors; auto consults the cost model when a layout "
-                   "or worker count is requested")
-    p.add_argument("--layout", choices=("auto", "numpy", "alto"),
-                   default="auto",
-                   help="index layout: COO index matrix or ALTO packed "
-                   "codes (one uint64 per nonzero); auto picks by "
-                   "modeled cost")
     p.add_argument("--out", default=None, help="write factors to .npz")
     p.set_defaults(fn=cmd_decompose)
 
@@ -931,9 +876,8 @@ def build_parser() -> argparse.ArgumentParser:
         "profile.json (repro-profile/v1: folded stacks joined to the "
         "span tree, per-span sampled seconds) and profile.folded "
         "(collapsed-stack text for flamegraph.pl / speedscope).  Worker "
-        "threads appear as worker-<n> lanes; worker processes sample "
-        "themselves and merge back as pid-<pid> lanes under their "
-        "pool_task spans.",
+        "threads appear as worker-<n> lanes under their pool_task "
+        "spans.",
     )
     p.add_argument("--trace-dir", default="repro-trace",
                    help="directory for trace + profile artifacts "

@@ -1,30 +1,22 @@
 """E8 — multicore strong scaling (figure).
 
 Measures per-iteration time of the thread-parallel memoized engine at 1..P
-workers, alongside the cost-model scaling projection.  The measured curve on
-CPython under-reports what the paper's C/OpenMP code achieves (interpreter
-sections serialize); the projection reproduces the paper's *shape* —
-near-linear scaling until memory bandwidth saturates — from the same cost
-numbers the sequential experiments validated.
+workers, alongside the cost model's scaling prediction
+(:func:`repro.model.cost.parallel_iteration_seconds`).  The measured curve
+on CPython under-reports what the paper's C/OpenMP code achieves
+(interpreter sections serialize); the model prices that GIL-serial share,
+the memory-bandwidth knee, and the fan-out barriers from the same cost
+numbers the sequential experiments validated.  The model clamps ``p`` to
+the CPUs this process may use (``observations["host_cpus"]``), so past
+them the modeled speedup stays flat.
 
-Since the process tier exists the sweep also measures the **process-parallel
-COO backend** (:class:`~repro.parallel.procpool.ProcessMttkrp`) in both
-index layouts — the raw COO matrix and ALTO packed codes — and models both
-tiers with :func:`repro.model.cost.execution_candidates`.  The sweep
-deliberately opts into oversubscription (the whole point is the 1..P curve
-even on small machines); ``observations["host_cpus"]`` records how many
-cores the numbers actually had, and the measured process-beats-thread claim
-is only asserted where ``host_cpus`` can support it.  The two layouts are
-checked bitwise-identical every run — that claim is machine-independent.
-
-Each thread-tier worker count also gets a *measured* load-imbalance column
-(max/mean ``pool_task`` seconds over one traced iteration, via
-:mod:`repro.obs.utilization`) next to the nonzero-count imbalance the
-scaling model assumes — the SPLATT-style diagnostic for why a speedup
-curve flattens.  "-" means the engine never fanned out at that
+Each worker count also gets a *measured* load-imbalance column (max/mean
+``pool_task`` seconds over one traced iteration, via
+:mod:`repro.obs.utilization`) — the SPLATT-style diagnostic for why a
+speedup curve flattens.  "-" means the engine never fanned out at that
 configuration (rebuilds below the chunking threshold run sequentially).
 
-A roofline column completes the diagnosis: each thread-tier time is
+A roofline column completes the diagnosis: each measured time is
 converted to achieved bandwidth (the cost model's words/iteration over
 measured seconds) and reported as a fraction of the machine's measured
 triad ceiling (:func:`repro.model.calibrate.calibrate_roofline`).  A
@@ -34,7 +26,7 @@ the paper's explanation for the knee in the strong-scaling figure.
 
 from __future__ import annotations
 
-import os
+import time
 
 import numpy as np
 
@@ -43,25 +35,20 @@ from ..core.strategy import balanced_binary
 from ..core.symbolic import SymbolicTree
 from ..core.dtypes import VALUE_ITEMSIZE
 from ..model.calibrate import calibrate_machine, calibrate_roofline
-from ..model.cost import cost_from_symbolic, execution_candidates
+from ..model.cost import cost_from_symbolic, parallel_iteration_seconds
 from ..parallel.engine import ParallelMemoizedMttkrp
-from ..parallel.procpool import ProcessMttkrp
-from ..parallel.simulate import load_imbalance, simulate_speedup_curve
-from ..perf.timer import time_callable
+from ..parallel.pool import available_cpus
 from .common import (DEFAULT_RANK, DEFAULT_SCALE, ExperimentResult,
-                     iteration_seconds, load_scaled)
+                     load_scaled)
 
 EXP_ID = "E8"
-TITLE = "Strong scaling: measured thread+process tiers + modeled speedup"
+TITLE = "Strong scaling: measured thread tier + modeled speedup"
 
 DEFAULT_WORKERS = (1, 2, 4, 8)
 
 
-def _measured_imbalance(
-    tensor, strategy, rank: int, p: int,
-) -> tuple[float, str] | None:
-    """Max/mean ``pool_task`` seconds over one traced iteration, plus the
-    provenance of the task timings (``measured``/``synthesized``/...).
+def _measured_imbalance(tensor, strategy, rank: int, p: int) -> float | None:
+    """Max/mean ``pool_task`` seconds over one traced iteration.
 
     Slices only the spans this probe appends, so it composes with an
     already-active outer trace (``--trace`` runs) without clearing it.
@@ -84,110 +71,66 @@ def _measured_imbalance(
     if util is None:
         return None
     _metrics.set_gauge(f"e8.imbalance.p{p}", util.mean_imbalance)
-    return util.mean_imbalance, util.source
+    return util.mean_imbalance
 
 
-def _process_iteration_seconds(tensor, rank: int, p: int, layout: str,
-                               repeats: int) -> float:
-    """Best-of time of one full iteration on the process-tier backend."""
-    import warnings
+def _interleaved_seconds(tensor, strategy, rank: int, workers,
+                         rounds: int) -> dict[int, float]:
+    """Median seconds of one iteration at each worker count.
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        backend = ProcessMttkrp(
-            tensor, p, layout=layout, allow_oversubscribe=True
-        )
-    try:
-        factors = initialize_factors(tensor, rank, "random", 0)
-        backend.set_factors(factors)
-
-        def one_iteration():
-            for n in backend.mode_order:
-                backend.mttkrp(n)
-                backend.update_factor(n, factors[n])
-
-        return time_callable(one_iteration, repeats=repeats, warmup=1)
-    finally:
-        backend.close()
-
-
-def _layouts_bitwise_identical(tensor, rank: int, p: int) -> bool:
-    """Whether process-numpy and process-alto agree bit for bit."""
-    import warnings
-
+    Every round times one iteration per worker count in turn (after one
+    untimed warm-up round), so clock drift on a shared host hits all
+    counts alike instead of favouring whichever runs last.
+    """
     factors = initialize_factors(tensor, rank, "random", 0)
-    outs = {}
-    for layout in ("numpy", "alto"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            backend = ProcessMttkrp(
-                tensor, p, layout=layout, allow_oversubscribe=True
-            )
-        try:
-            backend.set_factors(factors)
-            outs[layout] = [backend.mttkrp(n) for n in backend.mode_order]
-        finally:
-            backend.close()
-    return all(
-        np.array_equal(a, b)
-        for a, b in zip(outs["numpy"], outs["alto"])
-    )
+    engines = {
+        p: ParallelMemoizedMttkrp(tensor, strategy, factors, n_workers=p)
+        for p in workers
+    }
+    samples: dict[int, list[float]] = {p: [] for p in workers}
+    try:
+        for r in range(rounds + 1):
+            for p, engine in engines.items():
+                t0 = time.perf_counter()
+                for n in engine.mode_order:
+                    engine.mttkrp(n)
+                    # Reinstalling the same factor exercises the true
+                    # invalidation path with stable values.
+                    engine.update_factor(n, factors[n])
+                if r:
+                    samples[p].append(time.perf_counter() - t0)
+    finally:
+        for engine in engines.values():
+            engine.close()
+    return {p: float(np.median(v)) for p, v in samples.items()}
 
 
 def run(scale: float = DEFAULT_SCALE, rank: int = DEFAULT_RANK,
         name: str = "delicious", workers=DEFAULT_WORKERS,
-        repeats: int = 3) -> ExperimentResult:
+        repeats: int = 5) -> ExperimentResult:
     tensor = load_scaled(name, scale)
     strategy = balanced_binary(tensor.ndim)
     machine = calibrate_machine()
     # Quick roofline calibration (cached to the repro-machine/v1 artifact):
-    # turns each measured thread-tier time into an achieved-bandwidth
-    # fraction, so the table says *why* the curve flattens, not just that
-    # it does.
+    # turns each measured time into an achieved-bandwidth fraction, so the
+    # table says *why* the curve flattens, not just that it does.
     roofline = calibrate_roofline(quick=True)
     cost = cost_from_symbolic(SymbolicTree(tensor, strategy), rank, machine)
-    modeled = simulate_speedup_curve(
-        cost, workers, machine=machine,
-        imbalance=load_imbalance(tensor, max(workers)),
-    )
-    # Tier/layout model at each worker count, with the serial thread price
-    # as the common baseline for both modeled speedup curves.
-    exec_by_p = {
-        p: {(c.tier, c.layout): c for c in execution_candidates(
-            tensor.shape, tensor.nnz, rank, p, machine)}
+    serial = parallel_iteration_seconds(cost, 1, machine)
+    modeled = {
+        p: serial / parallel_iteration_seconds(cost, p, machine)
         for p in workers
     }
-    serial = exec_by_p[workers[0]][("thread", "numpy")].predicted_seconds
-    modeled_process = {
-        p: serial / exec_by_p[p][("process", "numpy")].predicted_seconds
-        for p in workers
+    measured_times = _interleaved_seconds(tensor, strategy, rank, workers,
+                                          repeats)
+    measured_imbalance = {
+        p: _measured_imbalance(tensor, strategy, rank, p) for p in workers
     }
-    modeled_thread_exec = {
-        p: serial / exec_by_p[p][("thread", "numpy")].predicted_seconds
-        for p in workers
-    }
-    measured_times = {}
-    measured_imbalance = {}
-    process_times = {}
-    alto_times = {}
-    for p in workers:
-        measured_times[p] = iteration_seconds(
-            tensor,
-            lambda t, p=p: ParallelMemoizedMttkrp(t, strategy, n_workers=p),
-            rank, repeats=repeats,
-        )
-        measured_imbalance[p] = _measured_imbalance(tensor, strategy, rank, p)
-        process_times[p] = _process_iteration_seconds(
-            tensor, rank, p, "numpy", repeats
-        )
-        alto_times[p] = _process_iteration_seconds(
-            tensor, rank, p, "alto", repeats
-        )
     base = measured_times[workers[0]]
-    # Achieved bandwidth of the thread tier at each worker count: the cost
-    # model's words/iteration over the measured wall seconds, as a fraction
-    # of the measured triad ceiling.  A flat fraction across p is the
-    # roofline explanation for a flat speedup curve.
+    # Achieved bandwidth at each worker count: the cost model's
+    # words/iteration over the measured wall seconds, as a fraction of the
+    # measured triad ceiling.  A flat fraction across p is the roofline
+    # explanation for a flat speedup curve.
     iter_bytes = cost.words_per_iteration * VALUE_ITEMSIZE
     rows = []
     measured_speedup = {}
@@ -196,43 +139,33 @@ def run(scale: float = DEFAULT_SCALE, rank: int = DEFAULT_RANK,
         measured_speedup[p] = base / measured_times[p]
         achieved_gbs = iter_bytes / measured_times[p] / 1e9
         roofline_fraction[p] = achieved_gbs / roofline.peak_bandwidth_gbs
-        probe = measured_imbalance[p]
+        imbalance = measured_imbalance[p]
         rows.append([
             p,
             round(measured_times[p] * 1e3, 3),
             round(measured_speedup[p], 2),
             round(modeled[p], 2),
-            round(process_times[p] * 1e3, 3),
-            round(alto_times[p] * 1e3, 3),
-            round(modeled_process[p], 2),
             f"{roofline_fraction[p] * 100:.1f}%",
-            (f"{probe[0]:.3f} ({probe[1]})" if probe is not None else "-"),
+            f"{imbalance:.3f}" if imbalance is not None else "-",
         ])
-    host_cpus = os.cpu_count() or 1
-    bitwise = _layouts_bitwise_identical(tensor, rank, max(workers))
     return ExperimentResult(
         exp_id=EXP_ID,
         title=f"{TITLE} ({name}, strategy=bdt)",
         headers=["workers", "thread ms/iter", "thread speedup",
-                 "modeled thread", "process ms/iter", "alto ms/iter",
-                 "modeled process", "roofline %",
-                 "measured imbalance (timings)"],
+                 "modeled speedup", "roofline %", "measured imbalance"],
         rows=rows,
         expected_shape=(
-            "Modeled thread speedup near-linear until the bandwidth knee but "
-            "capped by the GIL-serial fraction; modeled process speedup "
-            "exceeds it from 2+ workers (no GIL term, IPC + reduction "
-            "overheads only).  Measured columns follow the model's ordering "
-            "when host_cpus covers the worker count; the two process-tier "
-            "layouts are bitwise identical everywhere.  Measured pool "
-            "imbalance near 1.0 = balanced fan-outs; growth with workers "
-            "explains curve flattening.  The roofline column (modeled "
-            "traffic over measured seconds vs the measured triad ceiling) "
-            "stops growing once bandwidth saturates — workers past that "
-            "point cannot help."
+            "Modeled speedup grows until the bandwidth knee or the "
+            "available CPUs (whichever comes first) and is capped by the "
+            "GIL-serial fraction; past host_cpus it stays flat.  Measured "
+            "speedup on CPython sits below it.  Measured pool imbalance "
+            "near 1.0 = balanced fan-outs; growth with workers explains "
+            "curve flattening.  The roofline column (modeled traffic over "
+            "measured seconds vs the measured triad ceiling) stops growing "
+            "once bandwidth saturates — workers past that point cannot help."
         ),
         observations={
-            "host_cpus": host_cpus,
+            "host_cpus": available_cpus(),
             "roofline_peak_bandwidth_gbs": roofline.peak_bandwidth_gbs,
             "roofline_saturation_workers": roofline.saturation_workers,
             "thread_roofline_fraction": {
@@ -240,33 +173,12 @@ def run(scale: float = DEFAULT_SCALE, rank: int = DEFAULT_RANK,
             },
             "measured_speedup": {int(k): v for k, v in measured_speedup.items()},
             "modeled_speedup": {int(k): v for k, v in modeled.items()},
-            "modeled_process_speedup": {
-                int(k): v for k, v in modeled_process.items()
-            },
-            "process_seconds": {int(k): v for k, v in process_times.items()},
-            "alto_seconds": {int(k): v for k, v in alto_times.items()},
             "measured_imbalance": {
-                int(k): (v[0] if v is not None else None)
-                for k, v in measured_imbalance.items()
-            },
-            "imbalance_timing_source": {
-                int(k): (v[1] if v is not None else None)
-                for k, v in measured_imbalance.items()
+                int(k): v for k, v in measured_imbalance.items()
             },
             "modeled_monotone": all(
                 modeled[workers[i + 1]] >= modeled[workers[i]]
-                for i in range(len(workers) - 2)
+                for i in range(len(workers) - 1)
             ),
-            "modeled_thread_exec_speedup": {
-                int(k): v for k, v in modeled_thread_exec.items()
-            },
-            # Both tiers priced by the same execution model: the process
-            # curve must clear the GIL-capped thread curve at 4 workers.
-            "modeled_process_beats_thread_at_4": (
-                modeled_process.get(4, 0.0) > modeled_thread_exec.get(
-                    4, float("inf"))
-                if 4 in workers else None
-            ),
-            "layouts_bitwise_identical": bitwise,
         },
     )

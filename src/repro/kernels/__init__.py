@@ -15,7 +15,6 @@ Backends: ``numpy`` (default; bitwise identical to the original engine),
 differential tests), and ``numba`` (fused ``prange`` loop, auto-detected).
 """
 
-from .alto import AltoEncoding, AltoKernel, aligned_chunks, fits_alto
 from .backends import KernelBackend, NumpyKernel, RebuildContext, ReferenceKernel
 from .blocking import default_block_rows, resolve_block_rows, segment_blocks
 from .indices import (MAX_CLASS_ROWS, NodeKernelIndex, build_node_index,
@@ -27,7 +26,6 @@ from .workspace import WorkspaceArena
 
 register_kernel(NumpyKernel.name, NumpyKernel)
 register_kernel(ReferenceKernel.name, ReferenceKernel)
-register_kernel(AltoKernel.name, AltoKernel)
 
 try:  # optional fused backend — self-registers on import
     from . import numba_backend  # noqa: F401
@@ -35,8 +33,6 @@ except Exception as _numba_err:  # pragma: no cover - depends on environment
     register_unavailable("numba", f"numba import failed: {_numba_err}")
 
 __all__ = [
-    "AltoEncoding",
-    "AltoKernel",
     "DEFAULT_KERNEL",
     "KernelBackend",
     "MAX_CLASS_ROWS",
@@ -45,8 +41,6 @@ __all__ = [
     "RebuildContext",
     "ReferenceKernel",
     "WorkspaceArena",
-    "aligned_chunks",
-    "fits_alto",
     "available_kernels",
     "build_node_index",
     "default_block_rows",

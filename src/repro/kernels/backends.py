@@ -121,15 +121,7 @@ class NumpyKernel(KernelBackend):
                            segment_slice.start, segment_slice.stop)
         self._run_blocks(ctx, ki, blocks, out)
 
-    def _index_reader(self, ctx: RebuildContext, ki):
-        """``read(field, lo, hi)``: gather indices of delta mode number
-        ``field`` for sources ``lo:hi`` (the hook :class:`~repro.kernels
-        .alto.AltoKernel` overrides)."""
-        gather = ki.gather
-        return lambda field, lo, hi: gather[field][lo:hi]
-
     def _run_blocks(self, ctx: RebuildContext, ki, blocks, out) -> None:
-        read = self._index_reader(ctx, ki)
         factors = ctx.factors
         arena = ctx.arena
         rank = ctx.rank
@@ -138,17 +130,18 @@ class NumpyKernel(KernelBackend):
                      else ki.root_values(ctx.root_vals))
         perm = ki.perm
         d0 = ki.delta_modes[0]
-        rest = tuple(enumerate(ki.delta_modes[1:], start=1))
+        g0 = ki.gather[0]
+        rest = tuple(zip(ki.delta_modes[1:], ki.gather[1:]))
         for lo, hi, width, rows, lstarts in blocks:
             n = hi - lo
             # Identity plans map source row k to output row k: gather
             # straight into the output and skip the reduction entirely.
             prod = out[lo:hi] if ki.identity else arena.request("prod", n, rank)
-            np.take(factors[d0], read(0, lo, hi), axis=0, out=prod, mode="clip")
-            for field, d_mode in rest:
+            np.take(factors[d0], g0[lo:hi], axis=0, out=prod, mode="clip")
+            for d_mode, g in rest:
                 scratch = arena.request("scratch", n, rank)
-                np.take(factors[d_mode], read(field, lo, hi), axis=0,
-                        out=scratch, mode="clip")
+                np.take(factors[d_mode], g[lo:hi], axis=0, out=scratch,
+                        mode="clip")
                 np.multiply(prod, scratch, out=prod)
             if root_vals is not None:
                 np.multiply(prod, root_vals[lo:hi, None], out=prod)

@@ -125,7 +125,7 @@ class NodeKernelIndex:
     __slots__ = (
         "node_id", "delta_modes", "n_sources", "n_segments", "gather",
         "perm", "starts", "identity", "layout", "_blocks", "_stacked",
-        "_runs", "_root_vals", "_alto",
+        "_runs", "_root_vals",
     )
 
     def __init__(self, node_id: int, delta_modes: tuple[int, ...],
@@ -146,9 +146,6 @@ class NodeKernelIndex:
         self._runs: tuple[np.ndarray, np.ndarray] | None = None
         #: (root values array, the same values in gather order)
         self._root_vals: tuple[np.ndarray, np.ndarray] | None = None
-        #: lazily built bit-packed gather (see repro.kernels.alto);
-        #: False = packing checked and not applicable.
-        self._alto = None
 
     def blocks(self, block_rows: int, seg_lo: int = 0,
                seg_hi: int | None = None):
@@ -249,8 +246,6 @@ class NodeKernelIndex:
             total += self._stacked.nbytes
         if self._runs is not None:  # the array not shared with the above
             total += self._runs[0 if self.layout is not None else 1].nbytes
-        if self._alto is not None and self._alto is not False:
-            total += self._alto.codes.nbytes
         return int(total)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

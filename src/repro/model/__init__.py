@@ -6,12 +6,11 @@ from .calibrate import (MACHINE_SCHEMA, BandwidthPoint, MachineRoofline,
                         measure_roofline, reset_calibration,
                         validate_machine_artifact)
 from .cost import (DEFAULT_EXECUTION, DEFAULT_MACHINE,
-                   FALLBACK_BANDWIDTH_WORKERS, CostReport, ExecutionCandidate,
-                   ExecutionParams, MachineModel, coo_mode_work,
-                   cost_from_symbolic, cost_report, execution_candidates,
-                   iteration_flops_words, iteration_io_lower_bound_bytes,
-                   recommend_execution, resolve_bandwidth_workers,
-                   simulate_peak_value_bytes, symbolic_index_bytes)
+                   FALLBACK_BANDWIDTH_WORKERS, CostReport, ExecutionParams,
+                   MachineModel, cost_from_symbolic, cost_report,
+                   iteration_flops_words, parallel_iteration_seconds,
+                   resolve_bandwidth_workers, simulate_peak_value_bytes,
+                   symbolic_index_bytes)
 from .fit import WorkSample, collect_samples, fit_machine_model, fitted_machine
 from .overlap import DistinctCounter
 from .planner import PlannerReport, ScoredStrategy, plan
@@ -34,16 +33,12 @@ __all__ = [
     "DEFAULT_MACHINE",
     "FALLBACK_BANDWIDTH_WORKERS",
     "CostReport",
-    "ExecutionCandidate",
     "ExecutionParams",
     "MachineModel",
-    "coo_mode_work",
     "cost_from_symbolic",
     "cost_report",
-    "execution_candidates",
     "iteration_flops_words",
-    "iteration_io_lower_bound_bytes",
-    "recommend_execution",
+    "parallel_iteration_seconds",
     "resolve_bandwidth_workers",
     "simulate_peak_value_bytes",
     "symbolic_index_bytes",

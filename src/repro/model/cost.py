@@ -15,14 +15,14 @@ model's per-iteration predictions equal the engine's measured counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.dtypes import INDEX_ITEMSIZE, VALUE_ITEMSIZE
 from ..core.engine import contraction_work
 from ..core.strategy import MemoStrategy
 from ..core.symbolic import SymbolicTree
-from ..kernels.alto import MAX_BITS, alto_bits
+from ..parallel.pool import available_cpus
 
 
 @dataclass(frozen=True)
@@ -296,47 +296,34 @@ def cost_from_symbolic(
     return cost_report(symbolic.strategy, symbolic.node_nnz(), rank, machine)
 
 
-# -- execution tier / layout model ------------------------------------------
+# -- parallel scaling model ------------------------------------------------
 #
-# The strategy model above chooses *what* to memoize; the execution model
-# below chooses *how to run it*: thread tier vs process tier, COO index
-# matrix vs ALTO packed codes.  This is the Dynasor-style per-tensor layout
-# decision from the paper lifted to the runtime level: layouts trade index
-# words for decode flops, tiers trade GIL serialization for IPC + partials
-# reduction, and the same alpha/beta machine calibration prices both sides.
+# The strategy model above chooses *what* to memoize; the scaling model
+# below prices running it on the thread-parallel memoized engine
+# (:class:`repro.parallel.ParallelMemoizedMttkrp`) at ``p`` workers, with the
+# same alpha/beta machine calibration as the serial prediction.
 
 
 @dataclass(frozen=True)
 class ExecutionParams:
-    """Knobs of the tier/layout model (defaults fit the thread tier's
-    measured E8 plateau and the process tier's dispatch overheads).
+    """Knobs of the thread-tier scaling model.
 
-    ``gil_serial_fraction`` is the share of an MTTKRP's wall time spent in
-    interpreter glue between GIL-releasing NumPy kernels — serialized on
-    the thread tier, parallel on the process tier.
-    ``memory_bound_fraction`` / ``bandwidth_workers`` mirror
-    :class:`repro.parallel.simulate.ScalingParams`: that share of kernel
-    time scales only to the memory system's effective stream count.
+    ``gil_serial_fraction`` is the share of an iteration's wall time spent
+    in interpreter glue between GIL-releasing NumPy kernels: it does not
+    scale with threads.  Of the kernel remainder, ``memory_bound_fraction``
+    scales only to the memory system's effective stream count
+    ``bandwidth_workers`` and the rest scales to ``p``.
     ``bandwidth_workers=None`` (the default) defers to
     :func:`resolve_bandwidth_workers`: the measured saturation point from
     the host's ``repro-machine/v1`` calibration artifact when one exists,
     else the historical guess of 8 — an explicit value always wins.
-    ``ipc_seconds_per_task`` is one process-pool dispatch + result
-    (pickled specs and bounds, a few hundred bytes).
-    ``alto_decode_flops_per_index`` prices recovering one coordinate from
-    a packed code: the shift+mask pair is integer ALU work that overlaps
-    the factor gather's memory latency, so it costs about one effective
-    flop, not two — which is what makes the layout trade order-dependent
-    (the ``N-1`` saved index words grow with order, the decode does not
-    outpace them).
+    ``sync_seconds`` is one pool fan-out barrier, paid once per MTTKRP.
     """
 
     gil_serial_fraction: float = 0.45
     memory_bound_fraction: float = 0.6
     bandwidth_workers: int | None = None
     sync_seconds: float = 5e-5
-    ipc_seconds_per_task: float = 2e-4
-    alto_decode_flops_per_index: int = 1
 
 
 DEFAULT_EXECUTION = ExecutionParams()
@@ -349,15 +336,13 @@ FALLBACK_BANDWIDTH_WORKERS = 8
 def resolve_bandwidth_workers(
     params: ExecutionParams = DEFAULT_EXECUTION,
 ) -> tuple[int, str]:
-    """``(bandwidth_workers, source)`` for the execution model.
+    """``(bandwidth_workers, source)`` for the scaling model.
 
     Source is ``"explicit"`` when the params pin a value, ``"calibrated"``
     when the host's roofline artifact supplies its measured saturation
     point (:func:`repro.model.calibrate.load_roofline` — load-only, never
     measures), and ``"default"`` for the
-    :data:`FALLBACK_BANDWIDTH_WORKERS` guess.  Plan artifacts record the
-    source so a decision made from a guess is distinguishable from one
-    made from a measurement.
+    :data:`FALLBACK_BANDWIDTH_WORKERS` guess.
     """
     if params.bandwidth_workers is not None:
         return int(params.bandwidth_workers), "explicit"
@@ -369,209 +354,34 @@ def resolve_bandwidth_workers(
     return FALLBACK_BANDWIDTH_WORKERS, "default"
 
 
-@dataclass
-class ExecutionCandidate:
-    """One (tier, layout) execution plan priced for a tensor.
-
-    ``terms`` decomposes ``predicted_seconds``: ``base_seconds`` (the
-    serial alpha*flops + beta*words time), ``parallel_seconds`` (kernel
-    time after Amdahl + bandwidth scaling), and the tier's overheads
-    (``gil_seconds`` / ``sync_seconds`` for threads, ``ipc_seconds`` /
-    ``reduction_seconds`` for processes).  Infeasible candidates (alto
-    overflowing its 63-bit budget) carry ``feasible=False`` and a reason.
-    """
-
-    tier: str
-    layout: str
-    n_workers: int
-    feasible: bool
-    predicted_seconds: float
-    index_bytes: int
-    terms: dict = field(default_factory=dict)
-    reason: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "tier": self.tier,
-            "layout": self.layout,
-            "n_workers": self.n_workers,
-            "feasible": self.feasible,
-            "predicted_seconds": self.predicted_seconds,
-            "index_bytes": self.index_bytes,
-            "terms": dict(self.terms),
-            "reason": self.reason,
-        }
-
-
-def coo_mode_work(shape, nnz: int, rank: int, mode: int, layout: str,
-                  params: ExecutionParams = DEFAULT_EXECUTION
-                  ) -> tuple[float, float]:
-    """(flops, words) of one COO MTTKRP for ``mode`` over ``nnz`` nonzeros.
-
-    ``N-1`` gathered-row Hadamard multiplies, the value multiply, and the
-    scatter-add (``nnz*R*(N+1)`` flops); value traffic is the gathered
-    rows, the value vector, and the output read+write; index traffic is
-    ``N`` coordinate reads per nonzero on the COO layout and one packed
-    code per nonzero plus decode flops on alto.
-
-    Pass a shard's nonzero count to price one worker's span: the output
-    term stays full-size because every shard scatters into its own
-    ``I_n x R`` partial (the roofline attribution pass joins these terms
-    to measured ``kernel`` span seconds, so the convention must match
-    what a shard actually touches).
-    """
-    ndim = len(shape)
-    flops = float(nnz * rank * (ndim + 1))
-    words = float(nnz * rank * (ndim - 1) + nnz + 2 * shape[mode] * rank)
-    if layout == "alto":
-        words += nnz
-        flops += params.alto_decode_flops_per_index * ndim * nnz
-    else:
-        words += nnz * ndim
-    return flops, words
-
-
-def _iteration_base(shape, nnz: int, rank: int, layout: str,
-                    params: ExecutionParams) -> tuple[float, float, int]:
-    """(flops, words, index_bytes) of one COO MTTKRP iteration (all modes).
-
-    The per-mode addends are exactly :func:`coo_mode_work`, so span-level
-    attributions built from it partition these totals.
-    """
-    ndim = len(shape)
-    flops = 0.0
-    words = 0.0
-    for n in range(ndim):
-        f, w = coo_mode_work(shape, nnz, rank, n, layout, params)
-        flops += f
-        words += w
-    index_bytes = nnz * (8 if layout == "alto" else ndim * INDEX_ITEMSIZE)
-    return flops, words, index_bytes
-
-
-def iteration_io_lower_bound_bytes(shape, nnz: int, rank: int,
-                                   layout: str = "numpy") -> int:
-    """Compulsory memory traffic of one COO iteration: the roofline floor.
-
-    Per mode: every nonzero value and its coordinates (or packed code)
-    must be read once, every non-target factor streamed once (assuming
-    perfect cache reuse of gathered rows — the bound's whole point), and
-    the output written once.  No model parameters enter: this is the
-    traffic no schedule, chunking, or layout trick can avoid, so
-    ``bytes / measured_bandwidth`` is a machine-checkable time floor for
-    ``repro plan`` to cite next to its alpha/beta prediction.
-    """
-    ndim = len(shape)
-    idx_bytes = INDEX_ITEMSIZE if layout == "alto" else ndim * INDEX_ITEMSIZE
-    total = 0
-    for n in range(ndim):
-        total += nnz * VALUE_ITEMSIZE            # nonzero values
-        total += nnz * idx_bytes                 # coordinates / packed codes
-        total += sum(
-            shape[m] for m in range(ndim) if m != n
-        ) * rank * VALUE_ITEMSIZE                # factors streamed once
-        total += shape[n] * rank * VALUE_ITEMSIZE  # output written once
-    return int(total)
-
-
-def execution_candidates(
-    shape: Sequence[int],
-    nnz: int,
-    rank: int,
+def parallel_iteration_seconds(
+    cost: CostReport,
     n_workers: int,
     machine: MachineModel = DEFAULT_MACHINE,
     params: ExecutionParams = DEFAULT_EXECUTION,
-) -> list[ExecutionCandidate]:
-    """Price every {thread, process} x {numpy, alto} combination.
+) -> float:
+    """Predicted seconds of one CP-ALS iteration of ``cost``'s strategy on
+    the thread-parallel memoized engine with ``n_workers`` threads.
 
-    Thread tier: the GIL-serial fraction does not scale; the kernel
-    remainder splits into a bandwidth-limited share (scales to
-    ``bandwidth_workers``) and a compute share (scales to ``p``), plus a
-    per-mode synchronization term.  Process tier: no GIL term, full kernel
-    scaling, but each mode pays ``p`` task dispatches and (for the
-    ``ndim - 1`` non-leading modes) a parent-side reduction of ``p``
-    partial slabs.  Returned in input order (thread/process x
-    numpy/alto); use :func:`recommend_execution` for the winner.
+    ``p`` is clamped to the CPUs this process may use
+    (:func:`repro.parallel.pool.available_cpus`): threads past them add no
+    throughput.  At ``p = 1`` the prediction is the serial
+    ``alpha*flops + beta*words``; above it the GIL-serial share stays
+    serial, the kernel remainder scales by Amdahl + bandwidth saturation,
+    and every MTTKRP pays one fan-out barrier.
     """
-    shape = tuple(int(s) for s in shape)
-    ndim = len(shape)
-    p = max(1, int(n_workers))
-    alto_total_bits = sum(alto_bits(shape))
-    alto_ok = alto_total_bits <= MAX_BITS
-    bandwidth_workers, _bw_source = resolve_bandwidth_workers(params)
-    eff = min(p, bandwidth_workers)
-    # Exactly 1.0 at p=1 so both tiers price a single worker identically
-    # (and recommend_execution's min() resolves the tie to "thread",
-    # which needs no pool at all).
-    kernel_scale = 1.0 if p == 1 else (
-        params.memory_bound_fraction / eff
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    p = min(int(n_workers), available_cpus())
+    serial = machine.seconds(
+        cost.flops_per_iteration, cost.words_per_iteration
+    )
+    if p == 1:
+        return serial
+    bandwidth_workers, _ = resolve_bandwidth_workers(params)
+    gil = serial * params.gil_serial_fraction
+    kernel = (serial - gil) * (
+        params.memory_bound_fraction / min(p, bandwidth_workers)
         + (1.0 - params.memory_bound_fraction) / p
     )
-    out: list[ExecutionCandidate] = []
-    for tier in ("thread", "process"):
-        for layout in ("numpy", "alto"):
-            if layout == "alto" and not alto_ok:
-                out.append(ExecutionCandidate(
-                    tier=tier, layout=layout, n_workers=p, feasible=False,
-                    predicted_seconds=float("inf"), index_bytes=0,
-                    reason=(f"needs {alto_total_bits} index bits; "
-                            f"max is {MAX_BITS}"),
-                ))
-                continue
-            flops, words, index_bytes = _iteration_base(
-                shape, nnz, rank, layout, params
-            )
-            base = machine.seconds(flops, words)
-            terms = {
-                "flops": flops,
-                "words": words,
-                "base_seconds": base,
-                "bandwidth_workers": bandwidth_workers,
-                "io_lower_bound_bytes": iteration_io_lower_bound_bytes(
-                    shape, nnz, rank, layout
-                ),
-            }
-            if tier == "thread":
-                gil = base * params.gil_serial_fraction
-                # p=1: the exact complement, so gil + par == base == the
-                # process tier's single-worker price (tie, thread wins).
-                par = (base - gil if p == 1 else
-                       base * (1.0 - params.gil_serial_fraction) * kernel_scale)
-                sync = params.sync_seconds * ndim if p > 1 else 0.0
-                terms.update(gil_seconds=gil, parallel_seconds=par,
-                             sync_seconds=sync)
-                seconds = gil + par + sync
-            else:
-                par = base * kernel_scale
-                ipc = params.ipc_seconds_per_task * ndim * p if p > 1 else 0.0
-                reduction = (
-                    machine.beta_per_word
-                    * 2.0 * p * rank * sum(shape[1:])
-                    if p > 1 else 0.0
-                )
-                terms.update(parallel_seconds=par, ipc_seconds=ipc,
-                             reduction_seconds=reduction)
-                seconds = par + ipc + reduction
-            out.append(ExecutionCandidate(
-                tier=tier, layout=layout, n_workers=p, feasible=True,
-                predicted_seconds=seconds, index_bytes=index_bytes,
-                terms=terms,
-            ))
-    return out
-
-
-def recommend_execution(
-    shape: Sequence[int],
-    nnz: int,
-    rank: int,
-    n_workers: int,
-    machine: MachineModel = DEFAULT_MACHINE,
-    params: ExecutionParams = DEFAULT_EXECUTION,
-) -> ExecutionCandidate:
-    """The cheapest feasible execution candidate for this tensor."""
-    candidates = [
-        c for c in execution_candidates(
-            shape, nnz, rank, n_workers, machine, params
-        ) if c.feasible
-    ]
-    return min(candidates, key=lambda c: c.predicted_seconds)
+    return gil + kernel + params.sync_seconds * cost.strategy.n_modes

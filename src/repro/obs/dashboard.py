@@ -356,7 +356,7 @@ def _utilization_tables(report: UtilizationReport) -> str:
         f"mean imbalance {report.mean_imbalance:.3f} (max/mean task "
         "seconds per fan-out; 1.0 = perfectly balanced) &middot; "
         f"timings <b>{report.source}</b> (measured = spans timed where "
-        "the work ran; synthesized = reconstructed parent-side)</p>"
+        "the work ran)</p>"
         "<table><thead><tr><th>worker</th><th>tasks</th><th>busy ms</th>"
         "<th>busy %</th><th>wait ms</th><th>max wait ms</th>"
         "<th>timings</th></tr></thead>"

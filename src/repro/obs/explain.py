@@ -109,9 +109,6 @@ class PlanExplanation:
     candidates: list[CandidateExplanation]
     notes: list[str]
     report: object = field(repr=False, compare=False, default=None)
-    #: execution tier/layout decision (repro.model.cost.execution_candidates):
-    #: {"n_workers", "recommended": {...}, "candidates": [...]} or None.
-    execution: dict | None = None
 
     def to_dict(self) -> dict:
         """The ``repro-plan/v1`` payload."""
@@ -130,7 +127,6 @@ class PlanExplanation:
             "n_candidates": len(self.candidates),
             "candidates": [c.to_dict() for c in self.candidates],
             "notes": list(self.notes),
-            "execution": self.execution,
         }
 
     def to_artifact(self, **meta) -> dict:
@@ -179,66 +175,6 @@ class PlanExplanation:
             node_rows,
             title=f"winner {best.name!r}: per-node predicted cost terms",
         ))
-        if self.execution:
-            rec = self.execution.get("recommended") or {}
-            exec_rows = []
-            for c in self.execution.get("candidates", []):
-                terms = c.get("terms", {})
-                overhead = (
-                    terms.get("gil_seconds", 0.0)
-                    + terms.get("sync_seconds", 0.0)
-                    + terms.get("ipc_seconds", 0.0)
-                    + terms.get("reduction_seconds", 0.0)
-                )
-                exec_rows.append([
-                    c["tier"], c["layout"],
-                    "yes" if c["feasible"] else "NO",
-                    ("-" if not c["feasible"]
-                     else round(c["predicted_seconds"] * 1e3, 3)),
-                    ("-" if not c["feasible"]
-                     else round(c["index_bytes"] / 1e6, 3)),
-                    ("-" if not c["feasible"]
-                     else round(overhead * 1e3, 3)),
-                    ("<-" if (c["tier"] == rec.get("tier")
-                              and c["layout"] == rec.get("layout")) else ""),
-                ])
-            parts.append(format_table(
-                ["tier", "layout", "feasible", "pred ms", "index MB",
-                 "overhead ms", "pick"],
-                exec_rows,
-                title=(f"execution decision at "
-                       f"{self.execution.get('n_workers')} workers: "
-                       f"{rec.get('tier')}/{rec.get('layout')}"),
-            ))
-            bw = self.execution.get("bandwidth_workers")
-            bw_source = self.execution.get("bandwidth_workers_source")
-            roofline = self.execution.get("roofline") or {}
-            if roofline.get("calibrated"):
-                io_bytes = rec.get("terms", {}).get("io_lower_bound_bytes")
-                pred = rec.get("predicted_seconds")
-                peak = roofline["peak_bandwidth_gbs"]
-                sat = roofline["saturation_workers"]
-                line = (f"roofline: bandwidth_workers={bw} ({bw_source}); "
-                        f"ceiling {peak:.2f} GB/s saturates at {sat} "
-                        f"worker(s)")
-                if io_bytes and pred:
-                    floor = io_bytes / 1e9 / peak
-                    frac = min(1.0, floor / pred)
-                    line += (
-                        f"; {rec.get('tier')}/{rec.get('layout')} must move "
-                        f">={io_bytes / 1e6:.3f} MB/iter -> floor "
-                        f"{floor * 1e3:.3f} ms, {frac * 100.0:.0f}% of the "
-                        f"bandwidth roofline at the predicted time"
-                    )
-                    if frac >= 0.5:
-                        line += f"; >{sat} workers cannot help"
-                parts.append(line)
-            else:
-                parts.append(
-                    f"roofline: uncalibrated — bandwidth_workers={bw} "
-                    f"({bw_source}); run 'repro roofline' to measure this "
-                    f"host's ceilings"
-                )
         return "\n\n".join(parts)
 
 
@@ -259,7 +195,6 @@ def explain_plan(
     count_method: str = "exact",
     sample_size: int = 100_000,
     random_state=0,
-    n_workers: int | None = None,
 ) -> PlanExplanation:
     """Run the planner and keep the complete decision trace.
 
@@ -267,13 +202,9 @@ def explain_plan(
     :func:`repro.model.planner.plan` — the explanation is built from the
     planner's own :class:`~repro.model.cost.CostReport` per candidate
     (including its ``node_nnz``), so no distinct-counting is repeated and
-    the artifact reflects exactly the numbers the decision used.  When
-    ``n_workers`` is given the explanation also carries the execution
-    tier/layout decision ({thread, process} x {numpy, alto}) priced with
-    the same machine model.
+    the artifact reflects exactly the numbers the decision used.
     """
-    from ..model.cost import (execution_candidates, node_cost_terms,
-                              per_mode_cost, recommend_execution)
+    from ..model.cost import node_cost_terms, per_mode_cost
     from ..model.planner import plan
 
     report = plan(
@@ -339,35 +270,6 @@ def explain_plan(
             ],
             per_mode=per_mode_cost(strat, cost.node_nnz, rank),
         ))
-    execution = None
-    if n_workers is not None:
-        from ..model.calibrate import load_roofline
-        from ..model.cost import resolve_bandwidth_workers
-
-        exec_cands = execution_candidates(
-            tensor.shape, tensor.nnz, rank, n_workers, machine_model
-        )
-        bw_workers, bw_source = resolve_bandwidth_workers()
-        roofline = load_roofline()
-        execution = {
-            "n_workers": int(n_workers),
-            "recommended": recommend_execution(
-                tensor.shape, tensor.nnz, rank, n_workers, machine_model
-            ).to_dict(),
-            "candidates": [c.to_dict() for c in exec_cands],
-            # which bandwidth-saturation figure priced the candidates: a
-            # measured roofline knee or the pre-calibration default.
-            "bandwidth_workers": bw_workers,
-            "bandwidth_workers_source": bw_source,
-            "roofline": (
-                {"calibrated": False} if roofline is None else {
-                    "calibrated": True,
-                    "peak_bandwidth_gbs": roofline.peak_bandwidth_gbs,
-                    "peak_gflops": roofline.peak_gflops,
-                    "saturation_workers": roofline.saturation_workers,
-                }
-            ),
-        }
     return PlanExplanation(
         tensor_shape=tuple(tensor.shape),
         tensor_nnz=tensor.nnz,
@@ -383,7 +285,6 @@ def explain_plan(
         candidates=explained,
         notes=list(report.notes),
         report=report,
-        execution=execution,
     )
 
 
@@ -446,50 +347,3 @@ def validate_plan_artifact(doc: dict) -> None:
                 f"candidate {c['name']!r}: per-mode flops sum {mode_flops} "
                 f"!= iteration total {c['flops_per_iteration']}"
             )
-    # Additive since the execution-tier model: absent/None in older
-    # artifacts is fine; when present, the pick must be a feasible
-    # candidate and no feasible candidate may beat it.
-    execution = payload.get("execution")
-    if execution is not None:
-        rec = execution.get("recommended")
-        exec_cands = execution.get("candidates")
-        if not isinstance(rec, dict) or not exec_cands:
-            raise ValueError(
-                "execution section needs 'recommended' and 'candidates'"
-            )
-        feasible = [c for c in exec_cands if c.get("feasible")]
-        if not feasible:
-            raise ValueError("execution section has no feasible candidate")
-        keys = {(c["tier"], c["layout"]) for c in feasible}
-        if (rec.get("tier"), rec.get("layout")) not in keys:
-            raise ValueError(
-                f"recommended execution {rec.get('tier')}/{rec.get('layout')} "
-                f"is not a feasible candidate"
-            )
-        best_sec = min(c["predicted_seconds"] for c in feasible)
-        if rec["predicted_seconds"] > best_sec:
-            raise ValueError(
-                "recommended execution is not the cheapest feasible candidate"
-            )
-        # Additive since roofline calibration: older artifacts omit the
-        # bandwidth-source bookkeeping entirely; when present it must be
-        # coherent.
-        source = execution.get("bandwidth_workers_source")
-        if source is not None:
-            if source not in ("explicit", "calibrated", "default"):
-                raise ValueError(
-                    f"unknown bandwidth_workers_source {source!r}"
-                )
-            bw = execution.get("bandwidth_workers")
-            if not (isinstance(bw, int) and bw >= 1):
-                raise ValueError(
-                    f"bandwidth_workers {bw!r} must be a positive int"
-                )
-            roofline = execution.get("roofline")
-            if source == "calibrated" and not (
-                isinstance(roofline, dict) and roofline.get("calibrated")
-            ):
-                raise ValueError(
-                    "bandwidth_workers_source is 'calibrated' but the "
-                    "execution section carries no calibrated roofline"
-                )

@@ -160,14 +160,11 @@ def validate_span_tree(spans: Sequence[SpanRecord] | None = None, *,
                        epsilon: float = 1e-3) -> list[str]:
     """Structural errors (empty = valid) for a batch of span records.
 
-    The self-check the merged (cross-process) trace must pass: unique span
-    ids, parent links that resolve within the batch, ``t0 <= t1`` on every
-    closed span, and children contained in their parent's window.  The
-    containment check allows ``epsilon`` seconds of slack — worker spans
-    are aligned onto the parent clock through two wall-clock epochs, so
-    sub-millisecond skew between ``time.time`` and ``perf_counter`` deltas
-    is expected; structural breakage (a child outside its parent by more
-    than the skew budget) is not.
+    The self-check a trace must pass: unique span ids, parent links that
+    resolve within the batch, ``t0 <= t1`` on every closed span, and
+    children contained in their parent's window.  The containment check
+    allows ``epsilon`` seconds of slack for clock rounding; structural
+    breakage (a child outside its parent by more than that) is not.
     """
     if spans is None:
         spans = _switch.get("trace").finished()

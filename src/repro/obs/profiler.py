@@ -19,21 +19,10 @@ span enter/exit in :mod:`repro.obs.trace`.  Turn it on through
 before import, ``switch.enabled("profile=199")`` in code), ``repro
 profile <cmd>``, or ``repro trace --profile``.
 
-Both execution tiers are covered:
-
-* **thread tier** — worker threads are sampled directly (one sampler
-  sees every thread in the process); :class:`repro.parallel.pool.WorkerPool`
-  labels its threads ``worker-<lane>`` so folded stacks carry the same
-  lane ids as the ``pool_task`` spans.
-* **process tier** — the parent's sampler cannot see worker processes,
-  so ``ProcessPool._timed_call`` (the PR 7 capture path) runs a scoped
-  sampler inside each worker: the task's
-  :class:`~repro.obs.runctx.RunContext` owns a private
-  :class:`ProfileStore`, the worker sampler runs for the task's duration,
-  and the folded snapshot rides back with the spans.  The parent merges
-  it via :meth:`ProfileStore.merge_child` under a ``pid-<pid>`` lane with
-  the span paths prefixed ``pool_task`` — worker-interior stacks appear
-  exactly where the merged worker spans do.
+Worker threads are sampled directly (one sampler sees every thread in
+the process); :class:`repro.parallel.pool.WorkerPool` labels its threads
+``worker-<lane>`` so folded stacks carry the same lane ids as the
+``pool_task`` spans.
 
 Samples carry an explicit *weight* (the sampling period in seconds), so
 sampled seconds stay correct even if the rate changes mid-run; the folded
@@ -169,33 +158,6 @@ class ProfileStore:
                 tot = self._span_total.setdefault(kind, [0, 0.0])
                 tot[0] += count
                 tot[1] += weight
-
-    def merge_child(self, snapshot: dict, *, lane: str | None = None,
-                    span_prefix: tuple = ("pool_task",)) -> int:
-        """Fold a worker process's :meth:`snapshot` into this store.
-
-        ``lane`` overrides the worker-local lane labels (pass
-        ``pid-<pid>`` so each worker process gets its own lane) and
-        ``span_prefix`` re-roots the worker's span paths — by default
-        under ``pool_task``, mirroring how
-        :func:`repro.obs.trace.merge_subprocess_spans` re-parents the
-        worker's spans.  Returns the number of samples merged.
-        """
-        merged = 0
-        with self._lock:
-            for entry in snapshot.get("folded", []):
-                count = int(entry.get("count", 0))
-                if count < 1:
-                    continue
-                self._add_locked(
-                    lane if lane is not None else entry.get("lane", "?"),
-                    tuple(span_prefix) + tuple(entry.get("spans", ())),
-                    tuple(entry.get("frames", ())),
-                    float(entry.get("seconds", 0.0)),
-                    count,
-                )
-                merged += count
-        return merged
 
     def clear(self) -> None:
         with self._lock:
@@ -374,32 +336,8 @@ _retain_count = 0
 #: tid -> explicit lane label (worker pools register their threads here).
 _labels: dict[int, str] = {}
 #: tid -> store for samples taken *outside* any span on that thread
-#: (installed by :func:`repro.obs.runctx.using` for profiled contexts,
-#: e.g. the process-tier worker thread running a task's scoped context).
+#: (installed by :func:`repro.obs.runctx.using` for profiled contexts).
 _bound: dict[int, "ProfileStore"] = {}
-
-
-def _after_fork_in_child() -> None:
-    """Reset profiler state inherited across ``fork``.
-
-    A forked worker inherits a dead sampler thread, the parent's live
-    span stacks (under the *same* thread ident — the child's main thread
-    keeps the forking thread's id, so a stale entry would silently route
-    every worker sample into a discarded copy of the parent's store),
-    and possibly mid-acquire locks.  Start from a clean slate; the
-    child's scoped-context retain rebuilds what it needs.
-    """
-    global _lock, _observer, _sampler, _retain_count
-    _lock = threading.RLock()
-    _observer = _SpanObserver()
-    _sampler = None
-    _retain_count = 0
-    _labels.clear()
-    _bound.clear()
-    _trace.set_span_observer(None)
-
-
-os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def active_hz() -> float | None:
@@ -448,8 +386,6 @@ def _start_locked(hz: float) -> None:
     global _sampler
     if _sampler is not None and _sampler.is_alive():
         return
-    # A forked child inherits a dead sampler object; always re-arm the
-    # observer hook too (idempotent either way).
     _trace.set_span_observer(_observer)
     _sampler = _Sampler(hz)
     _sampler.start()

@@ -7,17 +7,13 @@ spans in a trace gets an achieved GFLOP/s and GB/s, expressed as a
 fraction of the calibrated compute and bandwidth rooflines — the number
 that says whether a slow config is leaving the machine idle or is
 already pinned against memory bandwidth (in which case more workers
-cannot help, only traffic reductions can — the ALTO argument).
+cannot help, only traffic reductions can).
 
-Three attribution sources, least to most exact:
+Two attribution sources, the second the more exact:
 
 * ``node_rebuild`` spans joined to the strategy's per-node model terms
   (:func:`repro.model.cost.node_cost_terms`) — the memoized tree
-  engines, thread tier;
-* worker-interior ``kernel`` spans from the process tier
-  (``backend="process-<layout>"`` with per-shard ``mode``/``nnz``
-  attrs) priced by :func:`repro.model.cost.coo_mode_work` — covers both
-  the raw COO and ALTO layouts;
+  engines;
 * the cost-attribution recorder's *measured* per-mode flop/word
   counters (``repro-attr/v1``), which need no model join at all.
 
@@ -206,20 +202,13 @@ def tree_node_terms(strategy, node_nnz, rank: int) -> dict[int, dict]:
 def throughput_from_spans(
     spans,
     *,
-    shape=None,
-    rank: int | None = None,
     node_terms: dict[int, dict] | None = None,
-    params=None,
 ) -> list[ConfigThroughput]:
-    """Join finished span seconds with model flop/byte terms.
+    """Join finished ``node_rebuild`` span seconds with the per-node model
+    flop/byte terms ``node_terms`` (from :func:`tree_node_terms`).
 
-    ``node_terms`` (from :func:`tree_node_terms`) enables the tree-engine
-    join; ``shape``+``rank`` enable the process-tier per-shard join.
     Spans whose join inputs are missing are skipped, never guessed.
     """
-    from ..model.cost import DEFAULT_EXECUTION, coo_mode_work
-
-    params = params or DEFAULT_EXECUTION
     acc: dict[str, ConfigThroughput] = {}
 
     def bump(config: str, seconds: float, flops: float, words: float,
@@ -245,26 +234,6 @@ def throughput_from_spans(
                 continue  # the root: materialized, never rebuilt
             bump("thread/tree", rec.duration, term["flops"], term["words"],
                  "spans+model")
-        elif (rec.kind == "kernel" and shape is not None
-                and rank is not None and "mode" in rec.attrs
-                and "nnz" in rec.attrs):
-            backend = str(rec.attrs.get("backend", ""))
-            if backend.startswith("process-"):
-                # worker-interior shard spans: nnz is the shard's share,
-                # the output term full-size (each shard owns a partial)
-                layout = backend.split("-", 1)[1]
-                config = f"process/{layout}"
-            elif backend in ("alto-coo", "parallel-coo"):
-                # thread-tier COO backends: one span per whole-mode MTTKRP
-                layout = "alto" if backend == "alto-coo" else "numpy"
-                config = f"thread/{backend}"
-            else:
-                continue
-            flops, words = coo_mode_work(
-                shape, int(rec.attrs["nnz"]), rank,
-                int(rec.attrs["mode"]), layout, params,
-            )
-            bump(config, rec.duration, flops, words, "spans+model")
     return sorted(acc.values(), key=lambda c: c.config)
 
 
@@ -324,16 +293,12 @@ def report_from_trace_dir(trace_dir: str, roofline=None,
                           *, load: bool = True) -> RooflineReport:
     """Post-hoc roofline attribution over a saved ``repro trace`` dir.
 
-    Process-tier spans are priced from the ``run_start`` event's
-    shape/rank; the attribution artifact (when the recorder ran)
-    contributes its measured-counter config.  Old trace dirs missing
-    either input simply yield fewer configs — with none at all the
-    report still renders the (possibly uncalibrated) ceilings.
+    The attribution artifact (when the recorder ran) contributes its
+    measured-counter config.  A trace dir without one yields no configs;
+    the report still renders the (possibly uncalibrated) ceilings.
     """
     import json
     import os
-
-    from .export import read_jsonl
 
     notes = []
     if roofline is None:
@@ -342,25 +307,7 @@ def report_from_trace_dir(trace_dir: str, roofline=None,
         from ..model.calibrate import load_roofline
 
         roofline = load_roofline(os.path.join(trace_dir, "machine.json"))
-    spans = []
-    trace_path = os.path.join(trace_dir, "trace.jsonl")
-    if os.path.exists(trace_path):
-        spans = read_jsonl(trace_path)
-    else:
-        notes.append(f"no trace.jsonl under {trace_dir}")
-    shape = rank = None
-    events_path = os.path.join(trace_dir, "events.jsonl")
-    if os.path.exists(events_path):
-        from .events import read_events
-
-        for event in read_events(events_path):
-            if event.get("kind") == "run_start":
-                shape = tuple(event.get("shape") or ()) or None
-                rank = event.get("rank")
-                break
-    if shape is None:
-        notes.append("no run_start event: process-tier spans not priced")
-    configs = throughput_from_spans(spans, shape=shape, rank=rank)
+    configs = []
     attr_path = os.path.join(trace_dir, "attribution.json")
     if os.path.exists(attr_path):
         try:
@@ -370,6 +317,8 @@ def report_from_trace_dir(trace_dir: str, roofline=None,
             attributed = None
         if attributed is not None:
             configs.append(attributed)
+    else:
+        notes.append(f"no attribution.json under {trace_dir}")
     return roofline_report(configs, roofline, load=load, notes=notes)
 
 

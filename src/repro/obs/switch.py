@@ -97,8 +97,7 @@ _TABLE = {
 INSTRUMENTS = tuple(_TABLE)
 
 #: the active run context.  It propagates the way span parents do: into
-#: pool threads via the context copy each task runs in, and (by value)
-#: across the process boundary in :mod:`repro.parallel.procpool`.
+#: pool threads via the context copy each task runs in.
 _run_ctx: contextvars.ContextVar = contextvars.ContextVar(
     "repro_run_context", default=None
 )

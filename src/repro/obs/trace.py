@@ -33,7 +33,7 @@ from .metrics import registry as _metrics
 
 __all__ = [
     "SpanRecord", "Tracer", "span", "record_span", "current_span_id",
-    "merge_subprocess_spans", "set_span_observer",
+    "set_span_observer",
 ]
 
 
@@ -246,46 +246,3 @@ def record_span(kind: str, t0: float, t1: float, *,
     tracer.record(rec)
     _metrics.observe_span(kind, rec.duration)
     return rec
-
-
-def merge_subprocess_spans(span_dicts, *, offset: float,
-                           parent: int | None = None,
-                           tid: int | None = None) -> list[SpanRecord]:
-    """Merge spans recorded inside a worker process into the active tracer.
-
-    ``span_dicts`` is a batch of :meth:`SpanRecord.to_dict` payloads from a
-    worker-local tracer whose times are relative to *its* epoch; ``offset``
-    (seconds, typically ``worker.wall_epoch - parent.wall_epoch``) shifts
-    them onto this tracer's clock.  Every span gets a fresh id from the
-    shared counter; intra-batch parent links are remapped, and batch roots
-    (spans whose parent is not in the batch) are re-parented to ``parent``
-    — normally the ``pool_task`` span the parent process recorded for the
-    same task.  ``tid`` overrides the thread lane (pass the worker pid so
-    each worker process renders as its own lane).  Each merged span also
-    feeds the metrics histograms, exactly as if it had closed locally.
-
-    Returns the merged records (empty while tracing is off).
-    """
-    if not _switch.is_on("trace") or not span_dicts:
-        return []
-    tracer = _switch.get("trace")
-    id_map = {int(d["id"]): next(_ids) for d in span_dicts}
-    merged: list[SpanRecord] = []
-    for d in span_dicts:
-        old_parent = d.get("parent")
-        new_parent = (id_map.get(int(old_parent), parent)
-                      if old_parent is not None else parent)
-        rec = SpanRecord(
-            id=id_map[int(d["id"])],
-            parent=new_parent,
-            kind=str(d["kind"]),
-            t0=float(d["t0"]) + offset,
-            tid=tid if tid is not None else int(d.get("tid", 0)),
-            attrs=dict(d.get("attrs", {})),
-            t1=None if d.get("t1") is None else float(d["t1"]) + offset,
-        )
-        tracer.record(rec)
-        if rec.t1 is not None:
-            _metrics.observe_span(rec.kind, rec.duration)
-        merged.append(rec)
-    return merged

@@ -45,10 +45,9 @@ class WorkerStats:
     busy_fraction: float
     queue_wait_seconds: float
     queue_wait_max: float
-    #: provenance of this lane's timings: ``measured`` (span timed where
-    #: the work ran — threads, or process workers with in-worker capture),
-    #: ``synthesized`` (reconstructed parent-side from a reported
-    #: duration), ``mixed``, or ``unknown`` (spans predate the marker).
+    #: provenance of this lane's timings: ``measured`` (span timed on the
+    #: thread that ran the work), ``mixed``, or ``unknown`` (spans predate
+    #: the marker).
     source: str = "unknown"
 
     def to_dict(self) -> dict:
@@ -117,7 +116,7 @@ class UtilizationReport:
     window: tuple[float, float]
     n_tasks: int = 0
     #: aggregate provenance of the task timings/queue waits feeding this
-    #: report — ``measured`` / ``synthesized`` / ``mixed`` / ``unknown``.
+    #: report — ``measured`` / ``mixed`` / ``unknown``.
     source: str = "unknown"
     extra: dict = field(default_factory=dict)
 

@@ -1,36 +1,12 @@
-"""Shared-memory multicore runtime: partitioning, pools, scaling models."""
+"""Shared-memory multicore runtime: the thread pool and the parallel
+memoized engine."""
 
 from .engine import ParallelMemoizedMttkrp
-from .partition import (contiguous_chunks, greedy_partition,
-                        partition_balance, partition_nonzeros,
-                        partition_slices)
-from .pool import (ParallelCooMttkrp, WorkerPool, default_workers,
-                   resolve_worker_count)
-from .procpool import AltoCooMttkrp, ProcessMttkrp, ProcessPool
-from .shm import SharedArrayGroup, SharedArraySpec
-from .slicepar import SliceParallelMttkrp
-from .simulate import (ScalingParams, load_imbalance, simulate_parallel_time,
-                       simulate_speedup_curve)
+from .pool import WorkerPool, default_workers, resolve_worker_count
 
 __all__ = [
     "ParallelMemoizedMttkrp",
-    "contiguous_chunks",
-    "greedy_partition",
-    "partition_balance",
-    "partition_nonzeros",
-    "partition_slices",
-    "AltoCooMttkrp",
-    "ParallelCooMttkrp",
-    "ProcessMttkrp",
-    "ProcessPool",
-    "SharedArrayGroup",
-    "SharedArraySpec",
-    "SliceParallelMttkrp",
     "WorkerPool",
     "default_workers",
     "resolve_worker_count",
-    "ScalingParams",
-    "load_imbalance",
-    "simulate_parallel_time",
-    "simulate_speedup_curve",
 ]

@@ -13,19 +13,13 @@ import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-import numpy as np
-
-from ..core.coo import CooTensor
-from ..core.dtypes import VALUE_DTYPE
-from ..core.validate import check_mode, check_positive_int
-from ..baselines.base import MttkrpBackend
+from ..core.validate import check_positive_int
 from ..obs import profiler as _profiler
 from ..obs import switch as _switch
 from ..obs import trace as _trace
 from ..obs.metrics import registry as _metrics
-from .partition import partition_nonzeros
 
 
 def _env_workers() -> int | None:
@@ -44,31 +38,23 @@ def _env_workers() -> int | None:
     return value
 
 
-def oversubscription_allowed() -> bool:
-    """Whether ``REPRO_ALLOW_OVERSUBSCRIBE`` opts out of worker clamping."""
-    raw = (os.environ.get("REPRO_ALLOW_OVERSUBSCRIBE") or "").strip().lower()
-    return raw in {"1", "true", "yes", "on"}
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity set (cpuset or
+    ``taskset`` mask) where the platform exposes one, else
+    ``os.cpu_count()``."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # not Linux
+        return os.cpu_count() or 1
 
 
-def resolve_worker_count(
-    requested: int | None = None,
-    *,
-    clamp: bool = True,
-    allow_oversubscribe: bool | None = None,
-    tier: str = "thread",
-) -> int:
-    """One precedence rule for every execution tier: explicit ``requested``
-    (``--workers`` / an ``n_workers=`` argument) beats ``REPRO_WORKERS``,
-    which beats the cpu-count default (capped at 8).
+def resolve_worker_count(requested: int | None = None) -> int:
+    """Explicit ``requested`` (``--workers`` / an ``n_workers=`` argument)
+    beats ``REPRO_WORKERS``, which beats the default: the available CPUs
+    (:func:`available_cpus`) capped at 8.
 
-    Counts above ``os.cpu_count()`` are oversubscription: harmless for
-    threads (GIL-released kernels interleave), but each extra *process*
-    burns a core and a copy of the interpreter.  With ``clamp=True`` such
-    counts are reduced to the cpu count with a ``RuntimeWarning`` naming
-    both numbers; ``allow_oversubscribe=True`` (or the
-    ``REPRO_ALLOW_OVERSUBSCRIBE=1`` environment opt-out, for deliberate
-    scaling sweeps on small machines) keeps the requested count, still
-    with a warning instead of silence.
+    A count above the available CPUs is clamped to them with a
+    ``RuntimeWarning`` naming both numbers.
     """
     if requested is not None:
         value = check_positive_int(requested, "n_workers")
@@ -79,33 +65,23 @@ def resolve_worker_count(
             value = env
             source = "REPRO_WORKERS"
         else:
-            return max(1, min(os.cpu_count() or 1, 8))
-    ncpu = os.cpu_count() or 1
+            return min(available_cpus(), 8)
+    ncpu = available_cpus()
     if value > ncpu:
-        if allow_oversubscribe is None:
-            allow_oversubscribe = oversubscription_allowed()
-        if not clamp or allow_oversubscribe:
-            warnings.warn(
-                f"{source}={value} oversubscribes this machine "
-                f"({ncpu} cpus); proceeding as requested ({tier} tier)",
-                RuntimeWarning, stacklevel=2,
-            )
-        else:
-            warnings.warn(
-                f"{source}={value} exceeds os.cpu_count()={ncpu}; "
-                f"clamping to {ncpu} ({tier} tier; set "
-                f"REPRO_ALLOW_OVERSUBSCRIBE=1 to keep the requested count)",
-                RuntimeWarning, stacklevel=2,
-            )
-            value = ncpu
+        warnings.warn(
+            f"{source}={value} exceeds the {ncpu} available cpus; "
+            f"clamping to {ncpu}",
+            RuntimeWarning, stacklevel=2,
+        )
+        value = ncpu
     return value
 
 
 def default_workers() -> int:
     """Worker count default: ``REPRO_WORKERS`` override (validated and
-    clamped against the cpu count by :func:`resolve_worker_count`), else
-    cpu count capped at 8 (memory-bound kernels stop scaling past that on
-    typical desktop memory systems)."""
+    clamped to the available CPUs by :func:`resolve_worker_count`), else
+    the available CPUs capped at 8 (memory-bound kernels stop scaling past
+    that on typical desktop memory systems)."""
     return resolve_worker_count(None)
 
 
@@ -151,8 +127,8 @@ class WorkerPool:
         submitting thread's :mod:`contextvars` context wrapped in a
         ``pool_task`` span carrying ``index``, ``worker`` (stable lane id),
         ``queue_wait`` (seconds between submit and start; exactly 0.0
-        on the inline path), and ``source="measured"`` (threads are timed
-        directly, never synthesized), so worker-thread spans (and any
+        on the inline path), and ``source="measured"`` (timed on the thread
+        that ran the task), so worker-thread spans (and any
         context-local
         counters) nest under the caller's current span and
         :mod:`repro.obs.utilization` can reconstruct per-worker timelines.
@@ -225,75 +201,3 @@ class WorkerPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class ParallelCooMttkrp(MttkrpBackend):
-    """Nonzero-parallel COO MTTKRP: chunk, partial-accumulate, reduce.
-
-    Each worker computes the Hadamard products for a contiguous nonzero
-    range and scatters into a private ``I_n x R`` partial; partials are
-    summed (the distributive-TTV property).  This is the shared-memory
-    algorithm of the paper's multicore evaluation, with the reduction taking
-    the role of the atomic/privatized accumulation in the C implementation.
-    """
-
-    name = "parallel-coo"
-
-    def __init__(self, tensor: CooTensor, n_workers: int | None = None,
-                 pool: WorkerPool | None = None):
-        super().__init__(tensor)
-        self._own_pool = pool is None
-        self.pool = pool or WorkerPool(n_workers)
-        self.chunks = [
-            (lo, hi) for lo, hi in partition_nonzeros(tensor, self.pool.n_workers)
-            if hi > lo
-        ]
-
-    def close(self) -> None:
-        if self._own_pool:
-            self.pool.close()
-
-    def __enter__(self) -> "ParallelCooMttkrp":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _partial(self, lo: int, hi: int, mode: int) -> np.ndarray:
-        tensor, factors = self.tensor, self.factors
-        idx = tensor.idx[lo:hi]
-        prod: np.ndarray | None = None
-        for m in range(tensor.ndim):
-            if m == mode:
-                continue
-            rows = factors[m][idx[:, m]]
-            if prod is None:
-                prod = rows.copy()
-            else:
-                prod *= rows
-        assert prod is not None
-        prod *= tensor.vals[lo:hi, None]
-        out = np.zeros((tensor.shape[mode], self.rank), dtype=VALUE_DTYPE)
-        np.add.at(out, idx[:, mode], prod)
-        return out
-
-    def mttkrp(self, mode: int) -> np.ndarray:
-        mode = check_mode(mode, self.tensor.ndim)
-        if self.tensor.nnz == 0:
-            return np.zeros(
-                (self.tensor.shape[mode], self.rank), dtype=VALUE_DTYPE
-            )
-        # One kernel span per mode with the attrs the roofline attribution
-        # pass prices (`repro.obs.roofline`): backend names the layout,
-        # mode+nnz select the cost model's per-mode flop/word terms.
-        with _trace.span("kernel", backend=self.name, mode=mode,
-                         nnz=self.tensor.nnz):
-            tasks = [
-                (lambda lo=lo, hi=hi: self._partial(lo, hi, mode))
-                for lo, hi in self.chunks
-            ]
-            partials = self.pool.run(tasks)
-            out = partials[0]
-            for p in partials[1:]:
-                out += p
-        return out

@@ -19,7 +19,7 @@ from repro.formats.csf import CsfTensor
 from repro.formats.hicoo import HicooTensor
 from repro.io.frostt import read_tns, write_tns
 from repro.io.model import load_model, save_model
-from repro.parallel import ParallelMemoizedMttkrp, SliceParallelMttkrp
+from repro.parallel import ParallelMemoizedMttkrp
 from repro.synth.lowrank import lowrank_tensor
 from repro.synth.skewed import skewed_random_tensor
 
@@ -55,15 +55,9 @@ class TestAllImplementationsAgree:
 
     def test_parallel_engines(self, setting):
         tensor, factors, reference = setting
-        for backend in (
-            ParallelMemoizedMttkrp(tensor, "bdt", factors, n_workers=3,
-                                   min_chunk_rows=4),
-            SliceParallelMttkrp(tensor, n_workers=3),
-        ):
-            if backend.__class__ is SliceParallelMttkrp:
-                backend.set_factors(factors)
+        with ParallelMemoizedMttkrp(tensor, "bdt", factors, n_workers=3,
+                                    min_chunk_rows=4) as backend:
             self._check([backend.mttkrp(m) for m in range(4)], reference)
-            backend.close()
 
     def test_hicoo_format(self, setting):
         tensor, factors, reference = setting

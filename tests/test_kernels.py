@@ -23,7 +23,7 @@ from repro.kernels import (MAX_CLASS_ROWS, KernelBackend, WorkspaceArena,
                            unavailable_kernels)
 from repro.kernels.backends import RebuildContext
 from repro.kernels.indices import length_class_layout
-from repro.parallel import ParallelCooMttkrp, ParallelMemoizedMttkrp
+from repro.parallel import ParallelMemoizedMttkrp
 from repro.perf import counting
 
 from .helpers import random_coo, random_factors
@@ -314,7 +314,7 @@ class TestParallelKernels:
             kernel=backend,
         ) as par:
             for mode in sequential.mode_order:
-                if backend in ("numpy", "reference", "alto"):
+                if backend in ("numpy", "reference"):
                     np.testing.assert_array_equal(
                         par.mttkrp(mode), sequential.mttkrp(mode)
                     )
@@ -338,18 +338,6 @@ class TestParallelKernels:
             with ParallelMemoizedMttkrp(tensor, "star", pool=pool) as eng:
                 pass
             assert pool._executor is not None
-
-    def test_parallel_coo_context_manager(self):
-        rng = np.random.default_rng(1)
-        tensor = random_coo(rng, (6, 7, 8), 200)
-        factors = random_factors(rng, tensor.shape, 4)
-        with ParallelCooMttkrp(tensor, n_workers=2) as backend:
-            backend.set_factors(factors)
-            np.testing.assert_allclose(
-                backend.mttkrp(0), naive_mttkrp(tensor, factors, 0),
-                rtol=AGREEMENT_RTOL, atol=AGREEMENT_RTOL,
-            )
-        assert backend.pool._executor is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Sampling stack profiler: span-join, both execution tiers, artifacts.
+"""Sampling stack profiler: span-join, worker-thread lanes, artifacts.
 
 Covers the PR-9 tentpole surface end to end:
 
@@ -7,9 +7,7 @@ Covers the PR-9 tentpole surface end to end:
   (within generous sampling error — wall-clock sampling under the GIL);
 * two *concurrent* profiled ``RunContext.scoped`` runs with zero
   cross-talk between their private stores;
-* thread-tier ``worker-<n>`` lanes from :class:`ThreadPool` and
-  process-tier ``pid-<pid>`` lanes with ``pool_task``-prefixed span
-  paths carrying *worker-interior* frames from real child processes;
+* ``worker-<n>`` lanes from :class:`WorkerPool` threads;
 * the ``repro-profile/v1`` artifact round trip (JSON + folded text) and
   :class:`TraceArtifacts`' missing-vs-malformed policy, including the
   ``repro report`` degradation path on pre-profiler trace dirs.
@@ -17,7 +15,6 @@ Covers the PR-9 tentpole surface end to end:
 
 import json
 import math
-import os
 import threading
 import time
 
@@ -33,7 +30,6 @@ from repro.obs.profiler import (PROFILE_SCHEMA, ProfileStore, folded_lines,
                                 format_hotspots, hotspots, profile_artifact,
                                 validate_profile_artifact, write_profile)
 from repro.parallel.pool import WorkerPool
-from repro.parallel.procpool import ProcessPool
 
 
 @pytest.fixture(autouse=True)
@@ -178,27 +174,6 @@ class TestTiers:
                   if e["lane"].startswith("worker-")]
         assert worker, f"no worker lanes in {sorted({e['lane'] for e in snap['folded']})}"
         assert any("pool_task" in e["spans"] for e in worker)
-
-    def test_process_tier_worker_stacks(self):
-        switch.enable("trace")
-        switch.enable(f"profile={250}", clear=True)
-        try:
-            with trace.span("fanout"):
-                pool = ProcessPool(2, allow_oversubscribe=True)
-                try:
-                    pool.run([(_busy, (0.5,)), (_busy, (0.5,))])
-                finally:
-                    pool.close()
-        finally:
-            switch.disable("profile")
-        snap = switch.get("profile").snapshot()
-        child = [e for e in snap["folded"] if e["lane"].startswith("pid-")]
-        assert child, "no worker-process samples merged into the parent"
-        pids = {int(e["lane"].split("-", 1)[1]) for e in child}
-        assert os.getpid() not in pids  # real child pids, not the parent
-        # Worker-interior stacks re-rooted under the pool_task span.
-        assert all(e["spans"][0] == "pool_task" for e in child)
-        assert any(any("_busy" in f for f in e["frames"]) for e in child)
 
 
 class TestArtifact:

@@ -11,8 +11,7 @@ from repro.model.calibrate import (calibrate_roofline, default_machine_path,
                                    measure_roofline, reset_calibration,
                                    validate_machine_artifact)
 from repro.model.cost import (DEFAULT_EXECUTION, ExecutionParams,
-                              FALLBACK_BANDWIDTH_WORKERS, coo_mode_work,
-                              iteration_io_lower_bound_bytes,
+                              FALLBACK_BANDWIDTH_WORKERS,
                               resolve_bandwidth_workers)
 from repro.obs.roofline import (ConfigThroughput, publish_roofline_gauges,
                                 report_from_trace_dir, report_line,
@@ -125,24 +124,6 @@ class TestBandwidthWorkers:
         assert value == r.saturation_workers
 
 
-class TestCooModeWork:
-    SHAPE = (30, 40, 50)
-
-    def test_alto_trades_index_words_for_decode_flops(self):
-        f_np, w_np = coo_mode_work(self.SHAPE, 1000, 8, 0, "numpy")
-        f_alto, w_alto = coo_mode_work(self.SHAPE, 1000, 8, 0, "alto")
-        assert f_alto > f_np      # decode flops
-        assert w_alto < w_np      # one packed word vs ndim index words
-
-    def test_io_lower_bound_below_model_traffic(self):
-        words = sum(
-            coo_mode_work(self.SHAPE, 1000, 8, m, "numpy")[1]
-            for m in range(len(self.SHAPE))
-        )
-        lower = iteration_io_lower_bound_bytes(self.SHAPE, 1000, 8)
-        assert 0 < lower < words * 8
-
-
 def _span(kind, seconds, **attrs):
     return SpanRecord(id=1, parent=None, kind=kind, t0=0.0, tid=0,
                       attrs=attrs, t1=seconds)
@@ -162,26 +143,14 @@ class TestThroughputJoins:
         assert c.bytes_moved == 2 * 1000.0 * 8
         assert c.gflops == pytest.approx(8000.0 / 0.002 / 1e9)
 
-    def test_kernel_joins_by_backend(self):
-        spans = [
-            _span("kernel", 0.001, backend="process-alto", mode=0, nnz=500),
-            _span("kernel", 0.001, backend="process-numpy", mode=0, nnz=500),
-            _span("kernel", 0.001, backend="alto-coo", mode=1, nnz=1000),
-            _span("kernel", 0.001, backend="parallel-coo", mode=1, nnz=1000),
-            _span("kernel", 0.001, backend="mystery", mode=1, nnz=1000),
-        ]
-        configs = throughput_from_spans(spans, shape=(30, 40, 50), rank=8)
-        names = {c.config for c in configs}
-        assert names == {"process/alto", "process/numpy",
-                         "thread/alto-coo", "thread/parallel-coo"}
-
     def test_join_inputs_missing_skips(self):
-        spans = [_span("kernel", 0.001, backend="process-alto",
-                       mode=0, nnz=500)]
-        assert throughput_from_spans(spans) == []       # no shape/rank
         assert throughput_from_spans(
             [_span("node_rebuild", 0.001, node=3)]
         ) == []                                          # no node terms
+        assert throughput_from_spans(
+            [_span("node_rebuild", 0.001)],
+            node_terms={3: {"flops": 1.0, "words": 1.0}},
+        ) == []                                          # no node attr
 
     def test_attribution_join(self):
         doc = {"strategy": "bdt", "modes": [
@@ -228,7 +197,7 @@ class TestRooflineReport:
             source="spans+model",
         )
         slow = ConfigThroughput(
-            config="process/alto", spans=1, seconds=1.0, flops=1e6,
+            config="attr/bdt", spans=1, seconds=1.0, flops=1e6,
             bytes_moved=0.1 * quick_roofline.peak_bandwidth_gbs * 1e9,
             source="spans+model",
         )
@@ -245,7 +214,7 @@ class TestRooflineReport:
     def test_trace_dir_missing_artifacts(self, tmp_path, machine_path):
         report = report_from_trace_dir(str(tmp_path))
         assert not report.calibrated
-        assert any("no trace.jsonl" in n for n in report.notes)
+        assert any("no attribution.json" in n for n in report.notes)
         assert "uncalibrated" in report_line(report)
 
     def test_trace_dir_prefers_snapshotted_machine(self, tmp_path,
@@ -262,7 +231,7 @@ class TestRooflineReport:
         from repro.obs.metrics import registry
         from repro.obs.serve import render_openmetrics, validate_openmetrics
 
-        c = ConfigThroughput(config="thread/alto-coo", spans=1, seconds=0.1,
+        c = ConfigThroughput(config="attr/my-tree", spans=1, seconds=0.1,
                              flops=1e8, bytes_moved=1e8, source="spans+model")
         roofline_report([c], quick_roofline, load=False)
         publish_roofline_gauges(quick_roofline, [c])
@@ -270,44 +239,10 @@ class TestRooflineReport:
             text = render_openmetrics()
             assert "repro_roofline_peak_bandwidth_gbs" in text
             assert "repro_roofline_saturation_workers" in text
-            assert "repro_roofline_fraction_thread_alto_coo" in text
+            assert "repro_roofline_fraction_attr_my_tree" in text
             assert validate_openmetrics(text) == []
         finally:
             registry.reset()
-
-
-class TestPlanRooflineSection:
-    @pytest.fixture(scope="class")
-    def tensor(self):
-        from repro.synth.skewed import skewed_random_tensor
-
-        return skewed_random_tensor((40, 50, 30, 20), 3000, 1.1,
-                                    random_state=0)
-
-    def test_uncalibrated_execution_section(self, machine_path, tensor):
-        from repro.obs.explain import explain_plan, validate_plan_artifact
-
-        expl = explain_plan(tensor, rank=8, n_workers=2)
-        validate_plan_artifact(expl.to_artifact())
-        ex = expl.to_dict()["execution"]
-        assert ex["bandwidth_workers"] == FALLBACK_BANDWIDTH_WORKERS
-        assert ex["bandwidth_workers_source"] == "default"
-        assert ex["roofline"] == {"calibrated": False}
-        assert "uncalibrated" in expl.summary()
-
-    def test_calibrated_execution_section(self, machine_path, tensor):
-        from repro.obs.explain import explain_plan, validate_plan_artifact
-
-        r = calibrate_roofline(quick=True)
-        expl = explain_plan(tensor, rank=8, n_workers=2)
-        validate_plan_artifact(expl.to_artifact())
-        ex = expl.to_dict()["execution"]
-        assert ex["bandwidth_workers_source"] == "calibrated"
-        assert ex["bandwidth_workers"] == r.saturation_workers
-        assert ex["roofline"]["calibrated"]
-        summary = expl.summary()
-        assert "roofline" in summary and "ceiling" in summary
-        assert "of the bandwidth roofline" in summary
 
 
 class TestRooflineCli:
