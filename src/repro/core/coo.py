@@ -16,6 +16,7 @@ import numpy as np
 from . import rowcodes
 from .dtypes import (INDEX_DTYPE, INDEX_ITEMSIZE, VALUE_DTYPE, VALUE_ITEMSIZE,
                      as_index_array, as_value_array)
+from .partition import contiguous_chunks
 from .segreduce import SegmentPlan
 from .validate import check_indices_in_bounds, check_mode, check_shape
 
@@ -251,10 +252,8 @@ class CooTensor:
         """
         if n_parts < 1:
             raise ValueError("n_parts must be >= 1")
-        bounds = np.linspace(0, self.nnz, n_parts + 1).astype(int)
         parts = []
-        for k in range(n_parts):
-            lo, hi = bounds[k], bounds[k + 1]
+        for lo, hi in contiguous_chunks(self.nnz, n_parts):
             parts.append(
                 CooTensor(
                     self.idx[lo:hi], self.vals[lo:hi], self.shape,

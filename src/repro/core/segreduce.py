@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dtypes import INDEX_ITEMSIZE, as_index_array
+from .partition import contiguous_chunks
 
 
 class SegmentPlan:
@@ -142,10 +143,8 @@ class SegmentPlan:
         if self.n_segments == 0:
             return []
         n_chunks = min(n_chunks, self.n_segments)
-        bounds = np.linspace(0, self.n_segments, n_chunks + 1).astype(np.intp)
         out = []
-        for k in range(n_chunks):
-            seg_lo, seg_hi = int(bounds[k]), int(bounds[k + 1])
+        for seg_lo, seg_hi in contiguous_chunks(self.n_segments, n_chunks):
             if seg_lo == seg_hi:
                 continue
             src_lo = int(self._starts[seg_lo])
