@@ -4,7 +4,8 @@ The driver is backend-agnostic: any object providing ``set_factors`` /
 ``update_factor`` / ``mttkrp`` / ``mode_order`` can supply the MTTKRP, so the
 same loop runs the memoized engine (any strategy), the planner-selected
 engine, and the baseline implementations — which is what makes the paper's
-comparisons apples-to-apples.
+comparisons apples-to-apples.  ``mttkrp`` must return a fresh array: in a
+mode with empty slices the driver writes the updated factor into it.
 """
 
 from __future__ import annotations
@@ -265,6 +266,7 @@ def _cp_als_run(
     )
 
     mode_order = tuple(engine.mode_order)
+    supports = [_nonempty_rows(tensor, n, rank) for n in range(tensor.ndim)]
     grams = GramCache(engine.factors)
     weights = np.ones(rank, dtype=VALUE_DTYPE)
     fits: list[float] = []
@@ -272,15 +274,18 @@ def _cp_als_run(
     converged = False
     iter_times: list[float] = []
 
-    def run_modes(iteration: int) -> np.ndarray:
+    def run_modes(iteration: int) -> tuple[np.ndarray, np.ndarray]:
+        """One ALS sweep; returns the last mode's (M, U) on its support."""
         nonlocal weights
-        M_last: np.ndarray | None = None
+        last: tuple[np.ndarray, np.ndarray] | None = None
         for n in mode_order:
             set_solve_site(iteration, n)
             M = engine.mttkrp(n)
+            rows = supports[n]
             with _obs.span("factor_solve", mode=n):
                 H = grams.combined(skip=n)
-                U = solve_normal_equations(M, H)
+                M_rows = M if rows is None else M[rows]
+                U = solve_normal_equations(M_rows, H)
                 # First iteration: 2-norm normalization settles scale;
                 # later iterations use max-norm so weights track
                 # convergence smoothly (the Tensor Toolbox convention).
@@ -289,13 +294,17 @@ def _cp_als_run(
                 )
                 norms = np.where(norms > 0, norms, 1.0)
                 weights = norms
+                last = M_rows, U
+                if rows is not None:
+                    # M is zero off the support: it becomes the new factor.
+                    M[rows] = U
+                    U = M
                 for observer in observers:
                     observer.observe_mode(n, H, engine.factors[n], U)
                 engine.update_factor(n, U)
                 grams.update(n, U)
-            M_last = M
-        assert M_last is not None
-        return M_last
+        assert last is not None
+        return last
 
     try:
         for iteration in range(n_iter_max):
@@ -310,18 +319,15 @@ def _cp_als_run(
                     # totals are unchanged by observation.
                     outer = perf.active_counters()
                     with perf.counting() as it_counters:
-                        M_last = run_modes(iteration)
+                        M_last, U_last = run_modes(iteration)
                     if outer is not None:
                         outer.add(it_counters)
                 else:
-                    M_last = run_modes(iteration)
+                    M_last, U_last = run_modes(iteration)
             it_seconds = time.perf_counter() - it0
             iter_times.append(it_seconds)
 
-            last = mode_order[-1]
-            fit = _compute_fit(
-                norm_x, weights, engine.factors, grams, M_last, last
-            )
+            fit = _compute_fit(norm_x, weights, grams, M_last, U_last)
             fits.append(fit)
             record = _observer.IterationRecord(
                 iteration, fit=fit,
@@ -372,18 +378,38 @@ def _cp_als_run(
     )
 
 
+def _nonempty_rows(tensor: CooTensor, mode: int,
+                   rank: int) -> np.ndarray | None:
+    """Rows of ``mode`` whose slice holds a nonzero; None when all do.
+
+    An empty slice has an all-zero MTTKRP row, so its factor row is
+    exactly zero after every update.  The solve, normalization and fit
+    are row-separable bitwise, so running them on the other rows alone
+    changes no result.  At rank 1 NumPy's einsum sums the single column
+    with SIMD partial sums, whose grouping depends on the row count, so
+    the 2-norm and fit would round differently: rank 1 keeps every row.
+    """
+    nnz = tensor.slice_nnz(mode)
+    if rank == 1 or nnz.all():
+        return None
+    return np.flatnonzero(nnz)
+
+
 def _compute_fit(
     norm_x: float,
     weights: np.ndarray,
-    factors: Sequence[np.ndarray],
     grams: GramCache,
     M_last: np.ndarray,
-    last_mode: int,
+    U_last: np.ndarray,
 ) -> float:
-    """Fit from the final MTTKRP of the iteration (no extra tensor pass)."""
+    """Fit from the final MTTKRP of the iteration (no extra tensor pass).
+
+    ``M_last`` and ``U_last`` are the last mode's MTTKRP and factor, both
+    restricted to the same rows (every row, or the nonempty ones).
+    """
     H_all = grams.combined()
     norm_model_sq = float(weights @ H_all @ weights)
-    inner = innerprod_from_mttkrp(M_last, factors[last_mode], weights)
+    inner = innerprod_from_mttkrp(M_last, U_last, weights)
     err_sq = max(norm_x**2 + norm_model_sq - 2.0 * inner, 0.0)
     if norm_x == 0.0:
         return 1.0 if norm_model_sq == 0.0 else float("-inf")

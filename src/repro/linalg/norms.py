@@ -21,8 +21,9 @@ def normalize_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalize columns of ``U``; returns ``(U_normalized, norms)``.
 
-    Zero columns are left as-is with a reported norm of 0 (the CP-ALS driver
-    treats a zero norm as a degenerate component and reinitializes it).
+    Zero columns are left as-is with a reported norm of 0.  The CP-ALS
+    driver does not reinitialize such a component: it sets its weight to
+    1 and leaves the column zero.
     """
     norms = column_norms(U, order)
     safe = np.where(norms > 0, norms, 1.0)

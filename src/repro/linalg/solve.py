@@ -46,6 +46,11 @@ def solve_normal_equations(M: np.ndarray, H: np.ndarray) -> np.ndarray:
     ----------
     M : ``I x R`` MTTKRP result.
     H : ``R x R`` symmetric PSD coefficient matrix.
+
+    Each row of ``U`` depends on the same row of ``M`` alone, bitwise:
+    solving on a subset of rows gives exactly those rows of the full
+    solve, and a zero row of ``M`` gives a zero row of ``U``.  The CP-ALS
+    driver relies on this to skip the rows of empty slices.
     """
     H = np.asarray(H)
     M = np.asarray(M)
@@ -57,7 +62,10 @@ def solve_normal_equations(M: np.ndarray, H: np.ndarray) -> np.ndarray:
     except (np.linalg.LinAlgError, sla.LinAlgError, ValueError):
         pinv, n_truncated = psd_pinv_diagnosed(H)
         _note_pinv_fallback(H.shape[0], n_truncated)
-        return M @ pinv
+        # One vector-matrix product per row.  A single GEMM over all rows
+        # is not row-separable: OpenBLAS sends a one-row product to GEMV
+        # and gives edge rows their own kernels, and both round differently.
+        return np.matmul(M[:, None, :], pinv)[:, 0, :]
 
 
 def psd_pinv(H: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:

@@ -291,3 +291,67 @@ class TestInnerProd:
         t = CooTensor.empty((2, 2))
         with pytest.raises(ValueError):
             sparse_kruskal_innerprod(t, np.ones(1), [np.ones((2, 1))])
+
+
+class TestRowSeparability:
+    """The solve, norms and fit inner product treat each row on its own.
+
+    CP-ALS runs them on the rows of nonempty slices only and must get the
+    bits of a full-row run, so each ``f(M[rows])`` must equal
+    ``f(M)[rows]`` bitwise when the other rows of ``M`` are zero.  Rank 1
+    is left out: there einsum sums the one column with SIMD partial sums,
+    and the driver keeps every row.
+    """
+
+    RANKS = (2, 5, 8, 17, 64)
+
+    @staticmethod
+    def _zero_rows(R, n_live, seed=0):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((300, R))
+        rows = np.sort(rng.choice(300, n_live, replace=False))
+        live = np.zeros(300, dtype=bool)
+        live[rows] = True
+        M[~live] = 0.0
+        return M, rows, live
+
+    def _check_solve(self, M, rows, live, H, fallback):
+        from repro.perf import counters as perf
+
+        with perf.counting() as c:
+            full = solve_normal_equations(M, H)
+            part = solve_normal_equations(M[rows], H)
+        assert c.extra.get("pinv_fallbacks", 0) == (2 if fallback else 0)
+        np.testing.assert_array_equal(part, full[rows])
+        assert np.all(full[~live] == 0.0)
+
+    @pytest.mark.parametrize("R", RANKS)
+    @pytest.mark.parametrize("n_live", [1, 2, 7, 180])
+    def test_solve_cholesky_branch(self, R, n_live):
+        M, rows, live = self._zero_rows(R, n_live)
+        H = gram(np.random.default_rng(1).random((R + 4, R))) + np.eye(R)
+        self._check_solve(M, rows, live, H, fallback=False)
+
+    @pytest.mark.parametrize("R", RANKS)
+    @pytest.mark.parametrize("n_live", [1, 2, 7, 180])
+    def test_solve_pinv_branch(self, R, n_live):
+        M, rows, live = self._zero_rows(R, n_live)
+        # A zero last pivot makes Cholesky fail: the pinv branch runs.
+        A = np.random.default_rng(2).random((R + 4, R))
+        A[:, -1] = 0.0
+        self._check_solve(M, rows, live, gram(A), fallback=True)
+
+    @pytest.mark.parametrize("R", RANKS)
+    @pytest.mark.parametrize("order", [2, "max"])
+    def test_column_norms(self, R, order):
+        M, rows, _ = self._zero_rows(R, 120)
+        np.testing.assert_array_equal(column_norms(M[rows], order),
+                                      column_norms(M, order))
+
+    @pytest.mark.parametrize("R", RANKS)
+    def test_innerprod_from_mttkrp(self, R):
+        M, rows, _ = self._zero_rows(R, 120)
+        rng = np.random.default_rng(3)
+        U, weights = rng.standard_normal(M.shape), rng.random(R)
+        assert (innerprod_from_mttkrp(M[rows], U[rows], weights)
+                == innerprod_from_mttkrp(M, U, weights))
