@@ -36,10 +36,9 @@ three configurations:
   joining every finished span so far with the model's per-node terms,
   then republishing the achieved-throughput gauges), i.e. what a live
   roofline panel costs; the pass runs *inside* the timed window;
-* ``enabled_events_serve`` — spans plus the structured event log and a
-  live :class:`repro.obs.serve.ObsServer` scraping thread running for
-  the duration, i.e. the full ``repro serve <cmd>`` live-telemetry
-  stack.
+* ``enabled_events`` — spans plus the structured event log (the
+  engine's ``node_rebuild`` events and one ``iteration`` event per
+  iteration), i.e. what ``REPRO_OBS=trace,events`` turns on.
 
 Writes ``benchmarks/results/BENCH_obs_overhead.json`` (shared
 ``repro-bench/v1`` envelope) with per-config ms/iteration and overhead
@@ -278,14 +277,11 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
         tracer.finished(), node_terms=node_terms,
     ))
 
-    from repro.obs.serve import ObsServer
-
     switch.get("trace").clear()
     switch.enable("events", clear=True)
-    with ObsServer(port=0):
-        with_events_serve = _best_iteration_seconds(
-            engine, repeats, emit_iteration_events=True
-        )
+    with_events = _best_iteration_seconds(
+        engine, repeats, emit_iteration_events=True
+    )
     n_events = len(switch.get("events"))
     switch.disable("events")
     switch.get("events").clear()
@@ -337,9 +333,9 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
                 "seconds_per_iteration": with_roofline,
                 "overhead_pct": pct(with_roofline),
             },
-            "enabled_events_serve": {
-                "seconds_per_iteration": with_events_serve,
-                "overhead_pct": pct(with_events_serve),
+            "enabled_events": {
+                "seconds_per_iteration": with_events,
+                "overhead_pct": pct(with_events),
             },
         },
         "spans_per_measured_block": span_count,

@@ -10,7 +10,6 @@ Usage::
     python -m repro trace --trace-dir out/ decompose data.tns --rank 16
     python -m repro profile --trace-dir out/ decompose data.tns --rank 16
     python -m repro report out/trace.jsonl
-    python -m repro serve --port 9464 decompose data.tns --rank 16
     python -m repro tail out/events.jsonl
 
 Tensor inputs are ``.tns``/``.tns.gz`` (FROSTT), ``.npz`` (this library's
@@ -28,17 +27,13 @@ runs the sampling stack profiler and writes ``profile.json`` +
 ``docs/observability.md``).  ``repro report`` pretty-prints a saved
 JSONL trace (including per-worker pool utilization when the trace has
 ``pool_task`` spans, and the profiler's top-hotspots table when one was
-recorded).  ``repro
-serve`` exposes an OpenMetrics endpoint (``/metrics`` + ``/healthz`` +
-``/runz``) either around a wrapped subcommand or over saved trace
-artifacts; ``repro tail`` renders an ``events.jsonl`` structured event
-log.  ``repro bench-diff``
-compares benchmark history entries against the stored baseline with the
-noise-aware comparator (see ``docs/benchmarking.md``) and exits non-zero
-on regression; ``repro dashboard`` renders history + memory + trace into
-one self-contained HTML file.  ``--log-level`` controls the ``repro.*``
-loggers (the drift watchdog logs there), and ``--version`` prints build
-info (version, git revision, toolchain).
+recorded).  ``repro tail`` renders an ``events.jsonl`` structured
+event log.  ``repro bench-diff`` compares benchmark history entries
+against the stored baseline with the noise-aware comparator (see
+``docs/benchmarking.md``) and exits non-zero on regression.
+``--log-level`` controls the ``repro.*`` loggers (the drift watchdog
+logs there), and ``--version`` prints build info (version, git
+revision, toolchain).
 """
 
 from __future__ import annotations
@@ -306,8 +301,7 @@ def cmd_trace(args) -> int:
             f"{verb}: missing command to run, e.g. "
             f"'repro {verb} decompose data.tns --rank 16'"
         )
-    if rest[0] in ("trace", "profile", "report", "bench-diff", "dashboard",
-                   "serve", "tail"):
+    if rest[0] in ("trace", "profile", "report", "bench-diff", "tail"):
         raise ValueError(f"{verb}: cannot {verb} the {rest[0]!r} command")
     inner = build_parser().parse_args(rest)
     os.makedirs(args.trace_dir, exist_ok=True)
@@ -319,9 +313,8 @@ def cmd_trace(args) -> int:
         spec += f",profile={getattr(args, 'profile_hz', None) or ''}"
     registry.reset()
     # An ambient run context: telemetry still lands in the globals the
-    # artifact writers below read, but events carry the run_id and the
-    # run is listed on /runz if a server is scraping this process.
-    run_ctx = obs_runctx.RunContext.ambient(command=rest[0])
+    # artifact writers below read, but events carry the run_id.
+    run_ctx = obs_runctx.RunContext.ambient()
     t0 = time.perf_counter()
     with switch.enabled(spec) as on, \
             perf_counters.counting(registry.counters), \
@@ -583,56 +576,6 @@ def cmd_bench_diff(args) -> int:
     return 1 if any(r.status == "regression" for r in results) else 0
 
 
-def cmd_serve(args) -> int:
-    from .obs import runctx as obs_runctx
-    from .obs import switch
-    from .obs.metrics import registry
-    from .obs.serve import ObsServer, load_trace_dir
-    from .perf import counters as perf_counters
-
-    rest = list(args.rest)
-    if rest and rest[0] == "--":
-        rest.pop(0)
-    if rest and rest[0] in ("trace", "profile", "serve", "tail", "report",
-                            "bench-diff", "dashboard"):
-        raise ValueError(f"serve: cannot wrap the {rest[0]!r} command")
-
-    try:
-        server = ObsServer(port=args.port, host=args.host)
-    except OSError as exc:
-        print(f"error: cannot bind {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-
-    if not rest:
-        # Artifact mode: reconstruct metrics/events/run state from a
-        # 'repro trace' output directory, then serve it until killed.
-        loaded = load_trace_dir(args.trace_dir)
-        print(f"loaded {loaded['spans']} spans, {loaded['events']} events, "
-              f"{loaded['gauges']} gauges from {args.trace_dir}")
-        print(f"serving {server.url}/metrics (also /healthz, /runz); "
-              "Ctrl-C to stop")
-        server.serve_forever()
-        return 0
-
-    # Wrap mode: run another subcommand with telemetry on and the
-    # endpoint live for the duration (mirrors 'repro trace' enablement).
-    inner = build_parser().parse_args(rest)
-    registry.reset()
-    server.start()
-    run_ctx = obs_runctx.RunContext.ambient(command=rest[0])
-    print(f"serving {server.url}/metrics (also /healthz, /runz) "
-          f"for the duration of the command ({run_ctx.run_id})")
-    try:
-        with switch.enabled("all"), \
-                perf_counters.counting(registry.counters), \
-                obs_runctx.using(run_ctx):
-            rc = inner.fn(inner)
-    finally:
-        server.stop()
-    return rc
-
-
 def cmd_tail(args) -> int:
     from .obs.events import format_event, read_events, validate_events
 
@@ -669,78 +612,6 @@ def cmd_tail(args) -> int:
                     print(format_event(_json.loads(line)), flush=True)
         except KeyboardInterrupt:
             return 0
-
-
-def cmd_dashboard(args) -> int:
-    from .obs.dashboard import write_dashboard
-    from .obs.export import kind_table, tree_summary
-    from .obs.history import BenchHistory, compare
-
-    entries = BenchHistory(args.history).entries()
-    diffs = []
-    if entries:
-        last_run = entries[-1].run_id
-        current = [e for e in entries if e.run_id == last_run]
-        diffs = compare(current, entries, rel_band=args.band, k=args.k)
-
-    readings: list = []
-    kinds = summary = None
-    utilization = None
-    pool_tasks: list[dict] = []
-    attribution_doc = None
-    roofline_doc = None
-    profile_doc = None
-    health_doc = None
-    skipped: list[tuple[str, str]] = []
-    if args.trace_dir and os.path.isdir(args.trace_dir):
-        from .obs.artifacts import TraceArtifacts
-        from .obs.roofline import report_from_trace_dir
-
-        roofline_report = report_from_trace_dir(args.trace_dir)
-        if roofline_report.calibrated or roofline_report.configs:
-            roofline_doc = roofline_report.to_dict()
-        arts = TraceArtifacts(args.trace_dir)
-        readings = arts.memory_readings() or []
-        attribution_doc = arts.attribution()
-        profile_doc = arts.profile()
-        health_doc = arts.health()
-        spans = arts.spans()
-        if spans is not None:
-            from .obs.utilization import utilization_from_spans
-
-            kinds = kind_table(spans)
-            summary = tree_summary(spans)
-            utilization = utilization_from_spans(spans)
-            pool_tasks = [
-                {"worker": rec.attrs.get("worker", 0), "t0": rec.t0,
-                 "t1": rec.t1,
-                 "queue_wait": rec.attrs.get("queue_wait", 0.0),
-                 "parent": rec.parent}
-                for rec in spans
-                if rec.kind == "pool_task" and rec.t1 is not None
-            ]
-        skipped = arts.skipped
-
-    out = write_dashboard(
-        args.out,
-        history_entries=entries,
-        diffs=diffs,
-        memory_readings=readings,
-        utilization=utilization,
-        pool_tasks=pool_tasks,
-        kind_table_text=kinds,
-        trace_summary=summary,
-        attribution=attribution_doc,
-        roofline=roofline_doc,
-        profile=profile_doc,
-        health=health_doc,
-    )
-    print(f"wrote {out} ({len(entries)} history entries, "
-          f"{len(readings)} memory readings)")
-    for filename, reason in skipped:
-        print(f"warning: skipped malformed {filename}: {reason}",
-              file=sys.stderr)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -891,28 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser(
-        "serve",
-        help="OpenMetrics endpoint: scrape a running or saved run",
-        description="Stdlib HTTP exporter with /metrics (OpenMetrics "
-        "text), /healthz, and /runz (JSON run snapshot: iteration, fit, "
-        "ETA).  With a trailing subcommand, runs it with telemetry "
-        "enabled and the endpoint live for the duration ('repro serve "
-        "--port 9464 decompose nips --rank 16'); with no subcommand, "
-        "reconstructs state from a 'repro trace' artifact directory and "
-        "serves it until killed.",
-    )
-    p.add_argument("--port", type=int, default=9464,
-                   help="listen port (default: 9464; 0 = ephemeral)")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default: 127.0.0.1)")
-    p.add_argument("--trace-dir", default="repro-trace",
-                   help="artifact directory to replay when no subcommand "
-                   "is given (default: ./repro-trace)")
-    p.add_argument("rest", nargs=argparse.REMAINDER,
-                   help="optional subcommand to run while serving")
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
         "tail",
         help="render an events.jsonl log as human-readable lines",
         description="Pretty-print a structured event log "
@@ -955,27 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="machine-readable output")
     p.set_defaults(fn=cmd_bench_diff)
-
-    p = sub.add_parser(
-        "dashboard",
-        help="render history + memory + trace into one HTML file",
-        description="Self-contained HTML dashboard: bench history "
-        "sparklines with baseline verdicts, the measured-vs-predicted "
-        "memory series, and trace summaries.  No JS, inline SVG only — "
-        "open the file directly in a browser.",
-    )
-    p.add_argument("--history",
-                   default=os.path.join("benchmarks", "history",
-                                        "history.jsonl"),
-                   help="bench history JSONL")
-    p.add_argument("--trace-dir", default=None,
-                   help="a 'repro trace' output directory (memory.json + "
-                   "trace.jsonl) to include")
-    p.add_argument("--out", default="dashboard.html",
-                   help="output HTML path (default: dashboard.html)")
-    p.add_argument("--band", type=float, default=0.10)
-    p.add_argument("--k", type=int, default=5)
-    p.set_defaults(fn=cmd_dashboard)
 
     p = sub.add_parser("report", help="summarize a saved JSONL trace")
     p.add_argument("trace", help="trace.jsonl file (or the trace directory)")

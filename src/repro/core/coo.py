@@ -18,7 +18,8 @@ from .dtypes import (INDEX_DTYPE, INDEX_ITEMSIZE, VALUE_DTYPE, VALUE_ITEMSIZE,
                      as_index_array, as_value_array)
 from .partition import contiguous_chunks
 from .segreduce import SegmentPlan
-from .validate import check_indices_in_bounds, check_mode, check_shape
+from .validate import (check_finite_values, check_indices_in_bounds,
+                       check_mode, check_shape)
 
 
 class CooTensor:
@@ -29,7 +30,8 @@ class CooTensor:
     idx:
         ``nnz x N`` integer coordinate array.
     vals:
-        length-``nnz`` value vector.
+        length-``nnz`` value vector; NaN or infinite entries raise
+        ``ValueError``.
     shape:
         mode sizes.
     canonical:
@@ -55,6 +57,7 @@ class CooTensor:
                 f"idx has {idx.shape[0]} rows but vals has {vals.shape[0]} entries"
             )
         check_indices_in_bounds(idx, shape)
+        check_finite_values(vals, idx)
         self.shape = shape
         if canonical:
             self.idx, self.vals = idx, vals

@@ -179,10 +179,10 @@ def cp_als(
     run_ctx:
         a :class:`~repro.obs.runctx.RunContext` scoping this run's
         telemetry.  When None, the run joins the ambient context if one is
-        active (a caller's ``runctx.using`` block), else it creates and
-        registers an ambient context of its own — so every run has a
-        ``run_id``, appears on ``/runz``, and stamps its events, while
-        single-run behavior on the global instruments is unchanged.  Pass
+        active (a caller's ``runctx.using`` block), else it creates an
+        ambient context of its own — so every run has a ``run_id`` that
+        stamps its events, while single-run behavior on the global
+        instruments is unchanged.  Pass
         :meth:`RunContext.scoped(obs=...) <repro.obs.runctx.RunContext.scoped>`
         to give the run fully isolated instruments (required for
         concurrent runs with zero telemetry cross-talk).
@@ -195,10 +195,6 @@ def cp_als(
         raise ValueError("CP-ALS requires an order >= 2 tensor")
 
     ctx = run_ctx if run_ctx is not None else _runctx.current()
-    if ctx is not None:
-        ctx.meta.setdefault("shape", list(tensor.shape))
-        ctx.meta.setdefault("nnz", tensor.nnz)
-        ctx.meta.setdefault("rank", rank)
     if ctx is not None and _runctx.current() is ctx:
         # Already active (the caller's own ``using`` block): run in place.
         return _cp_als_run(
@@ -208,9 +204,7 @@ def cp_als(
             callback=callback, watchdog=watchdog,
         )
     if ctx is None:
-        ctx = _runctx.RunContext.ambient(
-            shape=list(tensor.shape), nnz=tensor.nnz, rank=rank,
-        )
+        ctx = _runctx.RunContext.ambient()
     with _runctx.using(ctx):
         return _cp_als_run(
             tensor, rank, strategy=strategy, n_iter_max=n_iter_max, tol=tol,
@@ -255,9 +249,6 @@ def _cp_als_run(
         strategy_name = engine.strategy.name
     engine.set_factors(factors)
     setup_time = time.perf_counter() - t0
-    run_ctx = _runctx.current()
-    if run_ctx is not None:
-        run_ctx.meta.setdefault("strategy", strategy_name)
 
     observers = _observer.start_run(
         engine, rank, watchdog=watchdog, shape=list(tensor.shape),

@@ -73,6 +73,19 @@ def check_indices_in_bounds(idx: np.ndarray, shape: Sequence[int]) -> None:
         )
 
 
+def check_finite_values(vals: np.ndarray, idx: np.ndarray) -> None:
+    """Reject NaN or infinite entries of ``vals`` (``idx`` locates them)."""
+    finite = np.isfinite(vals)
+    if finite.all():
+        return
+    bad = np.flatnonzero(~finite)
+    first = int(bad[0])
+    raise ValueError(
+        f"vals has {bad.size} non-finite entries (NaN or inf); the first, "
+        f"{vals[first]}, is at index {tuple(int(i) for i in idx[first])}"
+    )
+
+
 def check_factor_matrices(
     factors: Sequence[np.ndarray], shape: Sequence[int], rank: int | None = None
 ) -> int:

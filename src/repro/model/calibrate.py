@@ -16,8 +16,8 @@ Two layers share this module:
 
 Ceilings are cached to a versioned ``repro-machine/v1`` artifact (JSON,
 shared ``repro-bench/v1`` envelope) at :func:`default_machine_path` so a
-one-time ``repro roofline`` calibration serves every later plan, trace
-report, and dashboard on the same host.
+one-time ``repro roofline`` calibration serves every later plan and
+trace report on the same host.
 """
 
 from __future__ import annotations

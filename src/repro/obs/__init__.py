@@ -26,23 +26,16 @@ package re-exports nothing.
   prediction per ALS iteration.
 * :mod:`repro.obs.history` — append-only benchmark history (JSONL) and
   the noise-aware regression comparator behind ``repro bench-diff``.
-* :mod:`repro.obs.dashboard` — self-contained HTML dashboard (bench
-  sparklines, measured-vs-predicted memory series, trace summaries,
-  worker-utilization lanes).
 * :mod:`repro.obs.events` — structured JSON-lines run-event log
   (``repro-events/v1``): run start/stop, per-iteration fit/drift/memory,
   node rebuilds, warnings; ring buffer + optional file sink.
-* :mod:`repro.obs.serve` — stdlib HTTP OpenMetrics exporter
-  (``/metrics``, ``/healthz``, ``/runz``) over the live registry, event
-  log, and memory tracker; behind ``repro serve``.
 * :mod:`repro.obs.utilization` — per-worker busy/queue-wait/imbalance
-  stats derived from ``pool_task`` spans, surfaced by ``repro report``,
-  the dashboard, and the E8 scaling experiment.
+  stats derived from ``pool_task`` spans, surfaced by ``repro report``
+  and the E8 scaling experiment.
 * :mod:`repro.obs.runctx` — run-scoped telemetry contexts: a
   :class:`RunContext` bundles a ``run_id`` with (optionally) private
   tracer/event-log/metrics/memory instruments so concurrent runs in one
-  process keep fully separated telemetry; the :data:`run_registry`
-  feeds ``/runz`` and the ``run_id``-labelled ``/metrics`` families.
+  process keep fully separated telemetry.
 * :mod:`repro.obs.explain` — planner explainability: the complete
   candidate search with per-node/per-mode predicted cost terms as a
   versioned ``repro-plan/v1`` artifact (``repro explain``).  Imported
@@ -52,14 +45,13 @@ package re-exports nothing.
   prediction; feeds the watchdog's node/mode blame and the
   ``attr.mode*.flops_ratio`` gauges.
 * :mod:`repro.obs.profiler` — sampling wall-clock stack profiler joined
-  to the span tree: folded ``lane → span path → frames`` stacks across
-  the thread *and* process execution tiers, persisted as a
+  to the span tree: folded ``lane → span path → frames`` stacks for the
+  main thread and the thread pool's workers, persisted as a
   ``repro-profile/v1`` artifact (``profile.json`` + ``profile.folded``
   for flamegraph.pl / speedscope); also ``repro profile <cmd>``.
-* :mod:`repro.obs.artifacts` — one shared loader for ``repro trace``
-  artifact directories (:class:`TraceArtifacts`): missing files are
-  absent, malformed files warn and are skipped, consistently across
-  ``report`` / ``dashboard`` / ``serve`` replay.
+* :mod:`repro.obs.artifacts` — the loader ``repro report`` reads
+  ``repro trace`` artifact directories with (:class:`TraceArtifacts`):
+  missing files are absent, malformed files warn and are skipped.
 * :mod:`repro.obs.health` — per-iteration numerical-health telemetry:
   Gram conditioning (condition number + truncated eigenvalues per
   mode), relative factor deltas, cross-mode column congruence

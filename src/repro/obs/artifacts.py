@@ -1,14 +1,11 @@
-"""Shared loader for ``repro trace`` artifact directories.
+"""Loader for the JSON artifacts of a ``repro trace`` directory.
 
-Three consumers read trace directories — ``repro report``, ``repro
-dashboard``, and ``repro serve``'s replay mode — and before this module
-each had its own ad-hoc ``os.path.exists`` + ``json.load`` block with
-its own (inconsistent) failure behavior.  :class:`TraceArtifacts` gives
-them one policy, the same one ``repro bench-diff`` applies to history
+``repro report`` reads a trace directory through :class:`TraceArtifacts`,
+which applies the same policy as ``repro bench-diff`` does to history
 files: a **missing** artifact is simply absent (``None``, no noise — old
 trace dirs predate newer artifacts by design), while a **malformed** one
 is skipped with a warning naming the file and the parse error, never an
-exception.  Accessors are lazy and cached, so a consumer that only wants
+exception.  Accessors are lazy and cached, so a caller that only wants
 ``metrics.json`` never touches the other files.
 """
 
@@ -22,15 +19,12 @@ __all__ = ["TraceArtifacts"]
 
 _log = logging.getLogger("repro.obs.artifacts")
 
-#: artifact filename per accessor (also the sniff list for ``is_empty``).
+#: artifact filename per accessor.
 FILENAMES = {
-    "spans": "trace.jsonl",
     "events": "events.jsonl",
     "metrics": "metrics.json",
-    "memory": "memory.json",
     "attribution": "attribution.json",
     "profile": "profile.json",
-    "machine": "machine.json",
     "health": "health.json",
 }
 
@@ -56,14 +50,6 @@ class TraceArtifacts:
     def path(self, name: str) -> str:
         return os.path.join(self.trace_dir, FILENAMES[name])
 
-    def exists(self, name: str) -> bool:
-        return os.path.exists(self.path(name))
-
-    @property
-    def is_empty(self) -> bool:
-        """True when none of the known artifacts exist."""
-        return not any(self.exists(name) for name in FILENAMES)
-
     def _skip(self, name: str, exc: Exception):
         self.skipped.append((FILENAMES[name], str(exc)))
         _log.warning("skipping malformed %s in %s: %s",
@@ -75,7 +61,7 @@ class TraceArtifacts:
         carrying another schema tag counts as malformed."""
         value = self._cache.get(name, _MISSING)
         if value is _MISSING:
-            if not self.exists(name):
+            if not os.path.exists(self.path(name)):
                 value = None
             else:
                 try:
@@ -95,12 +81,6 @@ class TraceArtifacts:
             return json.load(fh)
 
     # -- accessors -----------------------------------------------------
-    def spans(self):
-        """``trace.jsonl`` as :class:`~repro.obs.trace.SpanRecord` list."""
-        from .export import read_jsonl
-
-        return self._load("spans", read_jsonl)
-
     def events(self) -> list[dict] | None:
         """``events.jsonl`` as raw event dicts."""
         from .events import read_events
@@ -110,12 +90,6 @@ class TraceArtifacts:
     def metrics(self) -> dict | None:
         """The full ``metrics.json`` document (build + metrics snapshot)."""
         return self._load("metrics", self._load_json)
-
-    def memory_readings(self) -> list[dict] | None:
-        """The readings list from ``memory.json``."""
-        from .dashboard import load_memory_json
-
-        return self._load("memory", load_memory_json)
 
     def attribution(self) -> dict | None:
         """The ``repro-attr/v1`` document, if the run recorded one."""
@@ -130,10 +104,6 @@ class TraceArtifacts:
         from .profiler import PROFILE_SCHEMA
 
         return self._load("profile", self._load_json, schema=PROFILE_SCHEMA)
-
-    def machine(self) -> dict | None:
-        """The ``repro-machine/v1`` calibration snapshot."""
-        return self._load("machine", self._load_json)
 
     def health(self) -> dict | None:
         """The ``repro-health/v1`` document, if the run recorded one.

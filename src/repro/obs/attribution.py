@@ -252,8 +252,8 @@ class AttributionRecorder(IterationObserver):
         When a strategy is registered, the reading carries comparison rows
         and the per-mode prediction-error gauges
         (``attr.mode<m>.flops_ratio``, ``attr.max_node_flops_err``) are
-        published to the metrics registry — and from there to
-        ``/metrics``.
+        published to the metrics registry — and from there to the
+        ``metrics.json`` snapshot ``repro trace`` writes.
         """
         with self._lock:
             nodes = {}

@@ -8,8 +8,7 @@ event per ALS iteration carrying fit/delta/drift/memory readings, node
 rebuilds, warnings — into a process-global :class:`EventLog`:
 
 * a bounded **ring buffer** (the last ``maxlen`` events, cheap to snapshot)
-  that feeds the ``/runz`` endpoint of :mod:`repro.obs.serve` and
-  ``repro tail``;
+  that ``repro trace`` dumps to ``events.jsonl``;
 * an optional **file sink**: one JSON object per line (schema
   ``repro-events/v1``), append-only and flushed per event so
   ``repro tail --follow <events.jsonl>`` and log shippers see events as
@@ -21,11 +20,8 @@ them on through :mod:`repro.obs.switch` — ``REPRO_OBS=events`` keeps the
 ring buffer only, ``REPRO_OBS=events=/path/events.jsonl`` additionally
 opens that file as the sink.  :class:`IterationEvents` is the CP-ALS
 loop's observer (:mod:`repro.obs.observer`) that turns each finished
-iteration record into one ``iteration`` event.
-
-The log also folds ``run_start`` / ``iteration`` / ``run_stop`` events
-into a :class:`RunState` — current iteration, fit, trailing per-iteration
-rate and the ETA derived from it — which is what ``/runz`` serves.
+iteration record into one ``iteration`` event.  ``repro tail`` and
+``repro report`` read the log back.
 """
 
 from __future__ import annotations
@@ -41,9 +37,8 @@ from . import switch as _switch
 from .observer import IterationObserver
 
 __all__ = [
-    "EVENTS_SCHEMA", "EVENT_KINDS", "EventLog", "RunState",
-    "IterationEvents", "emit", "read_events", "validate_events",
-    "format_event",
+    "EVENTS_SCHEMA", "EVENT_KINDS", "EventLog", "IterationEvents", "emit",
+    "read_events", "validate_events", "format_event",
 ]
 
 #: schema tag stamped on every event line (bump on layout change).
@@ -60,113 +55,12 @@ EVENT_KINDS: dict[str, tuple[str, ...]] = {
 }
 
 
-class RunState:
-    """Live view of the most recent CP-ALS run, folded from events.
-
-    ``eta_seconds`` extrapolates from the trailing per-iteration rate
-    (mean of the last few ``iteration`` events) to the iteration cap —
-    an upper bound, since convergence may stop the run earlier.
-    """
-
-    _TRAILING = 8
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self._reset_locked()
-
-    def reset(self) -> None:
-        with self.lock:
-            self._reset_locked()
-
-    def observe(self, event: dict) -> None:
-        kind = event.get("kind")
-        with self.lock:
-            if kind == "run_start":
-                self._reset_locked()
-                self.active = True
-                self.started_at = event.get("t")
-                self.shape = event.get("shape")
-                self.nnz = event.get("nnz")
-                self.rank = event.get("rank")
-                self.strategy = event.get("strategy")
-                self.n_iter_max = event.get("n_iter_max")
-            elif kind == "iteration":
-                self.iteration = event.get("iteration")
-                self.fit = event.get("fit")
-                self.delta = event.get("delta")
-                seconds = event.get("seconds")
-                if isinstance(seconds, (int, float)):
-                    self._iter_seconds.append(float(seconds))
-            elif kind == "run_stop":
-                self.active = False
-                self.finished_at = event.get("t")
-                self.converged = event.get("converged")
-                self.fit = event.get("fit", self.fit)
-
-    def _reset_locked(self) -> None:
-        """Reset run fields without re-taking the (held) lock."""
-        self.active = False
-        self.started_at: float | None = None
-        self.finished_at: float | None = None
-        self.shape: list[int] | None = None
-        self.nnz: int | None = None
-        self.rank: int | None = None
-        self.strategy: str | None = None
-        self.n_iter_max: int | None = None
-        self.iteration: int | None = None
-        self.fit: float | None = None
-        self.delta: float | None = None
-        self.converged: bool | None = None
-        self._iter_seconds: collections.deque[float] = collections.deque(
-            maxlen=self._TRAILING
-        )
-
-    def rate_seconds_per_iteration(self) -> float | None:
-        """Trailing mean seconds per ALS iteration (None before the first)."""
-        with self.lock:
-            if not self._iter_seconds:
-                return None
-            return sum(self._iter_seconds) / len(self._iter_seconds)
-
-    def eta_seconds(self) -> float | None:
-        """Projected seconds to the iteration cap (None when unknown/done)."""
-        rate = self.rate_seconds_per_iteration()
-        with self.lock:
-            if (not self.active or rate is None
-                    or self.n_iter_max is None or self.iteration is None):
-                return None
-            remaining = self.n_iter_max - self.iteration - 1
-            return max(remaining, 0) * rate
-
-    def to_dict(self) -> dict:
-        rate = self.rate_seconds_per_iteration()
-        eta = self.eta_seconds()
-        with self.lock:
-            return {
-                "active": self.active,
-                "started_at": self.started_at,
-                "finished_at": self.finished_at,
-                "shape": self.shape,
-                "nnz": self.nnz,
-                "rank": self.rank,
-                "strategy": self.strategy,
-                "n_iter_max": self.n_iter_max,
-                "iteration": self.iteration,
-                "fit": self.fit,
-                "delta": self.delta,
-                "converged": self.converged,
-                "seconds_per_iteration": rate,
-                "eta_seconds": eta,
-            }
-
-
 class EventLog:
     """Ring buffer + optional JSONL file sink for structured events.
 
-    Thread-safe: engines emit from pool workers while the HTTP exporter
-    snapshots concurrently.  The sink is flushed per event (events are
-    rare — per iteration / per rebuild — so the syscall cost is noise
-    next to the numeric work they describe).
+    Thread-safe: engines emit from pool workers concurrently.  The sink
+    is flushed per event (events are rare — per iteration / per rebuild —
+    so the syscall cost is noise next to the numeric work they describe).
     """
 
     def __init__(self, maxlen: int = 4096, sink_path: str | None = None):
@@ -174,9 +68,7 @@ class EventLog:
         self._ring: collections.deque[dict] = collections.deque(maxlen=maxlen)
         self._seq = 0
         self._sink = None
-        self._sink_path: str | None = None
         self.n_dropped = 0
-        self.run = RunState()
         if sink_path:
             self.open_sink(sink_path)
 
@@ -190,18 +82,12 @@ class EventLog:
             if parent:
                 os.makedirs(parent, exist_ok=True)
             self._sink = open(path, "a")
-            self._sink_path = path
 
     def close_sink(self) -> None:
         with self._lock:
             if self._sink is not None:
                 self._sink.close()
                 self._sink = None
-                self._sink_path = None
-
-    @property
-    def sink_path(self) -> str | None:
-        return self._sink_path
 
     # -- emit / read ---------------------------------------------------
     def emit(self, kind: str, **fields) -> dict:
@@ -217,12 +103,6 @@ class EventLog:
             if self._sink is not None:
                 self._sink.write(json.dumps(event) + "\n")
                 self._sink.flush()
-            # Fold into the run state while still holding the log lock, so
-            # the RunState sees events in exactly the seq order the ring
-            # recorded them.  (Folding outside the lock let two concurrent
-            # emitters race run_start past a later iteration event.)
-            # RunState.lock nests inside EventLog._lock, never the reverse.
-            self.run.observe(event)
         return event
 
     def tail(self, n: int | None = None) -> list[dict]:
@@ -251,23 +131,6 @@ class EventLog:
             self._ring.clear()
             self._seq = 0
             self.n_dropped = 0
-        self.run.reset()
-
-    def replay(self, events) -> int:
-        """Feed previously recorded events back into ring + run state.
-
-        Used by ``repro serve`` (artifact mode) to reconstruct ``/runz``
-        from an ``events.jsonl`` written by an earlier process.  Events
-        keep their original stamps; the sink is not re-written.
-        """
-        n = 0
-        for event in events:
-            with self._lock:
-                self._ring.append(event)
-                self._seq = max(self._seq, int(event.get("seq", 0)))
-                self.run.observe(event)
-            n += 1
-        return n
 
     def __len__(self) -> int:
         with self._lock:
@@ -279,7 +142,7 @@ def emit(kind: str, **fields) -> dict | None:
 
     When a run context is active the event lands in *its* log and is
     stamped with the context's ``run_id``, so interleaved runs stay
-    separable in a shared sink and on ``/runz``.
+    separable in a shared sink.
     """
     if not _switch.is_on("events"):
         return None

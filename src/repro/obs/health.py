@@ -39,8 +39,7 @@ Readings land on :attr:`repro.core.cpals.CPResult.health_readings`,
 stream as extended ``repro-events/v1`` iteration fields, persist as a
 versioned ``repro-health/v1`` artifact (``health.json``,
 :func:`write_health`), and feed the drift watchdog's numerical band, the
-``repro report`` health section, the dashboard panel, and the
-``repro_health_*`` gauge family.
+``repro report`` health section, and the ``health.*`` gauges.
 """
 
 from __future__ import annotations
@@ -478,8 +477,8 @@ class HealthCollector(IterationObserver):
         ``record.grams`` is an indexable of per-mode factor Grams (a
         :class:`~repro.linalg.gram.GramCache` works directly) for the
         congruence reading; ``record.fit`` feeds the trajectory
-        classifier.  Publishes the ``health.*`` gauges the live
-        ``/metrics`` endpoint renders as ``repro_health_*``.
+        classifier.  Publishes the ``health.*`` gauges to the metrics
+        registry.
         """
         grams, fit = record.grams, record.fit
         congruence, pair = 0.0, None

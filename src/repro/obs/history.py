@@ -21,8 +21,7 @@ halves of the measurement loop:
   a numba run is never compared against a numpy baseline.
 
 ``repro bench-diff`` exposes the comparator on the command line and CI
-runs it as a soft-fail gate; ``repro dashboard`` renders the history as
-sparklines.  See ``docs/benchmarking.md``.
+runs it as a soft-fail gate.  See ``docs/benchmarking.md``.
 """
 
 from __future__ import annotations

@@ -230,7 +230,7 @@ class MemTracker(IterationObserver):
 
         Publishes ``mem.*`` gauges so ``repro trace`` metrics snapshots
         carry the latest reading, and appends to :attr:`readings` — the
-        measured-vs-predicted series the dashboard plots.  Workspace and
+        measured-vs-predicted series ``memory.json`` records.  Workspace and
         factor bytes come from ``record.engine`` when it has one.
         """
         engine = record.engine

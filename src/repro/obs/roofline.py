@@ -323,11 +323,10 @@ def report_from_trace_dir(trace_dir: str, roofline=None,
 
 
 def publish_roofline_gauges(roofline, configs=()) -> None:
-    """Expose ceilings and achieved fractions on ``/metrics``.
+    """Publish ceilings and achieved fractions as registry gauges.
 
-    Gauge names are stable OpenMetrics families after the registry's
-    dot-to-underscore mapping: ``repro_roofline_peak_bandwidth_gbs``,
-    ``repro_roofline_fraction_<config>``, ...
+    Gauge names are stable: ``roofline.peak_bandwidth_gbs``,
+    ``roofline.fraction.<config>``, ...
     """
     from .metrics import registry
 

@@ -16,9 +16,8 @@ seconds between submit and start):
   aggregated per ALS iteration by walking each task's parent chain to its
   enclosing ``als_iteration`` span.
 
-Consumed by ``repro report`` (text tables), the HTML dashboard (worker
-lanes), the ``pool.imbalance`` gauge on ``/metrics``, and the E8 scaling
-experiment's imbalance column.
+Consumed by ``repro report`` (text tables), the ``pool.imbalance``
+gauge, and the E8 scaling experiment's imbalance column.
 """
 
 from __future__ import annotations

@@ -224,40 +224,3 @@ class TestCli:
         rc = main(["bench-diff", "--history",
                    str(tmp_path / "nope.jsonl")])
         assert rc == 2
-
-    def test_dashboard_renders(self, tmp_path, capsys):
-        from repro.cli import main
-
-        hist = tmp_path / "h.jsonl"
-        self._seed_history(hist, [1.0, 0.9, 1.1])
-        out = tmp_path / "dash.html"
-        rc = main(["dashboard", "--history", str(hist),
-                   "--out", str(out)])
-        assert rc == 0
-        html = out.read_text()
-        assert html.startswith("<!doctype html>")
-        assert "bench.t" in html
-        assert "<svg" in html  # sparkline rendered
-        assert "repro dashboard" in html
-
-    def test_dashboard_with_trace_dir(self, tmp_path):
-        from repro.cli import main
-        from repro.obs.dashboard import load_memory_json
-
-        trace_dir = tmp_path / "tr"
-        trace_dir.mkdir()
-        readings = [{"iteration": i, "measured_peak_bytes": 100,
-                     "predicted_peak_bytes": 100, "ratio": 1.0,
-                     "live_bytes": 0, "workspace_bytes": 8,
-                     "factor_bytes": 16} for i in range(3)]
-        (trace_dir / "memory.json").write_text(
-            json.dumps({"peak_bytes": 100, "readings": readings})
-        )
-        assert len(load_memory_json(str(trace_dir / "memory.json"))) == 3
-        out = tmp_path / "dash.html"
-        rc = main(["dashboard", "--history",
-                   str(tmp_path / "absent.jsonl"),
-                   "--trace-dir", str(trace_dir), "--out", str(out)])
-        assert rc == 0
-        html = out.read_text()
-        assert "measured" in html and "predicted" in html

@@ -117,6 +117,20 @@ class TestCommands:
         assert "unrecognized arguments: --tier" in err
         assert "--layout" in err
 
+    def test_serving_commands_removed(self, capsys):
+        """``repro serve``, ``repro dashboard`` and the experiments
+        runner's ``--serve`` flag are gone: asking for any of them is an
+        argparse usage error."""
+        from repro.experiments.runner import main as experiments_main
+
+        for run, argv in ((main, ["serve"]), (main, ["dashboard"]),
+                          (experiments_main, ["--serve"])):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2, argv
+            err = capsys.readouterr().err
+            assert "invalid choice" in err or "unrecognized" in err, argv
+
     def test_decompose_nonneg(self, capsys):
         assert main([
             "decompose", "nips", "--scale", "0.01", "--rank", "2",
@@ -229,7 +243,7 @@ class TestTraceCommands:
         assert "error:" in capsys.readouterr().err
 
 
-class TestServeAndTail:
+class TestTail:
     @pytest.fixture(autouse=True)
     def clean_obs_state(self):
         from repro.obs.metrics import registry
@@ -252,18 +266,6 @@ class TestServeAndTail:
         ]) == 0
         capsys.readouterr()
         return trace_dir
-
-    def test_serve_rejects_nested(self, capsys):
-        assert main(["serve", "serve"]) == 2
-        assert "cannot wrap" in capsys.readouterr().err
-
-    def test_serve_occupied_port(self, trace_dir, capsys):
-        from repro.obs.serve import ObsServer
-
-        with ObsServer(port=0) as server:
-            assert main(["serve", "--port", str(server.port),
-                         "--trace-dir", str(trace_dir)]) == 2
-        assert "cannot bind" in capsys.readouterr().err
 
     def test_tail_missing_file(self, tmp_path, capsys):
         assert main(["tail", str(tmp_path / "nope.jsonl")]) == 2

@@ -36,6 +36,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative"):
             CooTensor([[-1, 0]], [1.0], (2, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_raise(self, bad):
+        # Given unsorted, so the reported coordinate is the caller's own.
+        with pytest.raises(ValueError, match=r"vals has 2 non-finite "
+                           r"entries .* is at index \(1, 1\)"):
+            CooTensor([[0, 1], [1, 1], [1, 0], [0, 0]],
+                      [1.0, bad, bad, 2.0], (2, 2))
+
     def test_mismatched_lengths_raise(self):
         with pytest.raises(ValueError):
             CooTensor([[0, 0]], [1.0, 2.0], (2, 2))

@@ -288,11 +288,7 @@ class TestCpAlsHealth:
                     on = repro.cp_als(planted.tensor, **kwargs)
             elif where == "scoped":
                 ctx = runctx.RunContext.scoped(obs=spec)
-                try:
-                    on = repro.cp_als(planted.tensor, run_ctx=ctx, **kwargs)
-                finally:
-                    # Keep its span histograms off later /metrics renders.
-                    runctx.run_registry.unregister(ctx.run_id)
+                on = repro.cp_als(planted.tensor, run_ctx=ctx, **kwargs)
             else:
                 on = _cp_als_in_fresh_process(planted.tensor, kwargs,
                                               {"REPRO_OBS": spec}, tmp_path)
@@ -445,27 +441,29 @@ class TestHealthArtifact:
         assert "pinv fallbacks" in text
 
 
-class TestServeReplay:
-    def test_health_gauges_from_trace_dir(self, tmp_path):
+class TestLiveGauges:
+    def test_health_gauges_in_registry(self):
         from repro.obs.metrics import registry
-        from repro.obs.serve import load_trace_dir, render_openmetrics
 
         rng = np.random.default_rng(6)
         t = random_coo(rng, (7, 6, 5), 150)
-        with switch.enabled("health") as _on:
-            hc = _on["health"]
-            repro.cp_als(t, rank=2, n_iter_max=4, tol=0.0,
-                         strategy="bdt", random_state=0)
-        write_health(str(tmp_path), hc.readings, run_id="r")
         registry.reset()
-        loaded = load_trace_dir(str(tmp_path))
-        assert loaded["gauges"] >= 5
-        text = render_openmetrics()
-        assert "repro_health_max_condition_number" in text
-        assert "repro_health_congruence" in text
-        assert "repro_health_trajectory_code" in text
-        assert "repro_health_total_pinv_fallbacks" in text
-        registry.reset()
+        try:
+            with switch.enabled("health") as _on:
+                hc = _on["health"]
+                repro.cp_als(t, rank=2, n_iter_max=4, tol=0.0,
+                             strategy="bdt", random_state=0)
+            gauges = registry.snapshot()["gauges"]
+        finally:
+            registry.reset()
+        last = hc.readings[-1]
+        assert gauges["health.max_condition_number"] == \
+            last.max_condition_number
+        assert gauges["health.max_factor_delta"] == last.max_factor_delta
+        assert gauges["health.congruence"] == last.congruence
+        assert gauges["health.truncated_eigenvalues"] == last.n_truncated
+        assert gauges["health.trajectory_code"] == \
+            health.TRAJECTORY_CODES[last.trajectory]
 
 
 class TestWatchdogConditionBand:
@@ -528,21 +526,3 @@ class TestWatchdogConditionBand:
                               health=self._reading(float("inf")))
         assert reading.condition_margin == 1.0
         assert "condition" in reading.fired
-
-
-class TestDashboardPanel:
-    def test_health_section_renders(self):
-        from repro.obs.dashboard import render_dashboard
-
-        rng = np.random.default_rng(8)
-        t = random_coo(rng, (7, 6, 5), 150)
-        with switch.enabled("health") as _on:
-            hc = _on["health"]
-            repro.cp_als(t, rank=2, n_iter_max=4, tol=0.0,
-                         strategy="bdt", random_state=0)
-        doc = health_artifact(hc.readings, run_id="r", rank=2,
-                              strategy="bdt")
-        page = render_dashboard(health=doc)
-        assert "Numerical health" in page
-        assert "trajectory" in page
-        assert "<svg" in page

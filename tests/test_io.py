@@ -60,6 +60,12 @@ class TestFrostt:
         with pytest.raises(ValueError, match="expected 3 fields"):
             read_tns(path)
 
+    def test_nan_value_rejected(self, tmp_path):
+        path = tmp_path / "t.tns"
+        path.write_text("1 1 1.0\n2 3 nan\n")
+        with pytest.raises(ValueError, match=r"1 non-finite .* \(1, 2\)"):
+            read_tns(path)
+
     def test_zero_based_rejected(self, tmp_path):
         path = tmp_path / "t.tns"
         path.write_text("0 1 3.0\n")

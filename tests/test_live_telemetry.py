@@ -1,7 +1,4 @@
-"""Tests for the live-telemetry layer: events, serve, utilization."""
-
-import json
-import urllib.request
+"""Tests for the live-telemetry layer: events and utilization."""
 
 import numpy as np
 import pytest
@@ -10,8 +7,6 @@ from repro.core.cpals import cp_als
 from repro.obs import events as obs_events
 from repro.obs import switch
 from repro.obs.metrics import registry
-from repro.obs.serve import (ObsServer, load_trace_dir, render_openmetrics,
-                             validate_openmetrics)
 from repro.obs.trace import SpanRecord
 from repro.obs.utilization import (format_utilization,
                                    utilization_from_spans)
@@ -87,18 +82,6 @@ class TestEventLog:
         assert len(events) == n == 4
         assert obs_events.validate_events(events) == []
 
-    def test_replay_restores_run_state(self, tmp_path):
-        emit_run(n_iters=3)
-        path = tmp_path / "dump.jsonl"
-        switch.get("events").write_jsonl(str(path))
-        events = obs_events.read_events(str(path))
-
-        fresh = obs_events.EventLog()
-        assert fresh.replay(events) == 5
-        assert fresh.run.iteration == 2
-        assert fresh.run.converged is False
-        assert not fresh.run.active
-
     def test_logging_events_restores_disabled(self):
         assert not switch.is_on("events")
         with switch.enabled("events") as _on:
@@ -129,28 +112,6 @@ class TestEventLog:
         assert "\n" not in line
         assert "iteration=2" in line and "fit=0.75" in line
 
-
-class TestRunState:
-    def test_fold_and_eta(self):
-        emit_run(n_iters=4, seconds=0.5)
-        run = switch.get("events").run
-        assert run.rate_seconds_per_iteration() == pytest.approx(0.5)
-        # run_stop deactivates the run, so the ETA is gone.
-        assert run.eta_seconds() is None
-        doc = run.to_dict()
-        assert doc["iteration"] == 3
-        assert doc["n_iter_max"] == 10
-        assert doc["converged"] is False
-
-    def test_eta_while_active(self):
-        switch.enable("events")
-        obs_events.emit("run_start", shape=[4], nnz=1, rank=1,
-                        strategy="bdt", n_iter_max=10)
-        obs_events.emit("iteration", iteration=0, fit=0.1, seconds=2.0)
-        run = switch.get("events").run
-        # 9 iterations left at 2 s each.
-        assert run.eta_seconds() == pytest.approx(18.0)
-
     def test_cpals_emits_schema_valid_events(self):
         planted = lowrank_tensor((6, 5, 4), rank=2, nnz=80, random_state=0)
         with switch.enabled("events") as _on:
@@ -164,94 +125,6 @@ class TestRunState:
         iterations = [e for e in events if e["kind"] == "iteration"]
         assert len(iterations) == len(result.fits)
         assert iterations[-1]["fit"] == pytest.approx(result.fits[-1])
-
-
-class TestOpenMetrics:
-    def test_render_validates(self):
-        emit_run()
-        registry.observe_span("mttkrp", 0.01)
-        registry.observe_span("mttkrp", 0.5)
-        registry.set_gauge("pool.imbalance", 1.25)
-        text = render_openmetrics()
-        assert validate_openmetrics(text) == []
-        assert text.endswith("# EOF\n")
-        assert "repro_pool_imbalance 1.25" in text
-        assert "repro_run_fit" in text
-        assert 'repro_span_duration_seconds_count{kind="mttkrp"} 2' in text
-
-    def test_histogram_buckets_cumulative(self):
-        registry.observe_span("kernel", 0.001)
-        registry.observe_span("kernel", 0.002)
-        text = render_openmetrics()
-        lines = [l for l in text.splitlines()
-                 if l.startswith("repro_span_duration_seconds_bucket")]
-        counts = [int(l.rsplit(" ", 1)[1]) for l in lines]
-        assert counts == sorted(counts)
-        assert 'le="+Inf"' in lines[-1] and counts[-1] == 2
-
-    def test_validator_catches_breakage(self):
-        assert validate_openmetrics("repro_x 1\n") != []  # no TYPE, no EOF
-        bad = "# TYPE repro_c counter\nrepro_c 1\n# EOF\n"
-        assert any("_total" in e for e in validate_openmetrics(bad))
-
-
-class TestObsServer:
-    def _get(self, url):
-        with urllib.request.urlopen(url, timeout=5) as resp:
-            return resp.status, resp.read().decode()
-
-    def test_scrape_endpoints(self):
-        emit_run()
-        registry.set_gauge("pool.imbalance", 1.1)
-        with ObsServer(port=0) as server:
-            status, body = self._get(server.url + "/metrics")
-            assert status == 200
-            assert validate_openmetrics(body) == []
-            assert "repro_pool_imbalance" in body
-
-            status, body = self._get(server.url + "/healthz")
-            assert (status, body) == (200, "ok\n")
-
-            status, body = self._get(server.url + "/runz")
-            doc = json.loads(body)
-            assert doc["run"]["iteration"] == 2
-            assert doc["events"]["buffered"] == 5
-            assert doc["last_events"][-1]["kind"] == "run_stop"
-
-    def test_unknown_path_404(self):
-        with ObsServer(port=0) as server:
-            with pytest.raises(urllib.error.HTTPError) as exc:
-                self._get(server.url + "/nope")
-            assert exc.value.code == 404
-
-    def test_occupied_port_raises(self):
-        with ObsServer(port=0) as server:
-            with pytest.raises(OSError):
-                ObsServer(port=server.port)
-
-
-class TestLoadTraceDir:
-    def test_missing_artifacts_raise(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="no trace artifacts"):
-            load_trace_dir(str(tmp_path))
-
-    def test_replays_events_and_metrics(self, tmp_path):
-        emit_run(n_iters=2)
-        switch.get("events").write_jsonl(str(tmp_path / "events.jsonl"))
-        with open(tmp_path / "metrics.json", "w") as fh:
-            json.dump({"metrics": {"gauges": {"pool.imbalance": 1.5},
-                                   "counters": {"flops": 123},
-                                   "events": {"drift.warnings": 2}}}, fh)
-        switch.get("events").clear()
-        registry.reset()
-
-        loaded = load_trace_dir(str(tmp_path))
-        assert loaded["events"] == 4
-        assert loaded["gauges"] == 1
-        text = render_openmetrics()
-        assert "repro_pool_imbalance 1.5" in text
-        assert "repro_counter_flops_total 123" in text
-        assert switch.get("events").run.iteration == 1
 
 
 def task_span(id, parent, worker, t0, t1, wait=0.0):
@@ -318,27 +191,3 @@ class TestUtilization:
         assert report.n_tasks >= 2
         assert all(w.busy_fraction <= 1.0 + 1e-9 for w in report.workers)
         assert report.mean_imbalance >= 1.0
-
-
-class TestDashboardUtilization:
-    def test_worker_lanes_rendered(self):
-        from repro.obs.dashboard import render_dashboard
-
-        it = SpanRecord(1, None, "als_iteration", 0.0, 0,
-                        {"iteration": 0}, t1=2.0)
-        spans = [it,
-                 task_span(2, 1, worker=0, t0=0.0, t1=1.0),
-                 task_span(3, 1, worker=1, t0=0.5, t1=2.0)]
-        report = utilization_from_spans(spans)
-        tasks = [{"worker": s.attrs["worker"], "t0": s.t0, "t1": s.t1,
-                  "queue_wait": s.attrs["queue_wait"], "parent": s.parent}
-                 for s in spans if s.kind == "pool_task"]
-        doc = render_dashboard(utilization=report, pool_tasks=tasks)
-        assert "Worker utilization" in doc
-        assert "worker 0" in doc and "worker 1" in doc
-        assert "mean imbalance" in doc
-
-    def test_section_absent_without_data(self):
-        from repro.obs.dashboard import render_dashboard
-
-        assert "Worker utilization" not in render_dashboard()

@@ -227,22 +227,26 @@ class TestRooflineReport:
         assert (report.roofline.peak_bandwidth_gbs
                 == quick_roofline.peak_bandwidth_gbs)
 
-    def test_gauges_render_as_openmetrics(self, quick_roofline):
+    def test_gauges_published_to_registry(self, quick_roofline):
         from repro.obs.metrics import registry
-        from repro.obs.serve import render_openmetrics, validate_openmetrics
 
         c = ConfigThroughput(config="attr/my-tree", spans=1, seconds=0.1,
                              flops=1e8, bytes_moved=1e8, source="spans+model")
         roofline_report([c], quick_roofline, load=False)
+        registry.reset()
         publish_roofline_gauges(quick_roofline, [c])
         try:
-            text = render_openmetrics()
-            assert "repro_roofline_peak_bandwidth_gbs" in text
-            assert "repro_roofline_saturation_workers" in text
-            assert "repro_roofline_fraction_attr_my_tree" in text
-            assert validate_openmetrics(text) == []
+            gauges = registry.snapshot()["gauges"]
         finally:
             registry.reset()
+        assert gauges["roofline.peak_bandwidth_gbs"] == \
+            quick_roofline.peak_bandwidth_gbs
+        assert gauges["roofline.saturation_workers"] == \
+            quick_roofline.saturation_workers
+        assert gauges["roofline.fraction.attr.my_tree"] == \
+            c.bandwidth_fraction
+        for point in quick_roofline.bandwidth_points:
+            assert f"roofline.triad_gbs.t{point.threads}" in gauges
 
 
 class TestRooflineCli:

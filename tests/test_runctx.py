@@ -1,19 +1,15 @@
-"""Run-scoped telemetry: RunContext, the registry, and cross-run isolation.
+"""Run-scoped telemetry: RunContext and cross-run isolation.
 
-Covers the PR-7 tentpole surface end to end:
+Covers:
 
 * ambient vs scoped contexts (instrument dispatch, run_id stamping);
 * two *concurrent* ``cp_als`` runs with fully separated telemetry;
 * thread-safety of the event ring buffer and metrics registry under
   simultaneous emitters from two runs;
-* ``repro serve`` with two runs: ``/runz`` lists both, ``/metrics``
-  carries distinct ``run_id`` labels and still validates;
 * the structural span-tree self-check (``validate_span_tree``).
 """
 
-import json
 import threading
-import urllib.request
 
 import numpy as np
 import pytest
@@ -26,7 +22,6 @@ from repro.obs import switch
 from repro.obs import trace
 from repro.obs.export import validate_span_tree
 from repro.obs.metrics import registry
-from repro.obs.serve import ObsServer, render_openmetrics, validate_openmetrics
 
 from .helpers import random_coo
 
@@ -46,7 +41,6 @@ def clean_state():
         switch.disable("events")
         switch.get("events").clear()
         registry.reset()
-        runctx.run_registry.clear()
     reset()
     yield
     reset()
@@ -115,40 +109,20 @@ class TestRunContext:
             assert not switch.is_on("trace")
             assert not switch.is_on("events")
 
-    def test_status_lifecycle_and_registry(self):
+    def test_using_activates_for_the_block(self):
         ctx = runctx.RunContext.scoped()
-        assert ctx.status == "created"
-        with runctx.using(ctx):
-            assert ctx.status == "running"
-            assert runctx.current() is ctx
-            assert runctx.run_registry.get(ctx.run_id) is ctx
-        assert ctx.status == "finished"
-        assert ctx.finished_at is not None
         assert runctx.current() is None
-        # Still listed after finishing (bounded retention, not deletion).
-        assert runctx.run_registry.get(ctx.run_id) is ctx
+        with runctx.using(ctx):
+            assert runctx.current() is ctx
+        assert runctx.current() is None
 
-    def test_failed_status_on_exception(self):
-        ctx = runctx.RunContext.scoped()
+    def test_using_deactivates_on_exception(self):
+        ctx = runctx.RunContext.scoped(obs="trace")
         with pytest.raises(RuntimeError):
             with runctx.using(ctx):
                 raise RuntimeError("boom")
-        assert ctx.status == "failed"
-
-    def test_registry_bounded_eviction_keeps_active(self):
-        reg = runctx.RunRegistry(keep_finished=2)
-        active = runctx.RunContext.scoped()
-        active.status = "running"
-        reg.register(active)
-        finished = [runctx.RunContext.scoped() for _ in range(4)]
-        for c in finished:
-            c.status = "finished"
-            reg.register(c)
-        ids = {c.run_id for c in reg.runs()}
-        assert active.run_id in ids
-        assert len([i for i in ids if i != active.run_id]) == 2
-        # The newest finished ones survived.
-        assert finished[-1].run_id in ids and finished[-2].run_id in ids
+        assert runctx.current() is None
+        assert not switch.is_on("trace")
 
 
 class TestConcurrentRuns:
@@ -177,7 +151,6 @@ class TestConcurrentRuns:
         assert not errors
 
         for i, ctx in enumerate(ctxs):
-            assert ctx.status == "finished"
             spans = ctx.instruments["trace"].finished()
             assert any(s.kind == "als_iteration" for s in spans)
             assert validate_span_tree(spans) == []
@@ -188,18 +161,20 @@ class TestConcurrentRuns:
         # Globals stayed untouched: the runs really were isolated.
         assert len(switch._global("trace")) == 0
         assert registry.snapshot()["events"] == {}
-        listed = {c.run_id for c in runctx.run_registry.runs()}
-        assert {"run-iso0", "run-iso1"} <= listed
 
     def test_cp_als_without_context_gets_ambient(self):
-        """A bare cp_als call registers an ambient run on the registry."""
+        """A bare cp_als call runs under an ambient context of its own:
+        its events land in the global log, all stamped with one fresh
+        run_id, and no context stays active afterwards."""
+        switch.enable("events", clear=True)
         result = cp_als(small_tensor(), 3, strategy="star", n_iter_max=2)
         assert result.n_iterations >= 1
-        runs = runctx.run_registry.runs()
-        assert len(runs) == 1
-        assert not runs[0].owns_telemetry
-        assert runs[0].status == "finished"
-        assert runs[0].meta.get("rank") == 3
+        events = switch.get("events").tail()
+        assert events[0]["kind"] == "run_start"
+        assert events[-1]["kind"] == "run_stop"
+        (run_id,) = {e["run_id"] for e in events}
+        assert run_id.startswith("run-")
+        assert runctx.current() is None
 
     def test_concurrent_emitters_stress(self):
         """Satellite 2: ring buffer + registry under simultaneous emitters
@@ -214,7 +189,7 @@ class TestConcurrentRuns:
 
         def emitter(ctx):
             try:
-                with runctx.using(ctx, register=False):
+                with runctx.using(ctx):
                     barrier.wait(timeout=10)
                     for k in range(n_each):
                         obs_events.emit("iteration", iteration=k)
@@ -240,56 +215,6 @@ class TestConcurrentRuns:
             assert snap["spans"]["kernel"]["count"] == n_threads * n_each
             assert {e["run_id"] for e in ctx.instruments["events"].tail(10_000)} == \
                 {ctx.run_id}
-
-
-class TestServeTwoRuns:
-    def _get(self, url):
-        with urllib.request.urlopen(url, timeout=5) as resp:
-            return resp.read().decode()
-
-    def test_runz_and_metrics_with_two_runs(self):
-        """Satellite 3: both run_ids on /runz, distinct run_id labels on
-        /metrics, and the exposition still validates."""
-        ctxs = [
-            runctx.RunContext.scoped(run_id=f"run-serve{i}",
-                                     obs="trace,events")
-            for i in range(2)
-        ]
-        threads = [
-            threading.Thread(target=run_als, args=(ctxs[i], i))
-            for i in range(2)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        with ObsServer(port=0) as server:
-            runz = json.loads(self._get(server.url + "/runz"))
-            listed = {r["run_id"]: r for r in runz["runs"]}
-            assert {"run-serve0", "run-serve1"} <= set(listed)
-            for i in range(2):
-                entry = listed[f"run-serve{i}"]
-                assert entry["scoped"] is True
-                assert entry["status"] == "finished"
-                assert entry["n_spans"] > 0
-                assert entry["run"]["iteration"] >= 1
-
-            text = self._get(server.url + "/metrics")
-        assert validate_openmetrics(text) == []
-        assert 'run_id="run-serve0"' in text
-        assert 'run_id="run-serve1"' in text
-        for i in range(2):
-            assert (f'repro_counter_mttkrps_total{{run_id="run-serve{i}"}}'
-                    in text)
-            assert (f'kind="als_iteration",run_id="run-serve{i}"' in text)
-
-    def test_render_without_runs_matches_legacy_shape(self):
-        registry.set_gauge("pool.imbalance", 1.5)
-        text = render_openmetrics(include_runs=False)
-        assert validate_openmetrics(text) == []
-        assert "repro_pool_imbalance 1.5" in text
-        assert "run_id=" not in text
 
 
 class TestMergeSubprocessSpans:

@@ -3,8 +3,8 @@
 The golden-trace test (``test_obs.py::TestGoldenTrace``) compares this
 fingerprint — never timings, run ids, or pids — against a committed
 fixture, so refactors of the telemetry wiring must leave the artifact set,
-the schema tags and key trees of the JSON artifacts, the event sequence,
-and the replayed OpenMetrics families unchanged.
+the schema tags and key trees of the JSON artifacts, and the event
+sequence unchanged.
 
 Regenerate the fixture (from whichever ``repro`` is on ``PYTHONPATH``)::
 
@@ -62,7 +62,6 @@ def _merge(into: dict, tree: dict) -> None:
 def shape(trace_dir: str) -> dict:
     """The fingerprint of one trace directory (see module docstring)."""
     from repro.obs.events import read_events
-    from repro.obs.serve import load_trace_dir, render_openmetrics
 
     files = sorted(os.listdir(trace_dir))
     artifacts = {}
@@ -78,19 +77,12 @@ def shape(trace_dir: str) -> dict:
     iteration_fields = sorted({
         key for e in events if e["kind"] == "iteration" for key in e
     })
-    load_trace_dir(trace_dir)
-    families = sorted(
-        line.split(" ")[2]
-        for line in render_openmetrics(include_runs=False).splitlines()
-        if line.startswith("# TYPE ")
-    )
     return {
         "command": COMMAND,
         "files": files,
         "artifacts": artifacts,
         "event_kinds": [e["kind"] for e in events],
         "iteration_fields": iteration_fields,
-        "openmetrics_families": families,
     }
 
 
