@@ -300,11 +300,11 @@ def _canonicalize(idx: np.ndarray, vals: np.ndarray, shape) -> tuple:
         return idx, vals
     unique_rows, inverse = rowcodes.group_rows(idx, shape)
     if unique_rows.shape[0] == idx.shape[0]:
-        # No duplicates: just sort.  group_rows returned rows in lex order;
-        # recover the permutation from the inverse map.
+        # No duplicates: the unique rows are the sorted rows; recover the
+        # sorting permutation from the inverse map to carry the values.
         perm = np.empty(idx.shape[0], dtype=np.intp)
         perm[inverse] = np.arange(idx.shape[0])
-        return idx[perm], vals[perm]
+        return unique_rows, vals[perm]
     summed = np.bincount(inverse, weights=vals, minlength=unique_rows.shape[0])
     return (
         np.ascontiguousarray(unique_rows, dtype=INDEX_DTYPE),

@@ -236,7 +236,9 @@ def _cp_als_run(
     t0 = time.perf_counter()
     if engine_factory is not None:
         engine = engine_factory(tensor)
-        strategy_name = getattr(engine, "name", type(engine).__name__)
+        engine_strategy = getattr(engine, "strategy", None)
+        strategy_name = (engine_strategy.name if engine_strategy is not None
+                         else getattr(engine, "name", type(engine).__name__))
     else:
         if isinstance(strategy, str) and strategy.lower() == "auto":
             from ..model.planner import plan

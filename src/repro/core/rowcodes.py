@@ -1,10 +1,17 @@
 """Row-encoding utilities: map multi-column integer rows to scalar keys.
 
-Grouping identical coordinate tuples is the backbone of both tensor
-canonicalization and the symbolic contraction phase.  When the mixed-radix
-product of the mode sizes fits in ``int64`` we encode each row as a single
-scalar (one ``lexsort``-free ``np.unique`` over a flat array, the fast path);
-otherwise we fall back to a lexicographic sort over the columns.
+Grouping identical coordinate tuples is the backbone of tensor
+canonicalization, the symbolic contraction phase and the planner's distinct
+counts.  Every grouping and count here is one sort of mixed-radix ``int64``
+keys followed by a pass that marks where neighbouring keys differ.  When the
+product of the mode sizes fits in ``int64`` each row is one key; otherwise
+consecutive columns are packed into the few keys that each fit, and the rows
+are ``lexsort``-ed over those.  A key compares like the columns it packs, so
+either way the groups come out in lexicographic row order.
+
+The sort never goes through ``np.unique``: without ``return_*`` flags it
+hashes, and on ``axis=0`` it sorts a void dtype, both far slower than a sort
+of ``int64`` keys.
 """
 
 from __future__ import annotations
@@ -43,14 +50,46 @@ def encode_rows(idx: np.ndarray, dims) -> np.ndarray:
         )
     if not fits_int64(dims):
         raise OverflowError("mixed-radix key space exceeds int64")
-    m, k = idx.shape
-    if k == 0:
-        return np.zeros(m, dtype=INDEX_DTYPE)
+    if idx.shape[1] == 0:
+        return np.zeros(idx.shape[0], dtype=INDEX_DTYPE)
+    return _encode(idx, dims)
+
+
+def _encode(idx: np.ndarray, dims: list[int]) -> np.ndarray:
+    """Mixed-radix key of each row; the caller guarantees it fits."""
     codes = idx[:, 0].astype(INDEX_DTYPE, copy=True)
-    for j in range(1, k):
+    for j in range(1, idx.shape[1]):
         codes *= dims[j]
         codes += idx[:, j]
     return codes
+
+
+def _row_keys(idx: np.ndarray, dims) -> list[np.ndarray]:
+    """Keys of consecutive column groups, most significant first.
+
+    Each group is as wide as fits in int64, so a key space that fits gives
+    one key, and ``[327] * 8`` gives two.
+    """
+    dims = [int(d) for d in dims]
+    keys = []
+    start, prod = 0, 1
+    for j, d in enumerate(dims):
+        if j > start and prod * d > _MAX_CODE:
+            keys.append(_encode(idx[:, start:j], dims[start:j]))
+            start, prod = j, 1
+        prod *= d
+    keys.append(_encode(idx[:, start:], dims[start:]))
+    return keys
+
+
+def _run_starts(sorted_keys: list[np.ndarray]) -> np.ndarray:
+    """Mask of the sorted positions that start a run of equal rows."""
+    starts = np.empty(sorted_keys[0].shape[0], dtype=bool)
+    starts[0] = True
+    np.not_equal(sorted_keys[0][1:], sorted_keys[0][:-1], out=starts[1:])
+    for key in sorted_keys[1:]:
+        starts[1:] |= key[1:] != key[:-1]
+    return starts
 
 
 def lexsort_rows(idx: np.ndarray) -> np.ndarray:
@@ -68,20 +107,20 @@ def group_rows(idx: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(unique_rows, inverse)`` where ``unique_rows`` is ``u x k`` in
     lexicographic order and ``inverse`` maps each input row to its group id,
-    exactly like ``np.unique(idx, axis=0, return_inverse=True)`` but much
-    faster on the common int64-encodable path.
+    exactly like ``np.unique(idx, axis=0, return_inverse=True)``.  Neither
+    depends on how the sort orders equal rows, so an unstable sort is exact.
     """
     m, k = idx.shape
     if m == 0:
         return idx[:0].copy(), np.zeros(0, dtype=np.intp)
     if k == 0:
         return idx[:1].copy(), np.zeros(m, dtype=np.intp)
-    if fits_int64(dims):
-        codes = encode_rows(idx, dims)
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        return idx[first], inverse
-    unique_rows, inverse = np.unique(idx, axis=0, return_inverse=True)
-    return unique_rows, inverse.ravel()
+    keys = _row_keys(idx, dims)
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    starts = _run_starts([key[order] for key in keys])
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return idx[order[starts]], inverse
 
 
 def count_distinct_rows(idx: np.ndarray, dims) -> int:
@@ -91,6 +130,10 @@ def count_distinct_rows(idx: np.ndarray, dims) -> int:
         return 0
     if k == 0:
         return 1
-    if fits_int64(dims):
-        return int(np.unique(encode_rows(idx, dims)).size)
-    return int(np.unique(idx, axis=0).shape[0])
+    keys = _row_keys(idx, dims)
+    if len(keys) == 1:
+        sorted_keys = [np.sort(keys[0])]
+    else:
+        order = np.lexsort(keys[::-1])
+        sorted_keys = [key[order] for key in keys]
+    return int(np.count_nonzero(_run_starts(sorted_keys)))

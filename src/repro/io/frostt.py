@@ -1,8 +1,8 @@
 """FROSTT ``.tns`` text format: read/write sparse tensors.
 
 The FROSTT interchange format is one nonzero per line — ``N`` 1-based
-coordinates followed by the value — with ``#`` comments.  ``.gz`` paths are
-transparently (de)compressed.
+coordinates followed by the value — with ``#`` (or ``%``) comment lines.
+``.gz`` paths are transparently (de)compressed.
 """
 
 from __future__ import annotations
@@ -24,21 +24,38 @@ def _open(path, mode: str):
     return open(path, mode)
 
 
+def _has_percent(path) -> bool:
+    """True if the file (decompressed) contains a ``%`` byte anywhere.
+
+    Streams fixed-size binary blocks, so it never holds the whole text.
+    """
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            if b"%" in block:
+                return True
+    return False
+
+
 def _read_rows(path) -> np.ndarray | None:
     """Parse the numeric rows of a ``.tns`` file; None if there are none.
 
-    Fast path: ``np.loadtxt`` over the whole file (C-speed parsing).  On a
-    shape mismatch (ragged rows) we re-parse line by line to raise an error
-    that names the offending line.
+    Fast path: one ``np.loadtxt`` over the whole file.  ``#`` is its only
+    comment marker unless the file contains a ``%`` (found by a streaming
+    byte scan): a list of markers sends every line through a Python
+    callback, a single one keeps the parse in C.  On a shape mismatch
+    (ragged rows) we re-parse line by line to raise an error that names
+    the offending line.
     """
     import warnings
 
+    comments = ["#", "%"] if _has_percent(path) else "#"
     with _open(path, "r") as fh:
         try:
             with warnings.catch_warnings():
                 # An all-comment file is a legitimate empty tensor.
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, comments=["#", "%"], ndmin=2,
+                data = np.loadtxt(fh, comments=comments, ndmin=2,
                                   dtype=np.float64)
         except ValueError:
             data = None

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from ..core.coo import CooTensor
 from ..core.cpals import initialize_factors
@@ -44,6 +43,10 @@ def fit_machine_model(
     Requires at least two samples with non-collinear work vectors; degenerate
     inputs fall back to attributing all time to flops.
     """
+    # Imported here: scipy.optimize is slow to import and a decomposition
+    # never needs it.
+    from scipy.optimize import nnls
+
     if not samples:
         raise ValueError("need at least one sample")
     A = np.array([[s.flops, s.words] for s in samples], dtype=np.float64)

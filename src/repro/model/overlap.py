@@ -74,12 +74,8 @@ class DistinctCounter:
         """Chao1 species-richness estimate, capped by population bounds."""
         rows = self._sample()
         sub = self.tensor.idx[np.sort(rows)][:, cols]
-        codes = rowcodes.encode_rows(sub, dims) if rowcodes.fits_int64(dims) else None
-        if codes is None:
-            uniq, counts = np.unique(sub, axis=0, return_counts=True)
-            counts = counts.ravel()
-        else:
-            _, counts = np.unique(codes, return_counts=True)
+        _, inverse = rowcodes.group_rows(sub, dims)
+        counts = np.bincount(inverse)
         u = counts.shape[0]
         f1 = int((counts == 1).sum())
         f2 = int((counts == 2).sum())

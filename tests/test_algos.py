@@ -201,6 +201,24 @@ class TestRestarts:
         )
         assert len(report.results) == 2
 
+    def test_strategy_name_is_the_planned_strategy(self, planted):
+        from repro.model.planner import plan
+
+        report = cp_als_restarts(
+            planted.tensor, rank=2, n_restarts=2, strategy="auto",
+            n_iter_max=2, tol=0.0, random_state=2,
+        )
+        picked = plan(planted.tensor, 2).best.strategy.name
+        assert report.best.strategy_name == picked
+        assert all(r.strategy_name == picked for r in report.results)
+
+    def test_strategy_name_of_explicit_strategy(self, planted):
+        report = cp_als_restarts(
+            planted.tensor, rank=2, n_restarts=1, strategy="star",
+            n_iter_max=2, tol=0.0, random_state=2,
+        )
+        assert report.best.strategy_name == "star"
+
     def test_select_rank_knee(self, planted):
         selection = select_rank(
             planted.tensor, ranks=[1, 2, 4], n_restarts=1, strategy="bdt",

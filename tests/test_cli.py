@@ -275,3 +275,21 @@ class TestTail:
         assert main(["tail", str(trace_dir), "-n", "3"]) == 0
         out = capsys.readouterr().out
         assert "run_stop" in out
+
+
+class TestDecomposePathImports:
+    def test_heavy_scipy_subpackages_stay_unloaded(self):
+        """Mirrors the CI "Decompose-path import guard" step."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "import repro.cli, repro.core.cpals, repro.algos.restarts, "
+            "repro.io.model\n"
+            "print(' '.join(m for m in ('scipy.optimize', 'scipy.sparse', "
+            "'scipy.special') if m in sys.modules))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.split() == []

@@ -51,6 +51,25 @@ class TestFitMachineModel:
         assert fitted.alpha_per_flop >= 0
         assert fitted.beta_per_word >= 0
 
+    def test_nnls_imported_on_first_fit_only(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from repro.model.fit import WorkSample, fit_machine_model\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "m = fit_machine_model([WorkSample(10, 0, 2.0),"
+            " WorkSample(0, 10, 3.0)])\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+            "print(m.alpha_per_flop, m.beta_per_word)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True)
+        alpha, beta = map(float, out.stdout.split())
+        assert alpha == pytest.approx(0.2)
+        assert beta == pytest.approx(0.3)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit_machine_model([])

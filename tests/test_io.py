@@ -16,6 +16,21 @@ def tensor():
     return random_coo(np.random.default_rng(0), (6, 7, 5), 40)
 
 
+def _spy_loadtxt_comments(monkeypatch):
+    """Record the ``comments`` argument of every ``np.loadtxt`` call."""
+    from repro.io import frostt
+
+    seen = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["comments"])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(frostt.np, "loadtxt", spy)
+    return seen
+
+
 class TestFrostt:
     def test_roundtrip(self, tensor, tmp_path):
         path = tmp_path / "t.tns"
@@ -79,6 +94,64 @@ class TestFrostt:
             read_tns(path)
         t = read_tns(path, shape=(2, 3))
         assert t.nnz == 0
+
+    def test_percent_comment_mid_file(self, tmp_path):
+        path = tmp_path / "t.tns"
+        path.write_text("1 2 3.0\n% mid-file note\n2 1 4.0\n")
+        t = read_tns(path)
+        assert t.idx.tolist() == [[0, 1], [1, 0]]
+        assert t.vals.tolist() == [3.0, 4.0]
+
+    def test_percent_comment_in_gzip(self, tmp_path):
+        path = tmp_path / "t.tns.gz"
+        with gzip.open(path, "wt") as fh:
+            fh.write("# header\n1 2 3.0\n% note\n2 1 4.0\n")
+        t = read_tns(path)
+        assert t.idx.tolist() == [[0, 1], [1, 0]]
+        assert t.vals.tolist() == [3.0, 4.0]
+
+    def test_hash_only_file_takes_fast_path(self, tensor, tmp_path,
+                                            monkeypatch):
+        path = tmp_path / "t.tns"
+        write_tns(tensor, path)
+        seen = _spy_loadtxt_comments(monkeypatch)
+        back = read_tns(path)
+        assert seen == ["#"]
+        np.testing.assert_array_equal(back.idx, tensor.idx)
+        np.testing.assert_array_equal(back.vals, tensor.vals)
+
+    def test_percent_file_parses_in_one_loadtxt(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.tns"
+        path.write_text("% header\n1 2 3.0\n2 1 4.0\n")
+        seen = _spy_loadtxt_comments(monkeypatch)
+        assert read_tns(path).nnz == 2
+        assert seen == [["#", "%"]]
+
+    def test_percent_scan_crosses_block_boundaries(self, tmp_path):
+        from repro.io import frostt
+
+        path = tmp_path / "t.tns"
+        body = "1 1 1.0\n" * ((1 << 20) // 8 + 10)
+        path.write_text(body + "% late comment\n")
+        assert frostt._has_percent(path)
+        assert read_tns(path).nnz == 1
+
+    @pytest.mark.parametrize("header", ["# hash header\n", "% pct header\n"])
+    def test_ragged_rows_name_the_line_in_either_comment_mode(
+            self, tmp_path, header):
+        path = tmp_path / "t.tns"
+        path.write_text(header + "1 2 3.0\n1 2 3 4.0\n")
+        with pytest.raises(ValueError, match=r"t\.tns:3: expected 3 fields"):
+            read_tns(path)
+
+    @pytest.mark.parametrize("text", ["# only\n# comments\n",
+                                      "% only\n# comments\n"])
+    def test_all_comment_file_is_empty_with_shape(self, tmp_path, text):
+        path = tmp_path / "t.tns"
+        path.write_text(text)
+        t = read_tns(path, shape=(2, 3))
+        assert t.nnz == 0
+        assert t.shape == (2, 3)
 
     def test_values_roundtrip_exactly(self, tmp_path):
         vals = [1.0 / 3.0, 2.5e-17, -1234567.875]

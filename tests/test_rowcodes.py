@@ -125,3 +125,129 @@ class TestCountDistinctRows:
         idx = rng.integers(0, 9, size=(300, 3)).astype(np.int64)
         u, _ = rowcodes.group_rows(idx, [9] * 3)
         assert rowcodes.count_distinct_rows(idx, [9] * 3) == u.shape[0]
+
+
+def _np_unique_rows(idx):
+    """Reference grouping: NumPy's own row-wise unique."""
+    unique_rows, inverse = np.unique(idx, axis=0, return_inverse=True)
+    return unique_rows, inverse.ravel()
+
+
+def _assert_matches_reference(idx, dims):
+    unique_rows, inverse = rowcodes.group_rows(idx, dims)
+    ref_rows, ref_inverse = _np_unique_rows(idx)
+    assert np.array_equal(unique_rows, ref_rows)
+    assert unique_rows.dtype == ref_rows.dtype
+    assert np.array_equal(inverse, ref_inverse)
+    assert inverse.dtype == np.intp
+    assert rowcodes.count_distinct_rows(idx, dims) == ref_rows.shape[0]
+
+
+def _rows_with_duplicates(rng, dims, m):
+    """``m`` rows drawn from a small pool, so most rows repeat."""
+    pool = np.stack([rng.integers(0, d, size=max(m // 3, 1)) for d in dims],
+                    axis=1).astype(np.int64)
+    return pool[rng.integers(0, pool.shape[0], size=m)]
+
+
+class TestExactAgainstNpUnique:
+    """Sort-based grouping equals ``np.unique(axis=0)`` on every key path."""
+
+    @pytest.mark.parametrize("dims", [
+        [5, 6, 7],                 # one int64 key
+        [2**62],                   # one key at the boundary
+        [2**40, 2**40, 7],         # two keys: [2**40], [2**40, 7]
+        [327] * 8,                 # two keys over the plan8d shape
+        [2**62, 4, 2**62, 3],      # four keys
+    ])
+    def test_fixed_dims(self, dims):
+        rng = np.random.default_rng(sum(d % 1000 for d in dims))
+        _assert_matches_reference(_rows_with_duplicates(rng, dims, 500), dims)
+
+    def test_overflow_path_uses_several_keys(self):
+        assert len(rowcodes._row_keys(np.zeros((1, 8), np.int64),
+                                      [327] * 8)) == 2
+        assert len(rowcodes._row_keys(np.zeros((1, 3), np.int64),
+                                      [2**40, 2**40, 7])) == 2
+        assert len(rowcodes._row_keys(np.zeros((1, 3), np.int64),
+                                      [5, 6, 7])) == 1
+
+    @pytest.mark.parametrize("dims", [[9, 9], [2**40, 2**40, 7]])
+    def test_all_rows_identical(self, dims):
+        idx = np.tile(np.array([d - 1 for d in dims], np.int64), (40, 1))
+        _assert_matches_reference(idx, dims)
+        assert rowcodes.count_distinct_rows(idx, dims) == 1
+
+    @pytest.mark.parametrize("dims", [[9, 9], [327] * 8])
+    def test_single_row(self, dims):
+        idx = np.array([[d // 2 for d in dims]], np.int64)
+        _assert_matches_reference(idx, dims)
+
+    @pytest.mark.parametrize("dim", [1, 11, 2**63 - 1])
+    def test_single_column(self, dim):
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, dim, size=(100, 1), endpoint=False,
+                           dtype=np.int64)
+        idx[::3] = idx[0]
+        _assert_matches_reference(idx, [dim])
+
+    def test_extreme_digits(self):
+        # Rows of all-min and all-max digits stress the key packing.
+        dims = [2**40, 2**40, 7]
+        rows = [[0, 0, 0], [2**40 - 1, 2**40 - 1, 6], [0, 2**40 - 1, 0],
+                [2**40 - 1, 0, 6], [0, 0, 6], [0, 0, 0]]
+        _assert_matches_reference(np.array(rows, np.int64), dims)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_property(self, data):
+        dims = data.draw(st.lists(
+            st.sampled_from([1, 2, 3, 5, 327, 2**31, 2**40, 2**62]),
+            min_size=1, max_size=6), label="dims")
+        m = data.draw(st.integers(1, 60), label="m")
+        # Few distinct digits per column, so duplicate rows are common.
+        columns = [
+            data.draw(st.lists(
+                st.sampled_from(sorted({0, d // 2, d - 1})),
+                min_size=m, max_size=m))
+            for d in dims
+        ]
+        idx = np.array(columns, dtype=np.int64).T.copy()
+        _assert_matches_reference(idx, dims)
+
+
+class TestDistinctCounterExact:
+    def test_every_mode_subset_of_order5(self):
+        from itertools import combinations
+
+        from repro.core.coo import CooTensor
+        from repro.model.overlap import DistinctCounter
+
+        rng = np.random.default_rng(6)
+        shape = (4, 3, 5, 2, 6)
+        idx = np.stack([rng.integers(0, d, 300) for d in shape], axis=1)
+        tensor = CooTensor(idx, rng.standard_normal(300), shape)
+        counter = DistinctCounter(tensor)
+        for size in range(tensor.ndim + 1):
+            for modes in combinations(range(tensor.ndim), size):
+                sub = tensor.idx[:, list(modes)]
+                naive = np.unique(sub, axis=0).shape[0] if modes else 1
+                assert counter.count(modes) == naive, modes
+
+
+class TestCanonicalizeOverflow:
+    def test_matches_np_unique_bincount_reference(self):
+        from repro.core.coo import CooTensor
+
+        rng = np.random.default_rng(7)
+        shape = (2**40, 2**40, 7)
+        idx = _rows_with_duplicates(rng, shape, 400)
+        vals = rng.standard_normal(400)
+        tensor = CooTensor(idx, vals, shape)
+        ref_rows, inverse = _np_unique_rows(idx)
+        assert ref_rows.shape[0] < idx.shape[0]   # duplicates were merged
+        ref_vals = np.bincount(inverse, weights=vals,
+                               minlength=ref_rows.shape[0])
+        assert tensor.idx.dtype == np.int64
+        assert np.array_equal(tensor.idx, ref_rows)
+        assert tensor.vals.tobytes() == ref_vals.tobytes()
