@@ -282,9 +282,9 @@ def cmd_complete(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from .obs import events as obs_events
     from .obs import health as obs_health
     from .obs import profiler as obs_profiler
-    from .obs import runctx as obs_runctx
     from .obs import switch
     from .obs.buildinfo import build_info
     from .obs.export import (kind_table, tree_summary, write_chrome_trace,
@@ -312,13 +312,11 @@ def cmd_trace(args) -> int:
     if profile_on:
         spec += f",profile={getattr(args, 'profile_hz', None) or ''}"
     registry.reset()
-    # An ambient run context: telemetry still lands in the globals the
-    # artifact writers below read, but events carry the run_id.
-    run_ctx = obs_runctx.RunContext.ambient()
     t0 = time.perf_counter()
+    # One run id for the events and every artifact written below.
     with switch.enabled(spec) as on, \
             perf_counters.counting(registry.counters), \
-            obs_runctx.using(run_ctx):
+            obs_events.running() as run_id:
         rc = inner.fn(inner)
     elapsed = time.perf_counter() - t0
 
@@ -340,7 +338,7 @@ def cmd_trace(args) -> int:
     with open(metrics_path, "w") as fh:
         _json.dump(
             {"build": build_info(), "wall_seconds": elapsed,
-             "run_id": run_ctx.run_id,
+             "run_id": run_id,
              "metrics": registry.snapshot()},
             fh, indent=2,
         )
@@ -359,7 +357,7 @@ def cmd_trace(args) -> int:
     health_path = None
     if health_collector.has_data:
         health_path = obs_health.write_health(
-            args.trace_dir, run_id=run_ctx.run_id,
+            args.trace_dir, run_id=run_id,
         )
     # Snapshot the host calibration (load-only, never measures) so the
     # trace dir is self-contained for later roofline attribution.
@@ -375,16 +373,16 @@ def cmd_trace(args) -> int:
     if profile_on:
         snapshot = on["profile"].snapshot()
         profile_doc = obs_profiler.profile_artifact(
-            snapshot, run_id=run_ctx.run_id, command=rest[0],
+            snapshot, run_id=run_id, command=rest[0],
             duration_seconds=elapsed,
         )
         profile_path, _folded = obs_profiler.write_profile(
-            args.trace_dir, snapshot, run_id=run_ctx.run_id,
+            args.trace_dir, snapshot, run_id=run_id,
             command=rest[0], duration_seconds=elapsed,
         )
 
     print(f"\n-- traced {len(spans)} spans in {elapsed:.2f}s "
-          f"({run_ctx.run_id})")
+          f"({run_id})")
     print(kind_table(spans))
     if mem.readings:
         last = mem.readings[-1]

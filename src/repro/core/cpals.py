@@ -20,8 +20,8 @@ from ..linalg.gram import GramCache
 from ..linalg.innerprod import innerprod_from_mttkrp
 from ..linalg.norms import normalize_columns
 from ..linalg.solve import set_solve_site, solve_normal_equations
+from ..obs import events as _events
 from ..obs import observer as _observer
-from ..obs import runctx as _runctx
 from ..obs import trace as _obs
 from ..perf import counters as perf
 from .coo import CooTensor
@@ -140,7 +140,6 @@ def cp_als(
     engine_factory: Callable[[CooTensor], object] | None = None,
     callback: Callable[[int, float, KruskalTensor], None] | None = None,
     watchdog=None,
-    run_ctx=None,
 ) -> CPResult:
     """Fit a rank-``R`` CP decomposition with alternating least squares.
 
@@ -176,16 +175,6 @@ def cp_als(
         built automatically from the engine's symbolic tree; when tracing
         is off and none is passed, the watchdog machinery is skipped
         entirely.
-    run_ctx:
-        a :class:`~repro.obs.runctx.RunContext` scoping this run's
-        telemetry.  When None, the run joins the ambient context if one is
-        active (a caller's ``runctx.using`` block), else it creates an
-        ambient context of its own — so every run has a ``run_id`` that
-        stamps its events, while single-run behavior on the global
-        instruments is unchanged.  Pass
-        :meth:`RunContext.scoped(obs=...) <repro.obs.runctx.RunContext.scoped>`
-        to give the run fully isolated instruments (required for
-        concurrent runs with zero telemetry cross-talk).
     """
     check_positive_int(rank, "rank")
     check_positive_int(n_iter_max, "n_iter_max")
@@ -194,18 +183,9 @@ def cp_als(
     if tensor.ndim < 2:
         raise ValueError("CP-ALS requires an order >= 2 tensor")
 
-    ctx = run_ctx if run_ctx is not None else _runctx.current()
-    if ctx is not None and _runctx.current() is ctx:
-        # Already active (the caller's own ``using`` block): run in place.
-        return _cp_als_run(
-            tensor, rank, strategy=strategy, n_iter_max=n_iter_max, tol=tol,
-            init=init, random_state=random_state,
-            memory_budget=memory_budget, engine_factory=engine_factory,
-            callback=callback, watchdog=watchdog,
-        )
-    if ctx is None:
-        ctx = _runctx.RunContext.ambient()
-    with _runctx.using(ctx):
+    # Every run has a run_id stamping its events (a caller's enclosing
+    # ``events.running()`` block lends its own).
+    with _events.running():
         return _cp_als_run(
             tensor, rank, strategy=strategy, n_iter_max=n_iter_max, tol=tol,
             init=init, random_state=random_state,
@@ -228,7 +208,7 @@ def _cp_als_run(
     callback,
     watchdog,
 ) -> CPResult:
-    """The ALS loop proper, always running inside an active run context."""
+    """The ALS loop proper, always running inside ``events.running()``."""
     factors = initialize_factors(tensor, rank, init, random_state)
     norm_x = tensor.norm()
 

@@ -22,6 +22,11 @@ from .cost import DEFAULT_MACHINE, CostReport, MachineModel, cost_report
 from .overlap import DistinctCounter
 
 
+class InfeasibleBudgetError(RuntimeError, ValueError):
+    """No candidate fits the memory budget.  A ``ValueError`` too, so the
+    CLI reports it as a usage error rather than a crash."""
+
+
 @dataclass
 class ScoredStrategy:
     """One candidate with its predicted cost and feasibility."""
@@ -54,7 +59,11 @@ class PlannerReport:
         for s in self.scored:
             if s.feasible:
                 return s
-        raise RuntimeError("no feasible strategy (memory budget too small?)")
+        smallest = min(s.cost.total_memory_bytes for s in self.scored)
+        raise InfeasibleBudgetError(
+            f"no strategy fits memory budget {self.memory_budget:,} B; the "
+            f"smallest candidate needs {smallest:,} B"
+        )
 
     def ranked_names(self) -> list[str]:
         return [s.strategy.name for s in self.scored]

@@ -28,14 +28,12 @@ package re-exports nothing.
   the noise-aware regression comparator behind ``repro bench-diff``.
 * :mod:`repro.obs.events` — structured JSON-lines run-event log
   (``repro-events/v1``): run start/stop, per-iteration fit/drift/memory,
-  node rebuilds, warnings; ring buffer + optional file sink.
+  node rebuilds, warnings; ring buffer + optional file sink.  Every event
+  inside ``events.running()`` (each ``cp_als`` call, each ``repro
+  trace``) carries that run's ``run_id``.
 * :mod:`repro.obs.utilization` — per-worker busy/queue-wait/imbalance
   stats derived from ``pool_task`` spans, surfaced by ``repro report``
   and the E8 scaling experiment.
-* :mod:`repro.obs.runctx` — run-scoped telemetry contexts: a
-  :class:`RunContext` bundles a ``run_id`` with (optionally) private
-  tracer/event-log/metrics/memory instruments so concurrent runs in one
-  process keep fully separated telemetry.
 * :mod:`repro.obs.explain` — planner explainability: the complete
   candidate search with per-node/per-mode predicted cost terms as a
   versioned ``repro-plan/v1`` artifact (``repro explain``).  Imported

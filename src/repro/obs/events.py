@@ -27,18 +27,21 @@ iteration record into one ``iteration`` event.  ``repro tail`` and
 from __future__ import annotations
 
 import collections
+import contextvars
 import json
 import math
 import os
 import threading
 import time
+import uuid
+from contextlib import contextmanager
 
 from . import switch as _switch
 from .observer import IterationObserver
 
 __all__ = [
     "EVENTS_SCHEMA", "EVENT_KINDS", "EventLog", "IterationEvents", "emit",
-    "read_events", "validate_events", "format_event",
+    "run_id", "running", "read_events", "validate_events", "format_event",
 ]
 
 #: schema tag stamped on every event line (bump on layout change).
@@ -137,18 +140,41 @@ class EventLog:
             return len(self._ring)
 
 
-def emit(kind: str, **fields) -> dict | None:
-    """Emit an event if logging is on (None otherwise).
+#: the enclosing run's id.  It propagates the way span parents do: into
+#: pool threads via the context copy each traced task runs in.
+_run_id: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_run_id", default=None
+)
 
-    When a run context is active the event lands in *its* log and is
-    stamped with the context's ``run_id``, so interleaved runs stay
-    separable in a shared sink.
-    """
+
+def run_id() -> str | None:
+    """The enclosing run's id, or None outside :func:`running`."""
+    return _run_id.get()
+
+
+@contextmanager
+def running():
+    """Run a block as one run: yields a fresh ``run-<8 hex>`` id, or the
+    id of an enclosing run, which stamps every event emitted inside."""
+    outer = _run_id.get()
+    if outer is not None:
+        yield outer
+        return
+    token = _run_id.set(f"run-{uuid.uuid4().hex[:8]}")
+    try:
+        yield _run_id.get()
+    finally:
+        _run_id.reset(token)
+
+
+def emit(kind: str, **fields) -> dict | None:
+    """Emit an event if logging is on (None otherwise), stamped with the
+    enclosing run's ``run_id``."""
     if not _switch.is_on("events"):
         return None
-    ctx = _switch.current()
-    if ctx is not None and ctx.run_id is not None:
-        fields.setdefault("run_id", ctx.run_id)
+    rid = _run_id.get()
+    if rid is not None:
+        fields.setdefault("run_id", rid)
     return _switch.get("events").emit(kind, **fields)
 
 

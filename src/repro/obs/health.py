@@ -27,9 +27,8 @@ with four cheap per-iteration readings:
   increments).
 
 Like the other instruments, collection is **off by default** (turn it
-on through :mod:`repro.obs.switch`: ``REPRO_OBS=health``), is run-context
-aware (``RunContext.scoped(obs="health")`` gives a run its own private
-collector), and is **bitwise-neutral**: every reading is computed from
+on through :mod:`repro.obs.switch`: ``REPRO_OBS=health``) and is
+**bitwise-neutral**: every reading is computed from
 freshly derived arrays, never by mutating or reordering the numeric
 path, so factor outputs are bit-identical with telemetry on or off (a
 tested invariant).  The collector is a per-iteration observer of the
@@ -390,8 +389,7 @@ class HealthCollector(IterationObserver):
     so collection is bitwise-neutral to the factors.
 
     Readings accumulate in :attr:`readings` across runs (like
-    ``MemTracker.readings``); per-run isolation comes from scoped run
-    contexts (``RunContext.scoped(obs="health")``).
+    ``MemTracker.readings``) until :meth:`reset`.
     """
 
     def __init__(self, *, window: int = 5, stall_tol: float = 1e-6,

@@ -22,7 +22,6 @@ import math
 import threading
 
 from ..perf.counters import Counters
-from . import switch as _switch
 
 __all__ = ["SpanStats", "MetricsRegistry", "registry", "metrics"]
 
@@ -136,66 +135,10 @@ class MetricsRegistry:
             self._events.clear()
 
 
-class _DispatchingRegistry:
-    """Call-time dispatching facade over the metrics registry.
-
-    The module-level ``registry`` is imported *by value* all over the
-    stack (``from .metrics import registry as _metrics``), so run scoping
-    cannot simply rebind the name.  Instead the shared object resolves its
-    target on every call: the active :class:`repro.obs.runctx.RunContext`'s
-    registry when one with its own metrics is installed, the process-global
-    :class:`MetricsRegistry` otherwise.  With no run context active this is
-    one extra contextvar read per observation — cheap enough that the
-    tracing-off overhead budget (<2%) is unaffected, and the tracing-on
-    cost is dominated by the observation itself.
-    """
-
-    __slots__ = ("_global",)
-
-    def __init__(self):
-        self._global = MetricsRegistry()
-
-    def _target(self) -> MetricsRegistry:
-        ctx = _switch.current()
-        if ctx is not None and ctx.metrics is not None:
-            return ctx.metrics
-        return self._global
-
-    # -- feeds (forwarded) ---------------------------------------------
-    def observe_span(self, kind: str, seconds: float) -> None:
-        self._target().observe_span(kind, seconds)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self._target().set_gauge(name, value)
-
-    def set_max_gauge(self, name: str, value: float) -> None:
-        self._target().set_max_gauge(name, value)
-
-    def incr(self, name: str, value: int = 1) -> None:
-        self._target().incr(name, value)
-
-    # -- reads (forwarded) ---------------------------------------------
-    @property
-    def counters(self) -> Counters:
-        return self._target().counters
-
-    @property
-    def span_stats(self) -> dict[str, SpanStats]:
-        return self._target().span_stats
-
-    def snapshot(self) -> dict:
-        return self._target().snapshot()
-
-    def reset(self) -> None:
-        self._target().reset()
-
-
-#: the process-global registry (the tracer and watchdog feed this one);
-#: a dispatching facade so run-scoped contexts transparently capture the
-#: same call sites.
-registry = _DispatchingRegistry()
+#: the process-global registry (the tracer and watchdog feed this one).
+registry = MetricsRegistry()
 
 
 def metrics() -> dict:
-    """Snapshot of the active registry (counters, span stats, gauges)."""
+    """Snapshot of the registry (counters, span stats, gauges)."""
     return registry.snapshot()

@@ -31,11 +31,8 @@ with :func:`write_profile` (``profile.json``, schema ``repro-profile/v1``
 with a :func:`validate_profile_artifact` self-check, plus
 ``profile.folded`` collapsed-stack text).
 
-Scoped run contexts (:meth:`repro.obs.runctx.RunContext.scoped` with
-``obs="profile"``) each own a private store: two concurrent profiled runs
-fold zero samples into each other's stores, because the span observer
-resolves the store *at span-enter time* from the run context that opened
-the span.
+Every sample lands in the one process-wide store,
+``switch.get("profile")``.
 """
 
 from __future__ import annotations
@@ -52,9 +49,7 @@ from . import trace as _trace
 
 __all__ = [
     "PROFILE_SCHEMA", "DEFAULT_HZ", "ProfileStore", "active_hz",
-    "start_sampler", "stop_sampler", "retain_sampler", "release_sampler",
-    "label_thread",
-    "bind_thread", "unbind_thread",
+    "start_sampler", "stop_sampler", "label_thread",
     "folded_lines", "profile_artifact", "validate_profile_artifact",
     "write_profile", "hotspots", "format_hotspots",
 ]
@@ -209,23 +204,17 @@ class _SpanObserver:
 
     The tracer's contextvar span stack cannot be read from the sampler
     thread, so this observer mirrors it into a plain dict keyed by OS
-    thread id.  The destination :class:`ProfileStore` is resolved at
-    span-*enter* time from the run context that opened the span — two
-    concurrent scoped runs therefore route their samples to their own
-    stores with zero cross-talk, whatever thread the sampler runs on.
+    thread id.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        #: tid -> list of (span id, kind, store) innermost-last
+        #: tid -> list of (span id, kind) innermost-last
         self._stacks: dict[int, list] = {}
 
     def push(self, rec) -> None:
-        store = _resolve_store()
         with self._lock:
-            self._stacks.setdefault(rec.tid, []).append(
-                (rec.id, rec.kind, store)
-            )
+            self._stacks.setdefault(rec.tid, []).append((rec.id, rec.kind))
 
     def pop(self, rec) -> None:
         with self._lock:
@@ -242,10 +231,10 @@ class _SpanObserver:
                 del self._stacks[rec.tid]
 
     def snapshot(self) -> dict:
-        """tid -> (store of the innermost span, tuple of open span kinds)."""
+        """tid -> tuple of open span kinds."""
         with self._lock:
             return {
-                tid: (stack[-1][2], tuple(kind for _, kind, _s in stack))
+                tid: tuple(kind for _, kind in stack)
                 for tid, stack in self._stacks.items()
                 if stack
             }
@@ -253,13 +242,6 @@ class _SpanObserver:
     def clear(self) -> None:
         with self._lock:
             self._stacks.clear()
-
-
-def _resolve_store() -> ProfileStore | None:
-    """The store samples should land in for the *current* context: the
-    run context's private one, or the process-wide store while the
-    profiler is switched on (None when profiling is off here)."""
-    return _switch.get("profile") if _switch.is_on("profile") else None
 
 
 class _Sampler(threading.Thread):
@@ -296,27 +278,17 @@ class _Sampler(threading.Thread):
 
 
 def _sample_once(own_ident, weight: float) -> None:
+    if not _switch.is_on("profile"):
+        return
+    store = _switch.get("profile")
     frames = sys._current_frames()
     spans_by_tid = _observer.snapshot()
     main_ident = threading.main_thread().ident
     thread_names = {t.ident: t.name for t in threading.enumerate()}
     for tid, frame in frames.items():
-        if tid == own_ident:
+        if tid == own_ident or _is_idle(frame):
             continue
-        entry = spans_by_tid.get(tid)
-        if entry is not None:
-            store, span_path = entry
-        else:
-            # No open span on this thread: a thread-level binding (a
-            # profiled run context activated on it) wins over the
-            # process-wide store.  Explicit None checks — an empty
-            # ProfileStore is falsy (``__len__`` is the sample count).
-            store = _bound.get(tid)
-            if store is None and "profile" in _switch.active():
-                store = _switch.get("profile")
-            span_path = ()
-        if store is None or _is_idle(frame):
-            continue
+        span_path = spans_by_tid.get(tid, ())
         stack = _walk(frame)
         if not stack:
             continue
@@ -332,12 +304,8 @@ def _sample_once(own_ident, weight: float) -> None:
 _lock = threading.RLock()
 _observer = _SpanObserver()
 _sampler: _Sampler | None = None
-_retain_count = 0
 #: tid -> explicit lane label (worker pools register their threads here).
 _labels: dict[int, str] = {}
-#: tid -> store for samples taken *outside* any span on that thread
-#: (installed by :func:`repro.obs.runctx.using` for profiled contexts).
-_bound: dict[int, "ProfileStore"] = {}
 
 
 def active_hz() -> float | None:
@@ -346,31 +314,6 @@ def active_hz() -> float | None:
         if _sampler is not None and _sampler.is_alive():
             return _sampler.hz
     return None
-
-
-def bind_thread(store: ProfileStore | None) -> tuple:
-    """Route this thread's *outside-any-span* samples to ``store``.
-
-    Span-interior samples already resolve their store through the span
-    observer; this covers the gaps between spans (and runs with tracing
-    off entirely).  Returns a token for :func:`unbind_thread`; bindings
-    nest (the token restores the previous binding).
-    """
-    tid = threading.get_ident()
-    prev = _bound.get(tid)
-    if store is None:
-        _bound.pop(tid, None)
-    else:
-        _bound[tid] = store
-    return (tid, prev)
-
-
-def unbind_thread(token: tuple) -> None:
-    tid, prev = token
-    if prev is None:
-        _bound.pop(tid, None)
-    else:
-        _bound[tid] = prev
 
 
 def label_thread(tid: int, label: str) -> None:
@@ -382,60 +325,28 @@ def label_thread(tid: int, label: str) -> None:
     _labels[tid] = str(label)
 
 
-def _start_locked(hz: float) -> None:
-    global _sampler
-    if _sampler is not None and _sampler.is_alive():
-        return
-    _trace.set_span_observer(_observer)
-    _sampler = _Sampler(hz)
-    _sampler.start()
-
-
-def _stop_locked() -> None:
-    global _sampler
-    sampler, _sampler = _sampler, None
-    _trace.set_span_observer(None)
-    _observer.clear()
-    if sampler is not None:
-        sampler.stop()
-
-
-def retain_sampler(hz: float | None = None) -> None:
-    """Keep the sampler running while a scoped profiled run is active.
-
-    Refcounted: :func:`repro.obs.runctx.using` retains on entry and
-    releases on exit, so the single process-wide sampler thread runs
-    exactly while someone wants samples.  An already-running sampler
-    keeps its rate (stores weight samples by the true period, so seconds
-    stay correct regardless).
-    """
-    global _retain_count
-    with _lock:
-        _retain_count += 1
-        _start_locked(hz or DEFAULT_HZ)
-
-
-def release_sampler() -> None:
-    global _retain_count
-    with _lock:
-        _retain_count = max(_retain_count - 1, 0)
-        if _retain_count == 0 and "profile" not in _switch.active():
-            _stop_locked()
-
-
 def start_sampler(hz: float) -> None:
     """The switch's on hook: sample at ``hz`` into the process-wide store
     (an already-running sampler keeps its rate)."""
+    global _sampler
     with _lock:
-        _start_locked(hz)
+        if _sampler is not None and _sampler.is_alive():
+            return
+        _trace.set_span_observer(_observer)
+        _sampler = _Sampler(hz)
+        _sampler.start()
 
 
 def stop_sampler() -> None:
-    """The switch's off hook: stop sampling unless a scoped profiled run
-    still holds the sampler.  Collected samples are kept for export."""
+    """The switch's off hook: stop sampling.  Collected samples are kept
+    for export."""
+    global _sampler
     with _lock:
-        if _retain_count == 0:
-            _stop_locked()
+        sampler, _sampler = _sampler, None
+        _trace.set_span_observer(None)
+        _observer.clear()
+        if sampler is not None:
+            sampler.stop()
 
 
 # -- artifact ---------------------------------------------------------------

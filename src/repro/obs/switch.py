@@ -22,11 +22,7 @@ comma list of instrument names.  An item may carry a value:
 ``events=<path>`` opens a JSON-lines sink, ``profile=<hz>`` sets the
 sampling rate, ``mem=tracemalloc`` adds allocator sampling.
 
-Guards and accessors are run-context aware: the active
-:class:`~repro.obs.runctx.RunContext` (held here, see :func:`current`)
-with a pinned ``enabled`` set and private instruments
-(``RunContext.scoped(obs=...)``) overrides the process-wide state for its
-own run, so concurrent runs keep separate telemetry.  Instrument modules
+There is one process-wide instance per instrument.  Instrument modules
 are imported lazily (they import this module for their guards);
 ``repro.obs`` imports it first, so the ``REPRO_OBS`` spec read at import
 can build instruments safely.
@@ -34,7 +30,6 @@ can build instruments safely.
 
 from __future__ import annotations
 
-import contextvars
 import importlib
 import os
 import threading
@@ -42,8 +37,7 @@ from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
 __all__ = ["INSTRUMENTS", "ALL", "parse", "is_on", "get", "active",
-           "enable", "disable", "enabled", "fresh", "current",
-           "activate", "deactivate"]
+           "enable", "disable", "enabled"]
 
 #: what ``all`` turns on: every instrument ``repro trace`` records.
 ALL = ("trace", "mem", "events", "attr", "health")
@@ -73,9 +67,7 @@ class _Entry(NamedTuple):
     cls: str
     #: method dropping accumulated state.
     clear: str
-    #: constructor kwargs from the spec item's value.
-    kwargs: Callable = lambda value: {}
-    #: hooks run when the process-wide switch flips on / off.
+    #: hooks run when the switch flips on / off.
     on: Callable | None = None
     off: Callable | None = None
 
@@ -83,45 +75,20 @@ class _Entry(NamedTuple):
 _TABLE = {
     "trace": _Entry("trace", "Tracer", "clear"),
     "mem": _Entry("memory", "MemTracker", "reset",
-                  lambda v: {"sample_tracemalloc": v == "tracemalloc"},
                   _mem_on, lambda tracker: tracker.close()),
     "events": _Entry("events", "EventLog", "clear",
-                     lambda v: {"sink_path": v},
                      _events_on, lambda log: log.close_sink()),
     "attr": _Entry("attribution", "AttributionRecorder", "reset"),
     "profile": _Entry("profiler", "ProfileStore", "clear",
-                      lambda v: {"hz": v}, _profile_on,
-                      lambda store: _profiler().stop_sampler()),
+                      _profile_on, lambda store: _profiler().stop_sampler()),
     "health": _Entry("health", "HealthCollector", "reset"),
 }
 INSTRUMENTS = tuple(_TABLE)
 
-#: the active run context.  It propagates the way span parents do: into
-#: pool threads via the context copy each task runs in.
-_run_ctx: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_run_context", default=None
-)
-
-
-def current():
-    """The active RunContext, or None outside any run context."""
-    return _run_ctx.get()
-
-
-def activate(ctx):
-    """Install ``ctx`` as the active run context; returns a reset token."""
-    return _run_ctx.set(ctx)
-
-
-def deactivate(token) -> None:
-    """Restore the state captured by :func:`activate`'s token."""
-    _run_ctx.reset(token)
-
-
 _lock = threading.RLock()
-#: process-wide enabled instruments (a run context's set overrides it).
+#: enabled instruments.
 _on: frozenset = frozenset()
-#: process-wide instrument instances, built on first use.
+#: instrument instances, built on first use.
 _globals: dict = {}
 
 
@@ -151,44 +118,27 @@ def parse(spec) -> dict:
     return items
 
 
-def _make(name: str, value=None):
-    entry = _TABLE[name]
-    mod = importlib.import_module(f"repro.obs.{entry.module}")
-    return getattr(mod, entry.cls)(**entry.kwargs(value))
+def is_on(name: str) -> bool:
+    """Whether instrument ``name`` is on (the call-site guard)."""
+    return name in _on
 
 
-def _global(name: str):
+def get(name: str):
+    """The instance of ``name``, built on first use (kept after
+    :func:`disable`, so a finished run can still be exported)."""
     inst = _globals.get(name)
     if inst is None:
         with _lock:
             inst = _globals.get(name)
             if inst is None:
-                inst = _globals[name] = _make(name)
+                entry = _TABLE[name]
+                mod = importlib.import_module(f"repro.obs.{entry.module}")
+                inst = _globals[name] = getattr(mod, entry.cls)()
     return inst
 
 
-def is_on(name: str) -> bool:
-    """Whether instrument ``name`` is on here (the call-site guard)."""
-    ctx = _run_ctx.get()
-    if ctx is not None and ctx.enabled is not None:
-        return name in ctx.enabled
-    return name in _on
-
-
-def get(name: str):
-    """The active instance of ``name``: the run context's private one when
-    it carries one, else the process-wide instance (kept after
-    :func:`disable`, so a finished run can still be exported)."""
-    ctx = _run_ctx.get()
-    if ctx is not None:
-        inst = ctx.instruments.get(name)
-        if inst is not None:
-            return inst
-    return _global(name)
-
-
 def active() -> frozenset:
-    """The process-wide enabled set (ignores run contexts)."""
+    """The enabled set."""
     return _on
 
 
@@ -201,7 +151,7 @@ def enable(spec="all", *, clear: bool = False) -> None:
     global _on
     with _lock:
         for name, value in parse(spec).items():
-            inst, entry = _global(name), _TABLE[name]
+            inst, entry = get(name), _TABLE[name]
             if clear:
                 getattr(inst, entry.clear)()
             _on = _on | {name}
@@ -220,7 +170,7 @@ def disable(spec=None) -> None:
                 continue
             _on = _on - {name}
             if _TABLE[name].off is not None:
-                _TABLE[name].off(_global(name))
+                _TABLE[name].off(get(name))
 
 
 @contextmanager
@@ -234,7 +184,7 @@ def enabled(spec="all", *, clear: bool = True):
     items = parse(spec)
     turned_on = {n: v for n, v in items.items() if n not in _on}
     enable(turned_on)
-    instances = {name: _global(name) for name in items}
+    instances = {name: get(name) for name in items}
     if clear:
         for name, inst in instances.items():
             getattr(inst, _TABLE[name].clear)()
@@ -242,13 +192,6 @@ def enabled(spec="all", *, clear: bool = True):
         yield instances
     finally:
         disable(turned_on)
-
-
-def fresh(spec) -> dict:
-    """Private instances of the spec's instruments: what a scoped
-    :class:`~repro.obs.runctx.RunContext` carries (its keys are the
-    context's enabled set)."""
-    return {name: _make(name, value) for name, value in parse(spec).items()}
 
 
 # Read once at import.

@@ -146,11 +146,10 @@ class WorkerPool:
                 self._publish_imbalance(durations)
                 return results
             return [t() for t in tasks]
-        if _switch.is_on("trace") or _switch.current() is not None:
+        if _switch.is_on("trace"):
             # One context copy per task: a Context cannot be entered by two
             # threads at once, and the copy carries the parent span id and
-            # the active run context (so worker-thread events/metrics land
-            # in the right run even when tracing itself is off).
+            # the run id.
             durations = []
             tracer = _switch.get("trace")
             futures = [

@@ -150,6 +150,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "train RMSE" in out and "test RMSE" in out
 
+    @pytest.mark.parametrize("command", ["plan", "explain"])
+    def test_infeasible_memory_budget_exits_2(self, command, capsys):
+        assert main([command, "nips", "--scale", "0.02", "--rank", "4",
+                     "--memory-budget", "1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: no strategy fits memory budget 1 B")
+        assert "smallest candidate needs" in err[0]
+
     def test_error_exit_code(self, capsys):
         assert main(["info", "definitely-not-a-dataset"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -268,13 +268,12 @@ class TestCpAlsHealth:
         assert [x.iteration for x in hc.readings] == list(range(5))
 
     @pytest.mark.parametrize("how", ["switch:health", "switch:all",
-                                     "scoped:all", "env:all"])
+                                     "env:all"])
     def test_factors_bitwise_identical_with_telemetry(self, planted, how,
                                                       tmp_path):
         """Telemetry must not perturb the numeric path at all: the same
         factors and fits with ``REPRO_OBS`` unset, with the switch on in
-        code, under a scoped run context, and with ``REPRO_OBS`` set."""
-        from repro.obs import runctx
+        code, and with ``REPRO_OBS`` set."""
         from repro.obs.watchdog import ModelDriftWarning
 
         kwargs = dict(rank=2, n_iter_max=6, tol=0.0, strategy="bdt",
@@ -286,9 +285,6 @@ class TestCpAlsHealth:
             if where == "switch":
                 with switch.enabled(spec):
                     on = repro.cp_als(planted.tensor, **kwargs)
-            elif where == "scoped":
-                ctx = runctx.RunContext.scoped(obs=spec)
-                on = repro.cp_als(planted.tensor, run_ctx=ctx, **kwargs)
             else:
                 on = _cp_als_in_fresh_process(planted.tensor, kwargs,
                                               {"REPRO_OBS": spec}, tmp_path)
@@ -296,18 +292,6 @@ class TestCpAlsHealth:
         for a, b in zip(off.ktensor.factors, on.ktensor.factors):
             assert (a == b).all()
         assert off.fits == on.fits
-
-    def test_scoped_run_context_isolates_collector(self, planted):
-        from repro.obs import runctx
-
-        before = len(switch.get("health").readings)
-        ctx = runctx.RunContext.scoped(obs="health")
-        with runctx.using(ctx):
-            repro.cp_als(planted.tensor, rank=2, n_iter_max=3,
-                         strategy="bdt", random_state=0)
-        assert ctx.instruments["health"].has_data
-        # Nothing leaked into the process-global collector.
-        assert len(switch.get("health").readings) == before
 
     def test_events_carry_health_fields(self, planted):
         with switch.enabled("health,events") as on:

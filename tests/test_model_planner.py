@@ -5,11 +5,12 @@ import pytest
 
 from repro.core import strategy as S
 from repro.core.coo import CooTensor
+from repro.core.cpals import cp_als
 from repro.core.symbolic import SymbolicTree
 from repro.model.calibrate import calibrate_machine, reset_calibration
 from repro.model.cost import MachineModel
 from repro.model.overlap import DistinctCounter
-from repro.model.planner import plan
+from repro.model.planner import InfeasibleBudgetError, plan
 from repro.model.report import format_table
 from repro.synth.skewed import skewed_random_tensor
 
@@ -110,6 +111,15 @@ class TestPlanner:
         report = plan(tensor4d, rank=8, memory_budget=1)
         with pytest.raises(RuntimeError):
             _ = report.best
+
+    def test_impossible_budget_fails_cp_als_the_same_way(self, tensor4d):
+        smallest = min(s.cost.total_memory_bytes
+                       for s in plan(tensor4d, rank=8).scored)
+        with pytest.raises(InfeasibleBudgetError) as exc:
+            cp_als(tensor4d, 8, strategy="auto", memory_budget=1)
+        msg = str(exc.value)
+        assert "budget 1 B" in msg and f"{smallest:,} B" in msg
+        assert isinstance(exc.value, ValueError)
 
     def test_explicit_candidates(self, tensor4d):
         cands = [S.star(4), S.balanced_binary(4)]

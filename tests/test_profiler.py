@@ -1,12 +1,10 @@
 """Sampling stack profiler: span-join, worker-thread lanes, artifacts.
 
-Covers the PR-9 tentpole surface end to end:
+Covers the profiler end to end:
 
 * enable/disable idempotence and instant-exit zero-sample runs;
 * per-span sampled seconds agreeing with measured span durations
   (within generous sampling error — wall-clock sampling under the GIL);
-* two *concurrent* profiled ``RunContext.scoped`` runs with zero
-  cross-talk between their private stores;
 * ``worker-<n>`` lanes from :class:`WorkerPool` threads;
 * the ``repro-profile/v1`` artifact round trip (JSON + folded text) and
   :class:`TraceArtifacts`' missing-vs-malformed policy, including the
@@ -21,7 +19,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.obs import profiler, runctx, trace
+from repro.obs import profiler, trace
 from repro.obs import switch
 from repro.obs.artifacts import TraceArtifacts
 from repro.obs.export import write_jsonl
@@ -41,7 +39,6 @@ def clean_state():
         if store is not None:
             store.clear()
         profiler._labels.clear()
-        profiler._bound.clear()
         profiler._observer.clear()
         switch.disable("trace")
         switch.get("trace").clear()
@@ -128,32 +125,6 @@ class TestSpanJoin:
         lines = folded_lines(snap)
         assert any("span:hotwork" in ln and "_busy" in ln for ln in lines)
         assert all(ln.rsplit(" ", 1)[1].isdigit() for ln in lines)
-
-    def test_concurrent_scoped_runs_zero_crosstalk(self):
-        ctxs = [runctx.RunContext.scoped(run_id=f"run-{i}",
-                                         obs="events,profile=250")
-                for i in range(2)]
-
-        def drive(ctx):
-            with runctx.using(ctx):
-                _busy(0.5)
-
-        threads = [threading.Thread(target=drive, args=(ctx,),
-                                    name=f"ctxthread-{i}")
-                   for i, ctx in enumerate(ctxs)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # Both private stores sampled, each only from its own thread.
-        for i, ctx in enumerate(ctxs):
-            snap = ctx.instruments["profile"].snapshot()
-            assert snap["n_samples"] > 0, f"run-{i} collected no samples"
-            lanes = {e["lane"] for e in snap["folded"]}
-            assert lanes == {f"ctxthread-{i}"}
-        # The scoped runs never turned the module-global profiler on.
-        assert not switch.is_on("profile")
-        assert not any(t.is_alive() for t in _sampler_threads())
 
 
 class TestTiers:
