@@ -16,8 +16,6 @@ three configurations:
   (``profile.ab_overhead_pct``) — which cancels the clock drift and
   per-iteration noise of shared hosts that the sequential rows above
   inherit;
-* ``enabled_watchdog`` — spans plus per-iteration counter collection and
-  the model-drift comparison;
 * ``enabled_memtrack`` — spans plus the memoized-value memory tracker
   (store/free events + per-iteration windows), i.e. everything
   ``repro trace`` turns on except tracemalloc sampling;
@@ -63,14 +61,10 @@ import numpy as np
 from repro.core.engine import MemoizedMttkrp
 from repro.core.strategy import balanced_binary
 from repro.linalg.solve import set_solve_site
-from repro.model.cost import cost_from_symbolic
 from repro.obs import events as obs_events
 from repro.obs import switch
 from repro.obs.buildinfo import artifact_envelope
-from repro.obs.metrics import registry
 from repro.obs.observer import IterationRecord
-from repro.obs.watchdog import DriftWatchdog
-from repro.perf import counters as perf
 
 ACCEPT_SHAPE = (800,) * 4
 ACCEPT_NNZ = 1_200_000
@@ -85,7 +79,6 @@ def _als_iteration(engine: MemoizedMttkrp) -> None:
 
 
 def _best_iteration_seconds(engine, repeats: int, *,
-                            watchdog: DriftWatchdog | None = None,
                             mem_tracker=None,
                             attr_recorder=None,
                             roofline_pass=None,
@@ -102,33 +95,27 @@ def _best_iteration_seconds(engine, repeats: int, *,
         if health_collector is not None:
             health_collector.begin_iteration(i)
         t0 = time.perf_counter()
-        if watchdog is not None:
-            with perf.counting() as c:
-                _als_iteration(engine)
-            seconds = time.perf_counter() - t0
-            watchdog.observe(i, c, seconds)
-        else:
-            _als_iteration(engine)
-            if health_collector is not None:
-                # Mirror cp_als's per-mode/per-iteration observation
-                # inside the timed window: solve-site contextvar + Gram
-                # conditioning + factor delta per mode, then congruence
-                # + trajectory at iteration close.  The Hadamard
-                # combine is charged to health here even though ALS
-                # pays it anyway for the solve — conservative.
-                for n in engine.mode_order:
-                    set_solve_site(i, n)
-                    health_collector.observe_mode(
-                        n, health_grams.combined(skip=n),
-                        engine.factors[n], engine.factors[n],
-                    )
-                set_solve_site(None, None)
-                health_collector.end_iteration(IterationRecord(
-                    i, grams=health_grams, fit=1.0 - 0.5 ** (i + 1)
-                ))
-            if roofline_pass is not None:
-                roofline_pass()  # part of the cost under test: stay timed
-            seconds = time.perf_counter() - t0
+        _als_iteration(engine)
+        if health_collector is not None:
+            # Mirror cp_als's per-mode/per-iteration observation inside
+            # the timed window: solve-site contextvar + Gram conditioning
+            # + factor delta per mode, then congruence + trajectory at
+            # iteration close.  The Hadamard combine is charged to health
+            # here even though ALS pays it anyway for the solve —
+            # conservative.
+            for n in engine.mode_order:
+                set_solve_site(i, n)
+                health_collector.observe_mode(
+                    n, health_grams.combined(skip=n),
+                    engine.factors[n], engine.factors[n],
+                )
+            set_solve_site(None, None)
+            health_collector.end_iteration(IterationRecord(
+                i, grams=health_grams, fit=1.0 - 0.5 ** (i + 1)
+            ))
+        if roofline_pass is not None:
+            roofline_pass()  # part of the cost under test: stay timed
+        seconds = time.perf_counter() - t0
         if mem_tracker is not None:
             mem_tracker.end_iteration(IterationRecord(i, engine=engine))
         if attr_recorder is not None:
@@ -158,6 +145,7 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
 
     switch.enable("trace", clear=True)
     enabled = _best_iteration_seconds(engine, repeats)
+    span_count = len(switch.get("trace"))
 
     # Sampling profiler, measured as an interleaved A/B: alternate
     # sampler-off / sampler-on iterations inside one window so the
@@ -191,16 +179,6 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
     # on different noise excursions) while the paired median averages
     # away.
     profile_ab_pct = (float(np.median(profile_ratios)) - 1.0) * 100.0
-
-    switch.get("trace").clear()
-    registry.reset()
-    watchdog = DriftWatchdog(
-        cost_from_symbolic(engine.symbolic, ACCEPT_RANK), warn=False
-    )
-    with_watchdog = _best_iteration_seconds(
-        engine, repeats, watchdog=watchdog
-    )
-    span_count = len(switch.get("trace"))
 
     switch.get("trace").clear()
     switch.enable("mem", clear=True)
@@ -309,10 +287,6 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
                 "seconds_per_iteration": with_profile,
                 "overhead_pct": pct(with_profile),
             },
-            "enabled_watchdog": {
-                "seconds_per_iteration": with_watchdog,
-                "overhead_pct": pct(with_watchdog),
-            },
             "enabled_memtrack": {
                 "seconds_per_iteration": with_memtrack,
                 "overhead_pct": pct(with_memtrack),
@@ -339,7 +313,6 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
             },
         },
         "spans_per_measured_block": span_count,
-        "drift_fired": watchdog.n_fired(),
         "memtrack": {"peak_bytes": mem_peak, "events": mem_events},
         "attribution": {"readings": attr_readings,
                         "max_node_flop_err": attr_worst_err},

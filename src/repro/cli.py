@@ -31,9 +31,9 @@ recorded).  ``repro tail`` renders an ``events.jsonl`` structured
 event log.  ``repro bench-diff`` compares benchmark history entries
 against the stored baseline with the noise-aware comparator (see
 ``docs/benchmarking.md``) and exits non-zero on regression.
-``--log-level`` controls the ``repro.*`` loggers (the drift watchdog
-logs there), and ``--version`` prints build info (version, git
-revision, toolchain).
+``--log-level`` controls the ``repro.*`` loggers (artifact loading,
+benchmark history and the profiler log there), and ``--version`` prints
+build info (version, git revision, toolchain).
 """
 
 from __future__ import annotations
@@ -577,6 +577,8 @@ def cmd_bench_diff(args) -> int:
 def cmd_tail(args) -> int:
     from .obs.events import format_event, read_events, validate_events
 
+    if args.n is not None and args.n < 0:
+        raise ValueError(f"-n must be >= 0, got {args.n}")
     path = args.events
     if os.path.isdir(path):
         path = os.path.join(path, "events.jsonl")
@@ -586,7 +588,8 @@ def cmd_tail(args) -> int:
                                 "REPRO_OBS=events=<sink path>)")
     events = read_events(path)
     problems = validate_events(events)
-    shown = events if args.n is None else events[-args.n:]
+    start = 0 if args.n is None else max(len(events) - args.n, 0)
+    shown = events[start:]
     for event in shown:
         print(format_event(event))
     if problems:

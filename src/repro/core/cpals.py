@@ -23,7 +23,6 @@ from ..linalg.solve import set_solve_site, solve_normal_equations
 from ..obs import events as _events
 from ..obs import observer as _observer
 from ..obs import trace as _obs
-from ..perf import counters as perf
 from .coo import CooTensor
 from .dtypes import VALUE_DTYPE
 from .engine import MemoizedMttkrp
@@ -46,9 +45,6 @@ class CPResult:
         ``strategy='auto'`` was requested, else None.
     timings: wall-clock breakdown: ``setup`` (symbolic phase + planning),
         ``per_iteration`` (mean seconds), ``total``.
-    drift_readings: per-iteration
-        :class:`~repro.obs.watchdog.DriftReading` list when a model-drift
-        watchdog was active (tracing on or one passed in), else None.
     memory_readings: per-iteration
         :class:`~repro.obs.memory.MemReading` list (measured vs predicted
         peak memoized-value bytes) when the ``mem`` instrument was on
@@ -70,7 +66,6 @@ class CPResult:
     strategy_name: str
     planner_report: object | None = None
     timings: dict = field(default_factory=dict)
-    drift_readings: list | None = None
     memory_readings: list | None = None
     attribution_readings: list | None = None
     health_readings: list | None = None
@@ -139,7 +134,6 @@ def cp_als(
     memory_budget: int | None = None,
     engine_factory: Callable[[CooTensor], object] | None = None,
     callback: Callable[[int, float, KruskalTensor], None] | None = None,
-    watchdog=None,
 ) -> CPResult:
     """Fit a rank-``R`` CP decomposition with alternating least squares.
 
@@ -168,13 +162,6 @@ def cp_als(
         (without marking it converged) — the hook
         :func:`repro.algos.restarts.cp_als_restarts` uses for its
         ``early_stop`` hopeless-restart cutoff.
-    watchdog:
-        a :class:`~repro.obs.watchdog.DriftWatchdog` comparing the model's
-        predicted per-iteration cost against measured counters and wall
-        time.  When None and tracing is on (``REPRO_OBS=trace``), one is
-        built automatically from the engine's symbolic tree; when tracing
-        is off and none is passed, the watchdog machinery is skipped
-        entirely.
     """
     check_positive_int(rank, "rank")
     check_positive_int(n_iter_max, "n_iter_max")
@@ -190,7 +177,7 @@ def cp_als(
             tensor, rank, strategy=strategy, n_iter_max=n_iter_max, tol=tol,
             init=init, random_state=random_state,
             memory_budget=memory_budget, engine_factory=engine_factory,
-            callback=callback, watchdog=watchdog,
+            callback=callback,
         )
 
 
@@ -206,7 +193,6 @@ def _cp_als_run(
     memory_budget,
     engine_factory,
     callback,
-    watchdog,
 ) -> CPResult:
     """The ALS loop proper, always running inside ``events.running()``."""
     factors = initialize_factors(tensor, rank, init, random_state)
@@ -233,7 +219,7 @@ def _cp_als_run(
     setup_time = time.perf_counter() - t0
 
     observers = _observer.start_run(
-        engine, rank, watchdog=watchdog, shape=list(tensor.shape),
+        engine, rank, shape=list(tensor.shape),
         nnz=tensor.nnz, strategy=strategy_name, n_iter_max=n_iter_max,
         tol=tol,
     )
@@ -284,19 +270,8 @@ def _cp_als_run(
             it0 = time.perf_counter()
             for observer in observers:
                 observer.begin_iteration(iteration)
-            it_counters = None
             with _obs.span("als_iteration", iteration=iteration):
-                if observers:
-                    # Count this iteration's work in a private sink, then
-                    # fold it into any caller-installed counters so their
-                    # totals are unchanged by observation.
-                    outer = perf.active_counters()
-                    with perf.counting() as it_counters:
-                        M_last, U_last = run_modes(iteration)
-                    if outer is not None:
-                        outer.add(it_counters)
-                else:
-                    M_last, U_last = run_modes(iteration)
+                M_last, U_last = run_modes(iteration)
             it_seconds = time.perf_counter() - it0
             iter_times.append(it_seconds)
 
@@ -305,8 +280,7 @@ def _cp_als_run(
             record = _observer.IterationRecord(
                 iteration, fit=fit,
                 fit_delta=fits[-1] - fits[-2] if len(fits) > 1 else None,
-                seconds=it_seconds, counters=it_counters, grams=grams,
-                engine=engine,
+                seconds=it_seconds, grams=grams, engine=engine,
             )
             for observer in observers:
                 observer.end_iteration(record)
@@ -325,7 +299,7 @@ def _cp_als_run(
 
     ktensor = KruskalTensor(weights, engine.factors).normalize()
     total = setup_time + float(np.sum(iter_times))
-    _observer.stop_run(n_iterations=len(fits), converged=converged,
+    _observer.stop_run(engine, n_iterations=len(fits), converged=converged,
                        fit=fits[-1] if fits else None, total_seconds=total)
 
     def readings(name: str) -> list | None:
@@ -344,7 +318,6 @@ def _cp_als_run(
             "per_iteration": float(np.mean(iter_times)) if iter_times else 0.0,
             "total": total,
         },
-        drift_readings=readings("drift"),
         memory_readings=readings("mem"),
         attribution_readings=readings("attribution"),
         health_readings=readings("health"),

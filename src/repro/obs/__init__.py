@@ -1,4 +1,4 @@
-"""Observability: span tracing, metrics export, and model-drift detection.
+"""Observability: span tracing, metrics export, and run telemetry.
 
 Zero-dependency instrumentation for the engine/kernel/parallel stack.
 Import the submodules directly (``from repro.obs import trace``); this
@@ -17,17 +17,13 @@ package re-exports nothing.
 * :mod:`repro.obs.metrics` — per-span-kind wall-time histograms, the
   engine's operation counters, and gauges, snapshotted by
   :func:`repro.obs.metrics.metrics`.
-* :mod:`repro.obs.watchdog` — per-iteration comparison of model-predicted
-  cost against measured counters/time, warning on drift.  (Imported
-  lazily: it depends on :mod:`repro.model`, which depends on the engine
-  this package instruments.)
 * :mod:`repro.obs.memory` — memoized-value memory tracker fed by engine
   node lifecycle events; pairs measured peak bytes with the cost model's
   prediction per ALS iteration.
 * :mod:`repro.obs.history` — append-only benchmark history (JSONL) and
   the noise-aware regression comparator behind ``repro bench-diff``.
 * :mod:`repro.obs.events` — structured JSON-lines run-event log
-  (``repro-events/v1``): run start/stop, per-iteration fit/drift/memory,
+  (``repro-events/v1``): run start/stop, per-iteration fit/memory/health,
   node rebuilds, warnings; ring buffer + optional file sink.  Every event
   inside ``events.running()`` (each ``cp_als`` call, each ``repro
   trace``) carries that run's ``run_id``.
@@ -37,10 +33,11 @@ package re-exports nothing.
 * :mod:`repro.obs.explain` — planner explainability: the complete
   candidate search with per-node/per-mode predicted cost terms as a
   versioned ``repro-plan/v1`` artifact (``repro explain``).  Imported
-  lazily, like the watchdog.
+  lazily: it depends on :mod:`repro.model`, which depends on the engine
+  this package instruments.
 * :mod:`repro.obs.attribution` — measured per-tree-node / per-mode cost
   attribution during real runs, aligned node-for-node with the model's
-  prediction; feeds the watchdog's node/mode blame and the
+  prediction; feeds ``attribution.json`` and the
   ``attr.mode*.flops_ratio`` gauges.
 * :mod:`repro.obs.profiler` — sampling wall-clock stack profiler joined
   to the span tree: folded ``lane → span path → frames`` stacks for the

@@ -1,9 +1,9 @@
 """Cost attribution: measured per-node / per-mode work, aligned to the model.
 
-The drift watchdog (:mod:`repro.obs.watchdog`) compares one *aggregate*
-number per iteration against the cost model; when it fires, nothing says
-*which* tree node or mode diverged.  This module closes that gap: the
-engines report every node rebuild (flops/words from the shared
+The cost model predicts flops and words per tree node and per mode;
+this module measures the same quantities during a real run, so a
+disagreement names *which* node or mode diverged.  The engines report
+every node rebuild (flops/words from the shared
 :func:`repro.core.engine.contraction_work` convention, plus wall seconds)
 and every MTTKRP scatter to a process-global :class:`AttributionRecorder`,
 which aggregates them into per-tree-node and per-mode totals inside
@@ -55,8 +55,7 @@ class AttributionReading:
     "scatter_words"}``; ``modes`` maps mode to ``{"flops", "words",
     "seconds", "mttkrps"}``.  When the recorder has a registered strategy,
     ``node_rows`` / ``mode_rows`` carry the measured-vs-predicted
-    comparison (one dict per non-root node / per mode, ratios included)
-    and :meth:`blame` localizes a drift metric to its worst offender.
+    comparison (one dict per non-root node / per mode, ratios included).
     """
 
     iteration: int
@@ -85,45 +84,6 @@ class AttributionReading:
             if row.get(f"{metric}_ratio") is not None
         ]
         return max(errs) if errs else None
-
-    def blame(self, metric: str) -> dict | None:
-        """The node most responsible for a drift on ``metric``.
-
-        For the exact work metrics (``flops`` / ``words``) the offender is
-        the node with the largest measured/predicted ratio error.  For
-        ``time`` — where no per-node prediction in seconds exists without
-        machine constants — it is the node whose share of measured wall
-        time most exceeds its share of predicted flops, in percentage
-        points.  Returns the comparison row augmented with ``why``, or
-        None when there is nothing aligned to blame.
-        """
-        if not self.node_rows:
-            return None
-        if metric in ("flops", "words"):
-            key = f"{metric}_ratio"
-            rows = [r for r in self.node_rows if r.get(key) is not None]
-            if not rows:
-                return None
-            worst = max(rows, key=lambda r: abs(r[key] - 1.0))
-            if worst[key] == 1.0:
-                return None
-            return {**worst, "why": (
-                f"measured/predicted {metric} {worst[key]:.3f}"
-            )}
-        total_pred = sum(r["predicted_flops"] for r in self.node_rows)
-        total_sec = sum(r["seconds"] for r in self.node_rows)
-        if total_pred <= 0 or total_sec <= 0:
-            return None
-
-        def excess(row: dict) -> float:
-            return (row["seconds"] / total_sec
-                    - row["predicted_flops"] / total_pred)
-
-        worst = max(self.node_rows, key=excess)
-        return {**worst, "why": (
-            f"time share {worst['seconds'] / total_sec:.0%} vs predicted "
-            f"work share {worst['predicted_flops'] / total_pred:.0%}"
-        )}
 
     def to_dict(self) -> dict:
         return {

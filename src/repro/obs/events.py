@@ -2,10 +2,11 @@
 
 The tracer answers "where did the time go" after a run exits; this module
 answers "what is the run doing *right now*".  Instrumented call sites
-(:func:`repro.core.cpals.cp_als`, the engines' node rebuilds, the drift
-watchdog) emit small structured events — run start/stop, one ``iteration``
-event per ALS iteration carrying fit/delta/drift/memory readings, node
-rebuilds, warnings — into a process-global :class:`EventLog`:
+(:func:`repro.core.cpals.cp_als`, the engines' node rebuilds, the
+pseudo-inverse fallback of the normal-equation solve) emit small
+structured events — run start/stop, one ``iteration`` event per ALS
+iteration carrying fit/delta/memory/health readings, node rebuilds,
+warnings — into a process-global :class:`EventLog`:
 
 * a bounded **ring buffer** (the last ``maxlen`` events, cheap to snapshot)
   that ``repro trace`` dumps to ``events.jsonl``;
@@ -180,8 +181,8 @@ def emit(kind: str, **fields) -> dict | None:
 
 class IterationEvents(IterationObserver):
     """Streams each finished ALS iteration as one ``iteration`` event,
-    with the memory / health / drift readings earlier observers filled
-    into the record."""
+    with the memory / health readings earlier observers filled into the
+    record."""
 
     def end_iteration(self, record) -> None:
         fields = {"iteration": record.iteration, "fit": record.fit,
@@ -204,16 +205,6 @@ class IterationEvents(IterationObserver):
                 fields["health_truncated_eigenvalues"] = health.n_truncated
             if health.pinv_fallbacks:
                 fields["health_pinv_fallbacks"] = health.pinv_fallbacks
-        drift = record.drift
-        if drift is not None:
-            fields["drift_flops_ratio"] = drift.flops_ratio
-            fields["drift_words_ratio"] = drift.words_ratio
-            if drift.time_ratio is not None:
-                fields["drift_time_ratio"] = drift.time_ratio
-            if drift.mem_ratio is not None:
-                fields["drift_mem_ratio"] = drift.mem_ratio
-            if drift.fired:
-                fields["drift_fired"] = list(drift.fired)
         emit("iteration", **fields)
 
 

@@ -11,8 +11,8 @@ over the winner.  The result serializes as a versioned ``repro-plan/v1``
 payload inside the shared ``repro-bench/v1`` artifact envelope, so plan
 decisions are diffable across commits like any other benchmark artifact.
 
-Imported lazily from :mod:`repro.obs` (like the watchdog): it depends on
-:mod:`repro.model`, which depends on the engine this package instruments.
+Imported lazily from :mod:`repro.obs`: it depends on :mod:`repro.model`,
+which depends on the engine this package instruments.
 """
 
 from __future__ import annotations

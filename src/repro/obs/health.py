@@ -37,8 +37,8 @@ CP-ALS loop (:mod:`repro.obs.observer`).
 Readings land on :attr:`repro.core.cpals.CPResult.health_readings`,
 stream as extended ``repro-events/v1`` iteration fields, persist as a
 versioned ``repro-health/v1`` artifact (``health.json``,
-:func:`write_health`), and feed the drift watchdog's numerical band, the
-``repro report`` health section, and the ``health.*`` gauges.
+:func:`write_health`), and feed the ``repro report`` health section and
+the ``health.*`` gauges.
 """
 
 from __future__ import annotations

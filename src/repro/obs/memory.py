@@ -22,8 +22,7 @@ Byte accounting is *exact by construction*: a node value matrix is a dense
 ``nnz_t x R`` float64 array, so ``value.nbytes`` equals the model's
 ``nnz_t * R * 8`` term and measured-vs-predicted ratios of 1.0 are the
 tested invariant, not a tolerance.  The tracemalloc series is the only
-place allocator overhead appears, and it gets a tolerance band in the
-drift watchdog rather than an exact one.
+place allocator overhead appears.
 """
 
 from __future__ import annotations
@@ -104,7 +103,7 @@ class MemTracker(IterationObserver):
         boundaries (starts tracemalloc if it is not already tracing; the
         peak is reset at each window start, so it is the window's peak).
         Symbolic byte counts are exact; this is the allocator-overhead
-        view the watchdog's tolerance band watches.
+        view.
     keep_samples:
         retain up to this many time-stamped total-live samples for the
         Chrome-trace memory counter track (0 disables the series).

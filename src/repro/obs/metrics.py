@@ -10,8 +10,8 @@ observation:
   CLI ``repro trace`` command and the experiment runner do) and the
   engine's measured flops/words flow in;
 * **gauges / event counts** — last-value and monotonically increasing
-  scalars (the drift watchdog's ``drift.*`` readings, kernel-registry
-  resolution counts).
+  scalars (the ``attr.*``, ``mem.*`` and ``health.*`` readings,
+  kernel-registry resolution counts).
 
 :func:`repro.obs.metrics` snapshots everything into one JSON-friendly dict.
 """
@@ -135,7 +135,7 @@ class MetricsRegistry:
             self._events.clear()
 
 
-#: the process-global registry (the tracer and watchdog feed this one).
+#: the process-global registry (the tracer and instruments feed this one).
 registry = MetricsRegistry()
 
 

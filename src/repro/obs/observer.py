@@ -13,9 +13,8 @@ one observer list — the loop has no branch for any single instrument:
 
 Observers run in list order, so later ones read what earlier ones filled
 in: the memory tracker, cost attribution and health collector set
-``record.mem`` / ``.attribution`` / ``.health``; the drift watchdog
-compares them against the model and sets ``record.drift``; the event
-emitter streams the finished record.
+``record.mem`` / ``.attribution`` / ``.health``; the event emitter
+streams the finished record.
 """
 
 from __future__ import annotations
@@ -36,15 +35,12 @@ class IterationRecord:
     #: change from the previous iteration's fit (None on the first).
     fit_delta: float | None = None
     seconds: float = 0.0
-    #: this iteration's perf counters (None when nobody observes).
-    counters: object = None
     #: per-mode factor Grams (a :class:`~repro.linalg.gram.GramCache`).
     grams: object = None
     engine: object = None
     mem: object = None
     attribution: object = None
     health: object = None
-    drift: object = None
 
 
 class IterationObserver:
@@ -60,32 +56,23 @@ class IterationObserver:
         pass
 
 
-def start_run(engine, rank: int, *, watchdog=None, **run_fields) -> list:
+def start_run(engine, rank: int, **run_fields) -> list:
     """Set up every enabled per-iteration instrument for one run.
 
-    Returns the observer list in feed order.  Memory, attribution and the
-    automatic drift watchdog need a memoized engine's symbolic tree;
-    ``watchdog`` (a caller's :class:`~repro.obs.watchdog.DriftWatchdog`)
-    joins regardless.  ``run_fields`` go out as the ``run_start`` event.
+    Returns the observer list in feed order.  Memory and attribution need
+    a memoized engine's symbolic tree.  ``run_fields`` go out as the
+    ``run_start`` event.
     """
     from ..core.engine import MemoizedMttkrp
 
     memoized = isinstance(engine, MemoizedMttkrp)
-    if watchdog is None and memoized and _switch.is_on("trace"):
-        from ..model.cost import cost_from_symbolic
-        from .watchdog import DriftWatchdog
-
-        watchdog = DriftWatchdog(cost_from_symbolic(engine.symbolic, rank))
     observers = []
     if memoized and _switch.is_on("mem"):
-        if watchdog is not None:
-            predicted_peak = watchdog.cost.peak_value_bytes
-        else:
-            from ..model.cost import simulate_peak_value_bytes
+        from ..model.cost import simulate_peak_value_bytes
 
-            predicted_peak = simulate_peak_value_bytes(
-                engine.strategy, engine.symbolic.node_nnz(), rank
-            )
+        predicted_peak = simulate_peak_value_bytes(
+            engine.strategy, engine.symbolic.node_nnz(), rank
+        )
         tracker = _switch.get("mem")
         tracker.start_run(engine, rank, predicted_peak)
         observers.append(tracker)
@@ -97,8 +84,6 @@ def start_run(engine, rank: int, *, watchdog=None, **run_fields) -> list:
         collector = _switch.get("health")
         collector.start_run(n_modes=len(engine.mode_order))
         observers.append(collector)
-    if watchdog is not None:
-        observers.append(watchdog)
     if _switch.is_on("events"):
         from .events import IterationEvents, emit
 
@@ -107,8 +92,12 @@ def start_run(engine, rank: int, *, watchdog=None, **run_fields) -> list:
     return observers
 
 
-def stop_run(**fields) -> None:
-    """The run's ``run_stop`` event (when events are on)."""
+def stop_run(engine, **fields) -> None:
+    """Close one run: drop ``engine``'s values from the memory tracker, so
+    a later run in the process (a restart, say) measures only its own, and
+    emit the ``run_stop`` event (when events are on)."""
+    if _switch.is_on("mem"):
+        _switch.get("mem").release_engine(id(engine))
     from .events import emit
 
     emit("run_stop", **fields)

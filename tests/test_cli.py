@@ -285,6 +285,19 @@ class TestTail:
         out = capsys.readouterr().out
         assert "run_stop" in out
 
+    def test_tail_n_counts_from_the_end(self, trace_dir, capsys):
+        assert main(["tail", str(trace_dir), "-n", "0"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["tail", str(trace_dir), "-n", "2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
+    def test_tail_negative_n_is_an_error(self, trace_dir, capsys):
+        assert main(["tail", str(trace_dir), "-n", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestDecomposePathImports:
     def test_heavy_scipy_subpackages_stay_unloaded(self):

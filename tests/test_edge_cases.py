@@ -5,6 +5,8 @@ overflow fallbacks), single-element tensors, zero columns, adversarial
 strategies — the inputs that exercise every fallback branch.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,21 @@ class TestNumericRobustness:
         result = cp_als(t, rank=3, strategy="auto", n_iter_max=10,
                         random_state=10)
         assert np.isfinite(result.fit)
+
+    @pytest.mark.parametrize("strategy", ["star", "bdt", "auto"])
+    def test_rank_above_every_mode_dimension(self, strategy):
+        # R=8 exceeds every dimension of a (4, 5, 3) tensor, so each
+        # Hadamard Gram H is rank-deficient: the run must still complete
+        # with finite factors, a fit of at most 1, and no warnings.
+        rng = np.random.default_rng(11)
+        idx = np.unique(rng.integers(0, (4, 5, 3), (40, 3)), axis=0)
+        t = CooTensor(idx, rng.random(idx.shape[0]), (4, 5, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = cp_als(t, rank=8, strategy=strategy, n_iter_max=20,
+                            random_state=12)
+        assert all(U.shape[1] == 8 for U in result.ktensor.factors)
+        assert all(np.isfinite(U).all() for U in result.ktensor.factors)
+        assert np.isfinite(result.ktensor.weights).all()
+        assert np.isfinite(result.fits).all()
+        assert max(result.fits) <= 1.0

@@ -2,7 +2,7 @@
 
 Covers :mod:`repro.obs.explain` (the ``repro-plan/v1`` artifact and its
 validator), :mod:`repro.obs.attribution` (exact per-node/per-mode
-predicted-vs-measured accounting), the drift watchdog's blame wiring, the
+predicted-vs-measured accounting), the
 ``repro explain`` / ``repro plan --json`` CLI surfaces, and the
 :func:`repro.model.report.format_table` ragged-input guard.
 """
@@ -17,6 +17,7 @@ from repro.cli import main
 from repro.core.cpals import cp_als
 from repro.core.dtypes import VALUE_DTYPE
 from repro.core.engine import MemoizedMttkrp
+from repro.model.cost import cost_from_symbolic
 from repro.model.report import format_table
 from repro.model.search import search_candidates
 from repro.obs import attribution as obs_attr
@@ -168,32 +169,6 @@ class TestAttributionExactness:
             total = sum(r.flops for r in rec.readings)
             assert total == c.flops
 
-    def test_blame_none_when_exact(self, tensor4d):
-        strategy = explain_plan(tensor4d, rank=8).report.best.strategy
-        with switch.enabled("attr"):
-            _, reading = _drive_attributed_sweeps(tensor4d, strategy, rank=8)
-        assert reading.blame("flops") is None
-        assert reading.blame("words") is None
-
-    def test_blame_names_offending_node(self, tensor4d):
-        strategy = explain_plan(tensor4d, rank=8).report.best.strategy
-        with switch.enabled("attr"):
-            rec, reading = _drive_attributed_sweeps(
-                tensor4d, strategy, rank=8
-            )
-        # Corrupt one prediction: the blame must point at that node.
-        target = reading.node_rows[0]["node"]
-        for row in reading.node_rows:
-            if row["node"] == target:
-                row["predicted_flops"] = max(1, row["predicted_flops"] // 2)
-                row["flops_ratio"] = (
-                    row["measured_flops"] / row["predicted_flops"]
-                )
-        blame = reading.blame("flops")
-        assert blame is not None
-        assert blame["node"] == target
-        assert "why" in blame
-
     def test_recording_restores_disabled(self):
         assert not switch.is_on("attr")
         with switch.enabled("attr"):
@@ -221,6 +196,12 @@ class TestAttributionExactness:
         assert len(result.attribution_readings) == result.n_iterations
         reading = result.attribution_readings[-1]
         assert reading.max_node_err("flops") == 0.0
+        # Every iteration does exactly the work the model predicts.
+        engine = MemoizedMttkrp(tensor4d, result.planner_report.best.strategy)
+        cost = cost_from_symbolic(engine.symbolic, 4)
+        for r in result.attribution_readings:
+            assert r.flops == cost.flops_per_iteration
+            assert r.words == cost.words_per_iteration
 
     def test_snapshot_schema(self, tensor4d):
         strategy = explain_plan(tensor4d, rank=8).report.best.strategy
@@ -231,34 +212,6 @@ class TestAttributionExactness:
         assert snap["nodes"] and snap["modes"]
         text = obs_attr.format_attribution(snap)
         assert "node" in text
-
-
-class TestWatchdogBlame:
-    def test_drift_warning_names_node_and_mode(self, tensor4d):
-        from repro.model.cost import cost_from_symbolic
-        from repro.obs.watchdog import DriftWatchdog, ModelDriftWarning
-
-        strategy = explain_plan(tensor4d, rank=8).report.best.strategy
-        with switch.enabled("attr"):
-            with perf.counting() as c:
-                rec, reading = _drive_attributed_sweeps(
-                    tensor4d, strategy, rank=8, n_iter=1
-                )
-        engine = MemoizedMttkrp(tensor4d, strategy)
-        # A wrong-rank cost report makes the aggregate flops check fire;
-        # a tampered reading gives blame a worst-offender node to name.
-        cost = cost_from_symbolic(engine.symbolic, 4)
-        watchdog = DriftWatchdog(cost)
-        reading.node_rows[0]["predicted_flops"] = max(
-            1, reading.node_rows[0]["predicted_flops"] // 2
-        )
-        reading.node_rows[0]["flops_ratio"] = 2.0
-        # The wrong rank also moves words, whose drift has no node to
-        # blame: both warnings are expected, one of them naming the node.
-        with pytest.warns(ModelDriftWarning) as caught:
-            watchdog.observe(0, c, 0.01, attribution=reading)
-        messages = [str(w.message) for w in caught]
-        assert any("worst offender node" in m for m in messages), messages
 
 
 class TestCliSurfaces:

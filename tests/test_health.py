@@ -1,7 +1,6 @@
 """Tests for numerical-health telemetry (repro.obs.health)."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -274,20 +273,16 @@ class TestCpAlsHealth:
         """Telemetry must not perturb the numeric path at all: the same
         factors and fits with ``REPRO_OBS`` unset, with the switch on in
         code, and with ``REPRO_OBS`` set."""
-        from repro.obs.watchdog import ModelDriftWarning
-
         kwargs = dict(rank=2, n_iter_max=6, tol=0.0, strategy="bdt",
                       random_state=42)
         off = repro.cp_als(planted.tensor, **kwargs)
         where, spec = how.split(":")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelDriftWarning)
-            if where == "switch":
-                with switch.enabled(spec):
-                    on = repro.cp_als(planted.tensor, **kwargs)
-            else:
-                on = _cp_als_in_fresh_process(planted.tensor, kwargs,
-                                              {"REPRO_OBS": spec}, tmp_path)
+        if where == "switch":
+            with switch.enabled(spec):
+                on = repro.cp_als(planted.tensor, **kwargs)
+        else:
+            on = _cp_als_in_fresh_process(planted.tensor, kwargs,
+                                          {"REPRO_OBS": spec}, tmp_path)
         assert (off.ktensor.weights == on.ktensor.weights).all()
         for a, b in zip(off.ktensor.factors, on.ktensor.factors):
             assert (a == b).all()
@@ -317,8 +312,7 @@ def _cp_als_in_fresh_process(tensor, kwargs, env, tmp_path):
     with open(job, "wb") as fh:
         pickle.dump((tensor, kwargs), fh)
     code = (
-        "import pickle, sys, warnings; import repro; "
-        "warnings.simplefilter('ignore'); "
+        "import pickle, sys; import repro; "
         "tensor, kwargs = pickle.load(open(sys.argv[1], 'rb')); "
         "result = repro.cp_als(tensor, **kwargs); "
         "assert result.health_readings is not None; "
@@ -448,65 +442,3 @@ class TestLiveGauges:
         assert gauges["health.truncated_eigenvalues"] == last.n_truncated
         assert gauges["health.trajectory_code"] == \
             health.TRAJECTORY_CODES[last.trajectory]
-
-
-class TestWatchdogConditionBand:
-    def _cost(self):
-        from repro.core.strategy import resolve_strategy
-        from repro.core.symbolic import SymbolicTree
-        from repro.model.cost import cost_from_symbolic
-
-        rng = np.random.default_rng(7)
-        t = random_coo(rng, (6, 5, 4), 60)
-        tree = SymbolicTree(t, resolve_strategy("bdt", t.ndim))
-        return cost_from_symbolic(tree, 2)
-
-    def _reading(self, max_cond):
-        from repro.obs.health import HealthReading
-
-        return HealthReading(
-            iteration=0, condition_numbers=[max_cond, 2.0],
-            truncated_eigenvalues=[0, 0], factor_deltas=[0.1, 0.1],
-            congruence=0.2, congruence_pair=(0, 1), pinv_fallbacks=0,
-            fit=0.5, fit_delta=None, trajectory="converging",
-            convergence_rate=None,
-        )
-
-    def test_fires_above_band_and_blames_mode(self):
-        from repro.obs.watchdog import DriftWatchdog, ModelDriftWarning
-        from repro.perf.counters import Counters
-
-        dog = DriftWatchdog(self._cost(), work_band=(0.0, float("inf")),
-                            min_predicted_seconds=float("inf"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            reading = dog.observe(0, Counters(), 0.01,
-                                  health=self._reading(1e11))
-        assert "condition" in reading.fired
-        assert reading.condition_margin == pytest.approx(1e11 * PINV_RCOND)
-        fired = [w for w in caught
-                 if issubclass(w.category, ModelDriftWarning)]
-        assert fired and fired[0].message.mode == 0
-        assert "worst mode 0" in str(fired[0].message)
-
-    def test_quiet_inside_band(self):
-        from repro.obs.watchdog import DriftWatchdog
-        from repro.perf.counters import Counters
-
-        dog = DriftWatchdog(self._cost(), work_band=(0.0, float("inf")),
-                            min_predicted_seconds=float("inf"))
-        reading = dog.observe(0, Counters(), 0.01,
-                              health=self._reading(100.0))
-        assert reading.fired == []
-        assert reading.condition_margin == pytest.approx(100.0 * PINV_RCOND)
-
-    def test_singular_clamps_to_one(self):
-        from repro.obs.watchdog import DriftWatchdog
-        from repro.perf.counters import Counters
-
-        dog = DriftWatchdog(self._cost(), work_band=(0.0, float("inf")),
-                            min_predicted_seconds=float("inf"), warn=False)
-        reading = dog.observe(0, Counters(), 0.01,
-                              health=self._reading(float("inf")))
-        assert reading.condition_margin == 1.0
-        assert "condition" in reading.fired

@@ -1,8 +1,6 @@
-"""Tests for the observability stack: tracer, exporters, metrics, watchdog."""
+"""Tests for the observability stack: tracer, exporters, metrics, memory."""
 
-import dataclasses
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from repro.obs.buildinfo import (artifact_envelope, build_info,
                                  version_string)
 from repro.obs.metrics import metrics, registry
 from repro.obs.observer import IterationRecord
-from repro.obs.watchdog import DriftWatchdog, ModelDriftWarning
 from repro.parallel.engine import ParallelMemoizedMttkrp
 
 from .helpers import random_coo
@@ -201,105 +198,13 @@ class TestExporters:
         assert export.validate_chrome_trace(export.to_chrome_trace([])) == []
 
 
-class TestWatchdog:
-    def _fit(self, counters_scale=1.0):
-        engine = small_engine()
-        return engine, cost_from_symbolic(engine.symbolic, 4)
-
-    def _run_iteration(self, engine):
-        from repro.perf import counters as perf
-
-        with perf.counting() as c:
-            for n in engine.mode_order:
-                engine.mttkrp(n)
-                engine.update_factor(n, engine.factors[n])
-        return c
-
-    def test_quiet_on_calibrated_model(self):
-        engine, cost = self._fit()
-        dog = DriftWatchdog(cost)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ModelDriftWarning)
-            for i in range(3):
-                c = self._run_iteration(engine)
-                reading = dog.observe(i, c, seconds=0.01)
-        assert dog.n_fired() == 0
-        assert reading.ok
-        # counters match the model exactly by construction
-        assert reading.flops_ratio == pytest.approx(1.0)
-        assert reading.words_ratio == pytest.approx(1.0)
-
-    def test_fires_on_work_drift(self):
-        engine, cost = self._fit()
-        perturbed = dataclasses.replace(
-            cost, flops_per_iteration=cost.flops_per_iteration * 2
-        )
-        dog = DriftWatchdog(perturbed)
-        c = self._run_iteration(engine)
-        with pytest.warns(ModelDriftWarning, match="flops"):
-            reading = dog.observe(0, c, seconds=0.01)
-        assert "flops" in reading.fired
-        assert reading.flops_ratio == pytest.approx(0.5)
-        assert dog.n_fired() == 1
-        snap = metrics()
-        assert snap["events"]["drift.warnings"] == 1
-        assert snap["gauges"]["drift.flops_ratio"] == pytest.approx(0.5)
-
-    def test_time_drift_self_calibrates_then_fires(self):
-        engine, cost = self._fit()
-        assert cost.predicted_seconds >= 1e-4 or True
-        dog = DriftWatchdog(cost, time_warmup=2,
-                            min_predicted_seconds=0.0, warn=True)
-        c = self._run_iteration(engine)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ModelDriftWarning)
-            dog.observe(0, c, seconds=0.01)   # warmup
-            dog.observe(1, c, seconds=0.01)   # warmup -> baseline
-            dog.observe(2, c, seconds=0.012)  # within 3x of baseline
-        assert dog.time_baseline is not None
-        with pytest.warns(ModelDriftWarning, match="time"):
-            reading = dog.observe(3, c, seconds=0.01 * 10)  # 10x baseline
-        assert "time" in reading.fired
-        assert reading.time_rel == pytest.approx(10.0, rel=1e-6)
-
-    def test_skips_time_in_noise_regime(self):
-        engine, cost = self._fit()
-        dog = DriftWatchdog(cost, min_predicted_seconds=1e9)
-        c = self._run_iteration(engine)
-        reading = dog.observe(0, c, seconds=123.0)
-        assert reading.time_ratio is None and reading.time_rel is None
-        assert dog.n_fired() == 0
-
-    def test_cp_als_attaches_watchdog_when_tracing(self):
-        t = random_coo(np.random.default_rng(3), (10, 9, 8, 7), 300)
-        switch.enable("trace", clear=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelDriftWarning)
-            result = cp_als(t, 3, strategy=balanced_binary(4),
-                            n_iter_max=3, random_state=0)
-        assert result.drift_readings is not None
-        assert len(result.drift_readings) == 3
-        # work ratios are exact regardless of machine-time calibration
-        for r in result.drift_readings:
-            assert r.flops_ratio == pytest.approx(1.0)
-            assert r.words_ratio == pytest.approx(1.0)
-
-    def test_cp_als_no_watchdog_when_disabled(self):
-        t = random_coo(np.random.default_rng(3), (10, 9, 8), 150)
-        result = cp_als(t, 2, strategy="star", n_iter_max=2,
-                        random_state=0)
-        assert result.drift_readings is None
-
-
 class TestCpAlsTracing:
     def test_span_tree_covers_engine_time(self):
         t = random_coo(np.random.default_rng(4), (14, 13, 12, 11), 800)
         n_iter = 3
         switch.enable("trace", clear=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelDriftWarning)
-            cp_als(t, 4, strategy=balanced_binary(4), n_iter_max=n_iter,
-                   random_state=1)
+        cp_als(t, 4, strategy=balanced_binary(4), n_iter_max=n_iter,
+               random_state=1)
         spans = switch.get("trace").finished()
         iters = [s for s in spans if s.kind == "als_iteration"]
         mttkrps = [s for s in spans if s.kind == "mttkrp"]
@@ -510,8 +415,6 @@ class TestCpAlsMemory:
         return random_coo(np.random.default_rng(5), (12, 11, 10, 9), 500)
 
     def test_memory_readings_exact_against_model(self):
-        from repro.model.cost import cost_from_symbolic as _cfs
-
         t = self._tensor()
         with switch.enabled("mem"):
             result = cp_als(t, 4, strategy=balanced_binary(4),
@@ -519,7 +422,7 @@ class TestCpAlsMemory:
         assert result.memory_readings is not None
         assert len(result.memory_readings) == 3
         engine = MemoizedMttkrp(t, balanced_binary(4))
-        expected = _cfs(engine.symbolic, 4).peak_value_bytes
+        expected = cost_from_symbolic(engine.symbolic, 4).peak_value_bytes
         for r in result.memory_readings:
             assert r.predicted_peak_bytes == expected
         # steady-state iterations (past the cold start) match exactly
@@ -531,6 +434,21 @@ class TestCpAlsMemory:
         result = cp_als(self._tensor(), 3, strategy="star", n_iter_max=2,
                         random_state=0)
         assert result.memory_readings is None
+
+    def test_successive_runs_measure_only_their_own_engine(self):
+        """A finished run's engine leaves the live total when it is
+        collected, so restarts in one process each match the model."""
+        from repro.algos.restarts import cp_als_restarts
+
+        t = self._tensor()
+        with switch.enabled("mem"):
+            report = cp_als_restarts(t, 4, 3, strategy=balanced_binary(4),
+                                     n_iter_max=3, tol=0, random_state=0)
+            again = cp_als(t, 4, strategy=balanced_binary(4), n_iter_max=3,
+                           tol=0, random_state=1)
+        for result in [*report.results, again]:
+            for r in result.memory_readings:
+                assert r.measured_peak_bytes == r.predicted_peak_bytes
 
     def test_tracemalloc_sampling_ends_with_its_run(self):
         """A run that asked for allocator sampling stops it at exit, so a
@@ -567,68 +485,12 @@ class TestCpAlsMemory:
         # The 16 MiB allocated before the window is not its peak.
         assert reading.traced_peak_bytes < 16 << 20
 
-    def test_watchdog_mem_band_quiet_on_exact_match(self):
-        t = self._tensor()
-        switch.enable("trace", clear=True)
-        switch.enable("mem", clear=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ModelDriftWarning)
-            result = cp_als(t, 4, strategy=balanced_binary(4),
-                            n_iter_max=3, tol=0, random_state=0)
-        assert result.drift_readings is not None
-        for r in result.drift_readings[1:]:
-            assert r.mem_ratio == pytest.approx(1.0)
-            assert "mem" not in r.fired
-
-    def test_watchdog_fires_on_memory_drift(self):
-        engine = small_engine()
-        cost = cost_from_symbolic(engine.symbolic, 4)
-        perturbed = dataclasses.replace(
-            cost, peak_value_bytes=cost.peak_value_bytes * 2
-        )
-        dog = DriftWatchdog(perturbed, mem_warmup=0)
-        switch.enable("mem", clear=True)
-        tracker = switch.get("mem")
-        from repro.perf import counters as perf
-
-        tracker.begin_iteration(0)
-        with perf.counting() as c:
-            for n in engine.mode_order:
-                engine.mttkrp(n)
-                engine.update_factor(n, engine.factors[n])
-        reading = tracker.end_iteration(IterationRecord(0))
-        with pytest.warns(ModelDriftWarning, match="mem"):
-            drift = dog.observe(0, c, seconds=0.01, mem=reading)
-        assert "mem" in drift.fired
-        assert drift.mem_ratio == pytest.approx(0.5)
-        assert metrics()["gauges"]["drift.mem_ratio"] == pytest.approx(0.5)
-
-    def test_watchdog_skips_mem_during_warmup(self):
-        engine = small_engine()
-        cost = cost_from_symbolic(engine.symbolic, 4)
-        perturbed = dataclasses.replace(
-            cost, peak_value_bytes=cost.peak_value_bytes * 100
-        )
-        dog = DriftWatchdog(perturbed, mem_warmup=1)
-        tracker = obs_memory.MemTracker()
-        tracker.begin_iteration(0)
-        reading = tracker.end_iteration(IterationRecord(0))
-        from repro.perf.counters import Counters
-
-        c = Counters()
-        c.flops = perturbed.flops_per_iteration
-        c.words = perturbed.words_per_iteration
-        drift = dog.observe(0, c, seconds=0.01, mem=reading)
-        assert drift.mem_ratio is None and "mem" not in drift.fired
-
     def test_chrome_trace_memory_counter_track(self):
         t = self._tensor()
         switch.enable("trace", clear=True)
         switch.enable("mem", clear=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelDriftWarning)
-            cp_als(t, 4, strategy=balanced_binary(4), n_iter_max=2,
-                   tol=0, random_state=0)
+        cp_als(t, 4, strategy=balanced_binary(4), n_iter_max=2,
+               tol=0, random_state=0)
         tracker = switch.get("mem")
         assert tracker.samples
         doc = export.to_chrome_trace(mem_samples=tracker.samples)
@@ -642,10 +504,8 @@ class TestCpAlsMemory:
         t = self._tensor()
         switch.enable("trace", clear=True)
         switch.enable("mem", clear=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelDriftWarning)
-            cp_als(t, 4, strategy=balanced_binary(4), n_iter_max=2,
-                   tol=0, random_state=0)
+        cp_als(t, 4, strategy=balanced_binary(4), n_iter_max=2,
+               tol=0, random_state=0)
         gauges = metrics()["gauges"]
         for name in ("mem.live_value_bytes", "mem.live_value_bytes_peak",
                      "mem.workspace_bytes", "mem.factor_bytes",

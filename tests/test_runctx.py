@@ -29,11 +29,6 @@ from repro.parallel import ParallelMemoizedMttkrp
 
 from .helpers import random_coo
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.obs.watchdog.ModelDriftWarning"
-)
-
-
 @pytest.fixture(autouse=True)
 def clean_state():
     """Each test starts and ends with instruments off/empty."""
