@@ -93,10 +93,10 @@ def cp_als_restarts(
 ) -> RestartReport:
     """Run CP-ALS from ``n_restarts`` random inits, sharing symbolic work.
 
-    With ``strategy='auto'`` the planner runs once; the chosen strategy's
-    symbolic tree is then reused by every restart (restart ``k`` costs only
-    numeric work).  Extra keyword arguments go to
-    :func:`repro.core.cpals.cp_als`.
+    With ``strategy='auto'`` the planner runs once, under ``memory_budget``
+    when one is among the keyword arguments; the chosen strategy's symbolic
+    tree is then reused by every restart (restart ``k`` costs only numeric
+    work).  Extra keyword arguments go to :func:`repro.core.cpals.cp_als`.
 
     With ``early_stop=True`` each restart is watched by the
     numerical-health stall/swamp classifier
@@ -115,7 +115,11 @@ def cp_als_restarts(
     if isinstance(strategy, str) and strategy.lower() == "auto":
         from ..model.planner import plan
 
-        chosen = plan(tensor, rank).best.strategy
+        # The shared engine makes cp_als skip its own planning, so the
+        # budget it would have honoured is applied here.
+        chosen = plan(
+            tensor, rank, memory_budget=cp_kwargs.get("memory_budget")
+        ).best.strategy
     else:
         chosen = resolve_strategy(strategy, tensor.ndim)
     shared_symbolic = SymbolicTree(tensor, chosen)

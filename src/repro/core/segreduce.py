@@ -15,6 +15,9 @@ import numpy as np
 from .dtypes import INDEX_ITEMSIZE, as_index_array
 from .partition import contiguous_chunks
 
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class SegmentPlan:
     """Precomputed plan for summing source rows into target groups.
@@ -50,15 +53,16 @@ class SegmentPlan:
             self._identity = True
             self._perm_identity = True
             return
-        perm = np.argsort(targets, kind="stable")
         # Sorted-input fast path: memoization-tree nodes keep their rows in
         # lexicographic order, so a child projecting onto a *prefix* of the
         # parent's modes sees non-decreasing targets — the gather permutation
         # is the identity and reduce() can skip the fancy-index pass.
-        self._perm_identity = bool(
-            np.array_equal(perm, np.arange(m, dtype=perm.dtype))
-        )
-        sorted_targets = targets[perm] if not self._perm_identity else targets
+        self._perm_identity = not bool((targets[1:] < targets[:-1]).any())
+        if self._perm_identity:
+            perm = np.arange(m, dtype=np.intp)
+            sorted_targets = targets
+        else:
+            perm, sorted_targets = _stable_order(targets)
         boundary = np.empty(m, dtype=bool)
         boundary[0] = True
         np.not_equal(sorted_targets[1:], sorted_targets[:-1], out=boundary[1:])
@@ -194,6 +198,27 @@ class SegmentPlan:
             f"SegmentPlan(n_sources={self.n_sources}, "
             f"n_segments={self.n_segments}, identity={self._identity})"
         )
+
+
+def _stable_order(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(perm, targets[perm])`` where ``perm`` is the stable argsort.
+
+    The key ``targets[i] * m + i`` orders like the pair ``(targets[i], i)``
+    and no two keys are equal, so one sort of any kind puts the keys in the
+    stable order; the key's quotient and remainder by ``m`` are the sorted
+    target and the source row.  A stable argsort is kept for targets whose
+    keys would overflow int64.
+    """
+    m = targets.shape[0]
+    lo, hi = int(targets.min()), int(targets.max())
+    if lo * m < _INT64_MIN or (hi + 1) * m - 1 > _INT64_MAX:
+        perm = np.argsort(targets, kind="stable")
+        return perm, targets[perm]
+    keys = targets * m
+    keys += np.arange(m, dtype=keys.dtype)
+    keys.sort()
+    sorted_targets, perm = np.divmod(keys, m)
+    return perm.astype(np.intp, copy=False), sorted_targets
 
 
 def segment_sum(values: np.ndarray, targets: np.ndarray, n_targets: int) -> np.ndarray:

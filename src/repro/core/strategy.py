@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .validate import check_positive_int
 
@@ -74,47 +74,58 @@ class MemoStrategy:
     def __init__(self, nodes: Sequence[TreeNode], name: str = "custom"):
         self.nodes: tuple[TreeNode, ...] = tuple(nodes)
         self.name = name
-        self._validate()
-        self.root_id = next(n.id for n in self.nodes if n.is_root)
+        self.root_id = self._validate().id
         self.n_modes = len(self.nodes[self.root_id].modes)
         self._leaf_of_mode = {
-            n.modes[0]: n.id for n in self.nodes if n.is_leaf
+            n.modes[0]: n.id for n in self.nodes if not n.children
         }
-        self._postorder = tuple(self._compute_postorder())
+        # A depth-first walk meets the leaves in the same order whether it
+        # emits parents first or last, so post-order's leaves are these.
         self.mode_order: tuple[int, ...] = tuple(
-            self.nodes[i].modes[0] for i in self._postorder if self.nodes[i].is_leaf
+            self.nodes[i].modes[0] for i in self.topological_order()
+            if not self.nodes[i].children
         )
-        # contracted(t) = all modes not in modes(t); precomputed as frozensets
-        # because the engine's invalidation test runs every sub-iteration.
-        all_modes = frozenset(range(self.n_modes))
-        self._contracted = tuple(
-            all_modes - frozenset(n.modes) for n in self.nodes
-        )
+        # The answers of invalidated_by, and memoized ones of path_to_root
+        # and signature: the tree is immutable, and the engine asks every
+        # sub-iteration and the cost model once per mode of every planner
+        # candidate.  A non-root node goes stale with every mode it does not
+        # keep.
+        nonroot = [n for n in self.nodes if n.parent is not None]
+        self._invalidated = {
+            m: tuple([n.id for n in nonroot if m not in n.modes])
+            for m in range(self.n_modes)
+        }
+        self._paths: dict[int, tuple[int, ...]] = {}
+        self._signature: str | None = None
 
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
-    def _validate(self) -> None:
-        if not self.nodes:
+    def _validate(self) -> TreeNode:
+        """Check the tree's invariants; returns its root."""
+        nodes = self.nodes
+        if not nodes:
             raise ValueError("strategy must have at least one node")
-        roots = [n for n in self.nodes if n.is_root]
+        roots = [n for n in nodes if n.parent is None]
         if len(roots) != 1:
             raise ValueError(f"strategy must have exactly one root, got {len(roots)}")
-        ids = {n.id for n in self.nodes}
-        if ids != set(range(len(self.nodes))):
+        if {n.id for n in nodes} != set(range(len(nodes))):
             raise ValueError("node ids must be 0..len(nodes)-1")
-        for n in self.nodes:
-            if tuple(sorted(set(n.modes))) != n.modes:
+        for n in nodes:
+            modes = n.modes
+            if tuple(sorted(set(modes))) != modes:
                 raise ValueError(f"node {n.id} modes must be sorted and unique")
             if n.children:
                 child_modes: list[int] = []
                 for c in n.children:
-                    if self.nodes[c].parent != n.id:
+                    child = nodes[c]
+                    if child.parent != n.id:
                         raise ValueError(
                             f"child {c} does not point back to parent {n.id}"
                         )
-                    child_modes.extend(self.nodes[c].modes)
-                if sorted(child_modes) != list(n.modes):
+                    child_modes.extend(child.modes)
+                child_modes.sort()
+                if child_modes != list(modes):
                     raise ValueError(
                         f"children of node {n.id} do not partition its modes"
                     )
@@ -122,14 +133,13 @@ class MemoStrategy:
                     raise ValueError(
                         f"internal node {n.id} must have >= 2 children"
                     )
-            else:
-                if len(n.modes) != 1:
-                    raise ValueError(
-                        f"leaf node {n.id} must carry exactly one mode"
-                    )
+            elif len(modes) != 1:
+                raise ValueError(
+                    f"leaf node {n.id} must carry exactly one mode"
+                )
             if n.parent is not None:
                 expected_delta = tuple(
-                    sorted(set(self.nodes[n.parent].modes) - set(n.modes))
+                    sorted(set(nodes[n.parent].modes).difference(modes))
                 )
                 if n.delta != expected_delta:
                     raise ValueError(
@@ -140,6 +150,7 @@ class MemoStrategy:
         root = roots[0]
         if root.modes != tuple(range(len(root.modes))):
             raise ValueError("root must carry modes 0..N-1")
+        return root
 
     # ------------------------------------------------------------------
     # structure queries
@@ -154,22 +165,24 @@ class MemoStrategy:
 
     def contracted(self, node_id: int) -> frozenset[int]:
         """Modes contracted into node ``node_id`` (its ``mu'`` set)."""
-        return self._contracted[node_id]
+        return frozenset(range(self.n_modes)).difference(
+            self.nodes[node_id].modes
+        )
 
-    def path_to_root(self, node_id: int) -> list[int]:
+    def path_to_root(self, node_id: int) -> tuple[int, ...]:
         """Node ids from ``node_id`` up to and including the root."""
-        path = [node_id]
-        while self.nodes[path[-1]].parent is not None:
-            path.append(self.nodes[path[-1]].parent)  # type: ignore[arg-type]
+        path = self._paths.get(node_id)
+        if path is None:
+            parent = self.nodes[node_id].parent
+            path = (node_id,) if parent is None else (
+                (node_id,) + self.path_to_root(parent)
+            )
+            self._paths[node_id] = path
         return path
 
-    def invalidated_by(self, mode: int) -> list[int]:
+    def invalidated_by(self, mode: int) -> tuple[int, ...]:
         """Node ids whose cached tensors become stale when ``mode`` updates."""
-        return [
-            n.id
-            for n in self.nodes
-            if not n.is_root and mode in self._contracted[n.id]
-        ]
+        return self._invalidated.get(mode, ())
 
     def topological_order(self) -> list[int]:
         """Node ids in a parent-before-children order."""
@@ -180,14 +193,6 @@ class MemoStrategy:
             order.append(nid)
             stack.extend(reversed(self.nodes[nid].children))
         return order
-
-    def _compute_postorder(self) -> Iterator[int]:
-        def walk(nid: int) -> Iterator[int]:
-            for c in self.nodes[nid].children:
-                yield from walk(c)
-            yield nid
-
-        return walk(self.root_id)
 
     def rebuild_schedule(self) -> list[tuple[int, tuple[int, ...]]]:
         """Steady-state per-mode rebuild schedule: ``[(mode, node_ids), ...]``.
@@ -264,18 +269,19 @@ class MemoStrategy:
     # ------------------------------------------------------------------
     def to_nested(self) -> NestedSpec:
         """Inverse of :func:`from_nested`."""
+        return self._nested(self.root_id)
 
-        def build(nid: int) -> NestedSpec:
-            node = self.nodes[nid]
-            if node.is_leaf:
-                return node.modes[0]
-            return tuple(build(c) for c in node.children)
-
-        return build(self.root_id)
+    def _nested(self, nid: int) -> NestedSpec:
+        node = self.nodes[nid]
+        if node.is_leaf:
+            return node.modes[0]
+        return tuple([self._nested(c) for c in node.children])
 
     def signature(self) -> str:
         """Canonical string form of the tree shape (hashable/dedup key)."""
-        return repr(self.to_nested())
+        if self._signature is None:
+            self._signature = repr(self.to_nested())
+        return self._signature
 
     def __eq__(self, other) -> bool:
         return (
@@ -307,45 +313,54 @@ def from_nested(spec: NestedSpec, name: str = "custom") -> MemoStrategy:
         from_nested(((0, 1), (2, 3)))   # one two-way split
         from_nested((0, 1, 2, 3))       # star (no memoization)
     """
-    nodes: list[dict] = []
-
-    def walk(s: NestedSpec, parent: int | None) -> int:
-        nid = len(nodes)
-        nodes.append({"parent": parent, "children": [], "modes": None, "spec": s})
-        if isinstance(s, tuple):
-            if len(s) < 2:
-                raise ValueError(f"internal spec nodes need >= 2 children: {s!r}")
-            modes: list[int] = []
-            for child in s:
-                cid = walk(child, nid)
-                nodes[nid]["children"].append(cid)
-                modes.extend(nodes[cid]["modes"])
-            nodes[nid]["modes"] = tuple(sorted(modes))
-        elif isinstance(s, int):
-            nodes[nid]["modes"] = (s,)
-        else:
-            raise TypeError(f"spec elements must be int or tuple, got {type(s)}")
-        return nid
-
-    walk(spec, None)
-    tree_nodes = []
-    for nid, info in enumerate(nodes):
-        parent = info["parent"]
-        delta: tuple[int, ...] = ()
-        if parent is not None:
-            delta = tuple(
-                sorted(set(nodes[parent]["modes"]) - set(info["modes"]))
-            )
-        tree_nodes.append(
-            TreeNode(
-                id=nid,
-                modes=info["modes"],
-                parent=parent,
-                children=tuple(info["children"]),
-                delta=delta,
-            )
+    parents: list[int | None] = []
+    children: list[tuple[int, ...]] = []
+    modes: list[tuple[int, ...]] = []
+    _walk_spec(spec, None, parents, children, modes)
+    # A parent's modes are sorted, so filtering them keeps the delta sorted.
+    # (If they repeat a mode, the root repeats it too, and validation
+    # rejects the root before any delta is read.)
+    tree_nodes = [
+        TreeNode(
+            nid,
+            modes[nid],
+            parent,
+            children[nid],
+            () if parent is None
+            else tuple([m for m in modes[parent] if m not in modes[nid]]),
         )
+        for nid, parent in enumerate(parents)
+    ]
     return MemoStrategy(tree_nodes, name=name)
+
+
+def _walk_spec(s: NestedSpec, parent: int | None, parents: list,
+               children: list, modes: list) -> int:
+    """Number the nodes of ``s`` in pre-order from ``len(parents)`` on,
+    appending each node's parent, children and sorted modes; returns the
+    id of ``s`` itself.  (A module function, not a closure: a recursive
+    closure is a reference cycle that only the garbage collector frees.)"""
+    nid = len(parents)
+    parents.append(parent)
+    children.append(())
+    modes.append(())
+    if isinstance(s, tuple):
+        if len(s) < 2:
+            raise ValueError(f"internal spec nodes need >= 2 children: {s!r}")
+        kids: list[int] = []
+        kept: list[int] = []
+        for child in s:
+            cid = _walk_spec(child, nid, parents, children, modes)
+            kids.append(cid)
+            kept += modes[cid]
+        kept.sort()
+        children[nid] = tuple(kids)
+        modes[nid] = tuple(kept)
+    elif isinstance(s, int):
+        modes[nid] = (s,)
+    else:
+        raise TypeError(f"spec elements must be int or tuple, got {type(s)}")
+    return nid
 
 
 def star(n_modes: int) -> MemoStrategy:

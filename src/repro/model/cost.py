@@ -100,13 +100,12 @@ def iteration_flops_words(
     flops = 0
     words = 0
     for node in strategy.nodes:
-        if node.is_root:
+        if node.parent is None:
             continue
-        parent_nnz = node_nnz[node.parent]  # type: ignore[index]
-        f, w = contraction_work(parent_nnz, rank, len(node.delta))
+        f, w = contraction_work(node_nnz[node.parent], rank, len(node.delta))
         flops += f
         words += w
-        if node.is_leaf:
+        if not node.children:
             words += node_nnz[node.id] * rank
     return flops, words
 
@@ -224,22 +223,21 @@ def simulate_peak_value_bytes(
     bytes_of = [
         node_nnz[i] * rank * VALUE_ITEMSIZE for i in range(len(strategy.nodes))
     ]
-
-    def total() -> int:
-        return sum(bytes_of[i] for i in live)
-
     # Two passes: caches persist across iterations, so steady-state peaks can
     # exceed the cold-start first iteration.  Doomed nodes are freed on
     # entering a sub-iteration, before the path materializes (the engine's
-    # eager-free schedule).
+    # eager-free schedule).  A root path ends at the root, which holds no
+    # memoized values.
+    steps = [
+        (strategy.invalidated_by(n),
+         strategy.path_to_root(strategy.leaf_id(n))[:-1])
+        for n in strategy.mode_order
+    ]
     for _ in range(2):
-        for n in strategy.mode_order:
-            for nid in strategy.invalidated_by(n):
-                live.discard(nid)
-            for nid in strategy.path_to_root(strategy.leaf_id(n)):
-                if not strategy.nodes[nid].is_root:
-                    live.add(nid)
-            peak = max(peak, total())
+        for stale, path in steps:
+            live.difference_update(stale)
+            live.update(path)
+            peak = max(peak, sum(map(bytes_of.__getitem__, live)))
     return peak
 
 
@@ -254,13 +252,10 @@ def symbolic_index_bytes(strategy: MemoStrategy, node_nnz: Sequence[int]) -> int
     """
     total = 0
     for node in strategy.nodes:
-        if node.is_root:
-            total += node_nnz[node.id] * len(node.modes) * INDEX_ITEMSIZE
-            continue
         nnz_t = node_nnz[node.id]
-        nnz_p = node_nnz[node.parent]  # type: ignore[index]
         total += nnz_t * len(node.modes) * INDEX_ITEMSIZE
-        total += (nnz_p + 2 * nnz_t) * INDEX_ITEMSIZE
+        if node.parent is not None:
+            total += (node_nnz[node.parent] + 2 * nnz_t) * INDEX_ITEMSIZE
     return total
 
 

@@ -43,10 +43,22 @@ class DistinctCounter:
         self.sample_size = int(sample_size)
         self._rng = check_random_state(random_state)
         self._cache: dict[frozenset[int], int] = {}
+        # Tuple-keyed hits, for the planner asking once per candidate node:
+        # a node's modes tuple is its own key, with no frozenset to build.
+        self._by_tuple: dict[tuple, int] = {}
         self._sample_rows: np.ndarray | None = None
+        self._column_major: np.ndarray | None = None
 
     def count(self, modes: Iterable[int]) -> int:
         """(Estimated) number of distinct projections onto ``modes``."""
+        if type(modes) is tuple:
+            hit = self._by_tuple.get(modes)
+            if hit is None:
+                hit = self._by_tuple[modes] = self._count(modes)
+            return hit
+        return self._count(modes)
+
+    def _count(self, modes: Iterable[int]) -> int:
         key = frozenset(int(m) for m in modes)
         if not key:
             return 1 if self.tensor.nnz else 0
@@ -56,8 +68,13 @@ class DistinctCounter:
             cols = sorted(key)
             dims = [self.tensor.shape[c] for c in cols]
             if self.method == "exact" or self.tensor.nnz <= self.sample_size:
-                self._cache[key] = rowcodes.count_distinct_rows(
-                    self.tensor.idx[:, cols], dims
+                if self._column_major is None:
+                    # One copy serves every count: a column of it is
+                    # contiguous, where a column of the row-major index is
+                    # strided and gathering one is most of a count's cost.
+                    self._column_major = np.asfortranarray(self.tensor.idx)
+                self._cache[key] = rowcodes.count_distinct_columns(
+                    [self._column_major[:, c] for c in cols], dims
                 )
             else:
                 self._cache[key] = self._sampled_count(cols, dims)

@@ -76,6 +76,10 @@ def greedy_tree(
         return (build(lo, best_cut, nnz_here), build(best_cut, hi, nnz_here))
 
     spec = build(0, tensor.ndim, tensor.nnz)
+    # Each recursive closure is a reference cycle through its own name.
+    # Unbroken, the cycles keep ``counter`` (with its column-major copy of
+    # the index) alive until the garbage collector next runs.
+    del cost, build
     return from_nested(spec, name=name)
 
 

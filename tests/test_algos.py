@@ -212,6 +212,32 @@ class TestRestarts:
         assert report.best.strategy_name == picked
         assert all(r.strategy_name == picked for r in report.results)
 
+    def test_memory_budget_is_honoured(self):
+        """The planner under cp_als_restarts sees the budget cp_als sees:
+        an infeasible one fails the same way, a tight one picks the same
+        strategy."""
+        from repro.core.cpals import cp_als
+        from repro.model.planner import InfeasibleBudgetError, plan
+        from repro.synth.skewed import skewed_random_tensor
+
+        tensor = skewed_random_tensor((30, 40, 20, 25), 2000, exponents=1.1,
+                                      random_state=4)
+        opts = dict(n_iter_max=2, tol=0.0, random_state=0)
+        with pytest.raises(InfeasibleBudgetError) as direct:
+            cp_als(tensor, 4, memory_budget=10, **opts)
+        with pytest.raises(InfeasibleBudgetError) as restarted:
+            cp_als_restarts(tensor, 4, n_restarts=2, memory_budget=10, **opts)
+        assert str(restarted.value) == str(direct.value)
+
+        unbounded = plan(tensor, 4).best
+        budget = unbounded.cost.total_memory_bytes - 1
+        expected = cp_als(tensor, 4, memory_budget=budget, **opts)
+        assert expected.strategy_name != unbounded.strategy.name
+        report = cp_als_restarts(tensor, 4, n_restarts=2,
+                                 memory_budget=budget, **opts)
+        assert all(r.strategy_name == expected.strategy_name
+                   for r in report.results)
+
     def test_strategy_name_of_explicit_strategy(self, planted):
         report = cp_als_restarts(
             planted.tensor, rank=2, n_restarts=1, strategy="star",

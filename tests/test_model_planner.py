@@ -1,5 +1,7 @@
 """Tests for the adaptive planner (repro.model.planner) and overlap counter."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,33 @@ class TestPlanner:
         assert "budget 1 B" in msg and f"{smallest:,} B" in msg
         assert isinstance(exc.value, ValueError)
 
+    def test_counter_released_when_plan_returns(self, tensor4d, monkeypatch):
+        """No reference cycle outlives plan(): its distinct counter, which
+        holds a column-major copy of the index, is freed on return rather
+        than at the next garbage collection."""
+        import gc
+        import weakref
+
+        from repro.model import overlap
+
+        counters = []
+        init = overlap.DistinctCounter.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            counters.append(weakref.ref(self))
+
+        monkeypatch.setattr(overlap.DistinctCounter, "__init__",
+                            tracking_init)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            plan(tensor4d, rank=8)
+            assert counters and all(ref() is None for ref in counters)
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_explicit_candidates(self, tensor4d):
         cands = [S.star(4), S.balanced_binary(4)]
         report = plan(tensor4d, rank=4, candidates=cands)
@@ -179,6 +208,21 @@ class TestPlanner:
             assert c.flops == scored.cost.flops_per_iteration
         sigs = [s.strategy.signature() for s in report.scored]
         assert measured[sigs[0]] <= measured[sigs[1]]
+
+
+class TestGoldenRanking:
+    @pytest.mark.parametrize("case", ["order4", "order8", "order4_sampled"])
+    def test_ranking_matches_fixture(self, case):
+        """Every candidate's name, signature, counts, byte totals and the
+        ``repr`` of its predicted time equal ``fixtures/planner_ranking.json``
+        (see ``tests/planner_ranking.py``), in ranked order."""
+        from . import planner_ranking
+
+        with open(planner_ranking.FIXTURE) as fh:
+            expected = json.load(fh)[case]
+        got = planner_ranking.rankings([case])[case]
+        assert [c["name"] for c in got] == [c["name"] for c in expected]
+        assert got == expected
 
 
 class TestCalibrate:

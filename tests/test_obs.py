@@ -1,6 +1,9 @@
 """Tests for the observability stack: tracer, exporters, metrics, memory."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -124,6 +127,33 @@ class TestPoolNesting:
         assert any(
             spans[s.parent].kind == "pool_task" for s in chunks
         )
+
+
+class TestTracedChunkedRun:
+    def test_kernel_chunks_nest_under_pool_tasks(self, tmp_path):
+        """The CI traced run (2 workers, every rebuild chunked) shows the
+        span kinds CI requires, each ``kernel_chunk`` inside a
+        ``pool_task``.  An explicit worker count is honoured on any number
+        of CPUs, so this holds on one CPU too."""
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["REPRO_MACHINE"] = str(tmp_path / "no-machine.json")
+        subprocess.run(
+            [sys.executable, "-m", "repro", "trace", "--trace-dir",
+             str(tmp_path), "decompose", "nips", "--scale", "0.02",
+             "--rank", "4", "--iters", "3", "--strategy", "bdt",
+             "--workers", "2", "--min-chunk-rows", "1"],
+            check=True, env=env, stdout=subprocess.DEVNULL,
+        )
+        with open(tmp_path / "trace.chrome.json") as fh:
+            doc = json.load(fh)
+        spans = {e["args"]["id"]: e["args"] for e in doc["traceEvents"]
+                 if e["ph"] == "X"}
+        kinds = {a["kind"] for a in spans.values()}
+        assert {"als_iteration", "mttkrp", "node_rebuild", "kernel_chunk",
+                "pool_task"} <= kinds
+        chunks = [a for a in spans.values() if a["kind"] == "kernel_chunk"]
+        assert all(spans[a["parent"]]["kind"] == "pool_task" for a in chunks)
 
 
 class TestExporters:

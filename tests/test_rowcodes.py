@@ -141,6 +141,10 @@ def _assert_matches_reference(idx, dims):
     assert np.array_equal(inverse, ref_inverse)
     assert inverse.dtype == np.intp
     assert rowcodes.count_distinct_rows(idx, dims) == ref_rows.shape[0]
+    if idx.shape[1]:
+        columns = list(np.asfortranarray(idx).T)
+        assert rowcodes.count_distinct_columns(columns, dims) == \
+            ref_rows.shape[0]
 
 
 def _rows_with_duplicates(rng, dims, m):
@@ -163,6 +167,18 @@ class TestExactAgainstNpUnique:
     def test_fixed_dims(self, dims):
         rng = np.random.default_rng(sum(d % 1000 for d in dims))
         _assert_matches_reference(_rows_with_duplicates(rng, dims, 500), dims)
+
+    @pytest.mark.parametrize("dims", [
+        [256, 256], [256, 257], [2**16, 2**16], [2**16, 2**16 + 1],
+    ])
+    def test_narrow_key_dtype_boundaries(self, dims):
+        """Keys sort as uint16 / uint32 up to a key space of 2**16 / 2**32;
+        the largest and smallest keys must survive the narrowing."""
+        rng = np.random.default_rng(dims[1])
+        idx = _rows_with_duplicates(rng, dims, 300)
+        corners = np.array([[0, 0], [0, dims[1] - 1], [dims[0] - 1, 0],
+                            [dims[0] - 1, dims[1] - 1]] * 2, np.int64)
+        _assert_matches_reference(np.concatenate([idx, corners]), dims)
 
     def test_overflow_path_uses_several_keys(self):
         assert len(rowcodes._row_keys(np.zeros((1, 8), np.int64),

@@ -95,6 +95,38 @@ class TestSegmentPlan:
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
+class TestStableOrder:
+    """The plan's permutation is the stable argsort, without running one."""
+
+    CASES = {
+        "empty": np.array([], dtype=np.int64),
+        "single": np.array([7]),
+        "all_equal": np.full(50, 3),
+        "sorted": np.repeat(np.arange(20), 3),
+        "reversed": np.arange(40)[::-1].copy(),
+        "random": np.random.default_rng(5).integers(0, 30, size=500),
+        "random_wide": np.random.default_rng(6).integers(-10**6, 10**9, 300),
+        # Keys t * m + i would overflow int64: the stable argsort is kept.
+        "overflow": np.array([2**62, 5, 2**62, -(2**62), 5]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_stable_argsort(self, name):
+        targets = self.CASES[name]
+        plan = SegmentPlan(targets)
+        perm = np.argsort(targets, kind="stable")
+        sorted_targets = targets[perm]
+        starts = np.flatnonzero(
+            np.concatenate([[True], sorted_targets[1:] != sorted_targets[:-1]])
+        ) if len(targets) else np.zeros(0, dtype=np.intp)
+        for got, want in ((plan.perm, perm), (plan.starts, starts),
+                          (plan.group_ids, sorted_targets[starts])):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert plan.has_identity_perm == bool(
+            np.array_equal(perm, np.arange(len(targets))))
+
+
 class TestChunks:
     def test_chunks_cover_everything(self):
         rng = np.random.default_rng(1)

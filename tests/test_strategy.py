@@ -174,6 +174,100 @@ class TestStructureQueries:
         assert a != S.star(4)
 
 
+class TestCachedStructure:
+    """The memoized structure queries equal the definitions they replace."""
+
+    @staticmethod
+    def old_path_to_root(t, node_id):
+        path = [node_id]
+        while t.nodes[path[-1]].parent is not None:
+            path.append(t.nodes[path[-1]].parent)
+        return path
+
+    @staticmethod
+    def old_invalidated_by(t, mode):
+        all_modes = frozenset(range(t.n_modes))
+        return [n.id for n in t.nodes
+                if not n.is_root and mode in all_modes - frozenset(n.modes)]
+
+    @staticmethod
+    def old_mode_order(t):
+        def walk(nid):
+            for c in t.nodes[nid].children:
+                yield from walk(c)
+            yield nid
+
+        return tuple(t.nodes[i].modes[0] for i in walk(t.root_id)
+                     if t.nodes[i].is_leaf)
+
+    def test_every_binary_tree_of_order_six(self):
+        trees = S.enumerate_binary(6)
+        assert len(trees) == S.catalan(5)
+        for t in trees:
+            for node in t.nodes:
+                assert list(t.path_to_root(node.id)) == \
+                    self.old_path_to_root(t, node.id)
+                assert t.path_to_root(node.id) is t.path_to_root(node.id)
+            for mode in range(-1, t.n_modes + 1):
+                assert list(t.invalidated_by(mode)) == \
+                    self.old_invalidated_by(t, mode)
+            assert t.mode_order == self.old_mode_order(t)
+            assert t.signature() == repr(t.to_nested())
+            assert t.signature() is t.signature()
+
+    def test_named_generators(self):
+        for t in (S.star(5), S.chain(5, 2), S.two_way(5),
+                  S.balanced_binary(5)):
+            for mode in range(t.n_modes):
+                assert list(t.invalidated_by(mode)) == \
+                    self.old_invalidated_by(t, mode)
+            assert t.mode_order == self.old_mode_order(t)
+            assert t.signature() == repr(t.to_nested())
+
+
+class TestValidation:
+    """Each check of a hand-built tree still fires."""
+
+    @staticmethod
+    def nodes(*specs):
+        return [S.TreeNode(i, *spec) for i, spec in enumerate(specs)]
+
+    @pytest.mark.parametrize("nodes, message", [
+        ([], "at least one node"),
+        ([((0, 1), None, (1, 2), ()), ((0,), None, (), ()),
+          ((1,), 0, (), (0,))], "exactly one root"),
+        ([S.TreeNode(0, (0, 1), None, (1, 2), ()),
+          S.TreeNode(1, (0,), 0, (), (1,)),
+          S.TreeNode(5, (1,), 0, (), (0,))], "node ids"),
+        ([((1, 0), None, (1, 2), ()), ((0,), 0, (), (1,)),
+          ((1,), 0, (), (0,))], "sorted and unique"),
+        ([((0, 1), None, (1, 2), ()), ((0,), 2, (), (1,)),
+          ((1,), 0, (), (0,))], "point back"),
+        ([((0, 1), None, (1, 2), ()), ((0,), 0, (), (1,)),
+          ((0,), 0, (), (1,))], "partition"),
+        ([((0,), None, (1,), ()), ((0,), 0, (), ())], ">= 2 children"),
+        ([((0, 1), None, (), ())], "exactly one mode"),
+        ([((0, 1), None, (1, 2), ()), ((0,), 0, (), ()),
+          ((1,), 0, (), (0,))], "inconsistent with parent"),
+        ([((0, 1), None, (1, 2), (0,)), ((0,), 0, (), (1,)),
+          ((1,), 0, (), (0,))], "root delta"),
+        ([((1, 2), None, (1, 2), ()), ((1,), 0, (), (2,)),
+          ((2,), 0, (), (1,))], "modes 0..N-1"),
+    ])
+    def test_invalid_tree_rejected(self, nodes, message):
+        if nodes and not isinstance(nodes[0], S.TreeNode):
+            nodes = self.nodes(*nodes)
+        with pytest.raises(ValueError, match=message):
+            S.MemoStrategy(nodes)
+
+    def test_valid_hand_built_tree(self):
+        t = S.MemoStrategy(self.nodes(
+            ((0, 1), None, (1, 2), ()), ((0,), 0, (), (1,)),
+            ((1,), 0, (), (0,)),
+        ))
+        assert t.signature() == S.star(2).signature()
+
+
 class TestDefaultCandidates:
     def test_contains_star_and_bdt(self):
         cands = S.default_candidates(5)
