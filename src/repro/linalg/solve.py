@@ -7,20 +7,31 @@ matrix is comfortably positive definite and fall back to a truncated
 eigendecomposition pseudoinverse otherwise (matching the reference CP-ALS
 behaviour of Tensor Toolbox).
 
-The fallback used to be completely silent; it now reports itself to the
-perf counters (``pinv_fallbacks`` / ``truncated_eigenvalues``), the
-numerical-health collector (:mod:`repro.obs.health`), and the structured
-event log — attributed to the in-flight (iteration, mode) solve site when
-a run context has one.  The observability imports stay off the happy
-path: the Cholesky branch touches nothing beyond NumPy/SciPy.
+The Cholesky branch calls LAPACK ``dpotrf`` / ``dpotrs`` through SciPy's
+own f2py wrapper module, ``scipy/linalg/_flapack``, loaded by file location
+so that ``scipy/linalg/__init__.py`` — and the array-API, ``numpy.f2py`` and
+``numpy.testing`` imports it drags in — never runs on a decomposition.  The
+calls are the ones ``cho_factor`` / ``cho_solve(check_finite=False)`` make,
+so the factors are the same bits.  Where the extension cannot be loaded,
+or an input is not float64, ``scipy.linalg`` serves the solve as before.
+
+The fallback reports itself to the perf counters (``pinv_fallbacks`` /
+``truncated_eigenvalues``), the numerical-health collector
+(:mod:`repro.obs.health`) and the structured event log, attributed to the
+(iteration, mode) solve site the cp_als loop registered with
+:func:`set_solve_site`.  The observability imports stay off the happy
+path: the Cholesky branch touches nothing beyond NumPy and LAPACK.
 """
 
 from __future__ import annotations
 
 import contextvars
+import importlib.machinery
+import importlib.util
+import os
+import sys
 
 import numpy as np
-from scipy import linalg as sla
 
 from ..perf import counters as _perf
 
@@ -57,15 +68,75 @@ def solve_normal_equations(M: np.ndarray, H: np.ndarray) -> np.ndarray:
     if H.shape[0] != H.shape[1] or H.shape[0] != M.shape[1]:
         raise ValueError(f"incompatible shapes M{M.shape} H{H.shape}")
     try:
-        c, low = sla.cho_factor(H, check_finite=False)
-        return sla.cho_solve((c, low), M.T, check_finite=False).T
-    except (np.linalg.LinAlgError, sla.LinAlgError, ValueError):
+        return _cholesky_solve(M, H)
+    except (np.linalg.LinAlgError, ValueError):
         pinv, n_truncated = psd_pinv_diagnosed(H)
         _note_pinv_fallback(H.shape[0], n_truncated)
         # One vector-matrix product per row.  A single GEMM over all rows
         # is not row-separable: OpenBLAS sends a one-row product to GEMV
         # and gives edge rows their own kernels, and both round differently.
         return np.matmul(M[:, None, :], pinv)[:, 0, :]
+
+
+def _load_flapack():
+    """SciPy's ``_flapack`` extension, without ``scipy.linalg``, or None.
+
+    The module is loaded under its own name, so a later ``import
+    scipy.linalg`` finds the same initialised extension.  The loader's
+    ``sys.modules`` entry is dropped again: a submodule whose package was
+    never imported would confuse that later import.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        return None
+    for root in scipy_spec.submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if not os.path.isfile(path):
+                continue
+            try:
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except (ImportError, OSError):
+                return None
+            finally:
+                sys.modules.pop(name, None)
+            has_both = hasattr(module, "dpotrf") and hasattr(module, "dpotrs")
+            return module if has_both else None
+    return None
+
+
+_flapack = _load_flapack()
+
+
+def _cholesky_solve(M: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """``cho_solve(cho_factor(H), M.T).T``, unchecked, as SciPy computes it.
+
+    Raises ``LinAlgError`` when ``H`` is not positive definite and
+    ``ValueError`` when LAPACK rejects an argument, as SciPy does.
+    """
+    if (_flapack is None or H.dtype != np.float64 or M.dtype != np.float64
+            or H.ndim != 2 or M.ndim != 2 or H.size == 0):
+        from scipy import linalg as sla
+
+        c, low = sla.cho_factor(H, check_finite=False)
+        return sla.cho_solve((c, low), M.T, check_finite=False).T
+    c, info = _flapack.dpotrf(H, lower=0, overwrite_a=0, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    if M.size == 0:
+        return np.empty_like(M)
+    x, info = _flapack.dpotrs(c, M.T, lower=0, overwrite_b=0)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x.T
 
 
 def psd_pinv(H: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:

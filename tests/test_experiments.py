@@ -101,7 +101,7 @@ class TestRunner:
         md = tmp_path / "EXP.md"
         write_reports(
             results, str(tmp_path / "results"), str(md),
-            scale=SCALE, rank=4, elapsed=1.0,
+            scale=SCALE, rank=4,
         )
         assert (tmp_path / "results" / "e1.txt").exists()
         assert (tmp_path / "results" / "e1.json").exists()
@@ -111,8 +111,38 @@ class TestRunner:
     def test_write_reports_no_md(self, tmp_path):
         results = run_experiments(["E1"], scale=SCALE, rank=4)
         write_reports(results, str(tmp_path / "results"), None,
-                      scale=SCALE, rank=4, elapsed=1.0)
+                      scale=SCALE, rank=4)
         assert not (tmp_path / "EXPERIMENTS.md").exists()
+
+    def test_only_run_keeps_other_rows(self, tmp_path, monkeypatch):
+        from repro.experiments import runner
+
+        def fake(exp_id, value):
+            return ExperimentResult(
+                exp_id=exp_id, title=f"title {exp_id}", headers=["x"],
+                rows=[[value]], expected_shape=f"shape {exp_id}.",
+            )
+
+        results_dir, md = tmp_path / "results", tmp_path / "EXP.md"
+        write_reports([fake("E1", 1), fake("E3", 3), fake("E10a", 10)],
+                      str(results_dir), str(md), scale=1.0, rank=16)
+        kept = (results_dir / "e1.json").read_text()
+        monkeypatch.setitem(runner.EXPERIMENTS, "E3",
+                            lambda scale, rank: fake("E3", 33))
+        assert runner.main(["--only", "E3", "--scale", "0.5",
+                            "--results-dir", str(results_dir),
+                            "--out", str(md), "--no-history"]) == 0
+        text = md.read_text()
+        rows = [line.split(" | ")[0] for line in text.splitlines()
+                if line.startswith("| E")]
+        assert rows == ["| E1", "| E3", "| E10a"]
+        assert "title E1 | shape E1 | n/a | " in text
+        assert "## E1 — title E1" in text and "## E10a — title E10a" in text
+        assert "scale 0.5, rank 16" in text and "scale 1.0, rank 16" in text
+        assert "wall time" not in text
+        assert (results_dir / "e1.json").read_text() == kept
+        e3 = json.loads((results_dir / "e3.json").read_text())
+        assert e3["result"]["rows"] == [[33]]
 
 
 class TestExtensionExperiments:

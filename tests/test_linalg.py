@@ -355,3 +355,131 @@ class TestRowSeparability:
         U, weights = rng.standard_normal(M.shape), rng.random(R)
         assert (innerprod_from_mttkrp(M[rows], U[rows], weights)
                 == innerprod_from_mttkrp(M, U, weights))
+
+
+class TestCholeskyPath:
+    """The Cholesky branch calls SciPy's ``_flapack`` module directly.
+
+    It must give the bits of ``scipy.linalg.cho_factor`` /
+    ``cho_solve(check_finite=False)``, which make the same LAPACK calls,
+    and fall back to ``scipy.linalg`` itself when the module cannot load.
+    """
+
+    @staticmethod
+    def _problem(R, I, seed=0):
+        rng = np.random.default_rng(seed)
+        H = gram(rng.standard_normal((R + 4, R))) * gram(rng.random((R + 6, R)))
+        return rng.standard_normal((I, R)), H
+
+    @staticmethod
+    def _scipy_solve(M, H):
+        from scipy import linalg as sla
+
+        c, low = sla.cho_factor(H, check_finite=False)
+        return sla.cho_solve((c, low), M.T, check_finite=False).T
+
+    @staticmethod
+    def _assert_same(U, ref):
+        assert U.shape == ref.shape and U.dtype == ref.dtype
+        assert U.flags.c_contiguous == ref.flags.c_contiguous
+        np.testing.assert_array_equal(U, ref)
+
+    def test_extension_is_loaded(self):
+        from repro.linalg import solve
+
+        assert solve._flapack is not None
+
+    @pytest.mark.parametrize("R", [1, 2, 3, 8, 16, 17, 48, 64])
+    @pytest.mark.parametrize("I", [0, 1, 5, 1000, 40000])
+    def test_bitwise_equal_to_scipy(self, R, I):
+        from repro.perf import counters as perf
+
+        M, H = self._problem(R, I, seed=R * 7 + I)
+        with perf.counting() as c:
+            U = solve_normal_equations(M, H)
+        assert "pinv_fallbacks" not in c.extra
+        self._assert_same(U, self._scipy_solve(M, H))
+
+    def test_not_positive_definite_raises_linalg_error(self):
+        from repro.linalg.solve import _cholesky_solve
+
+        M, H = self._problem(4, 10)
+        H[-1, :] = H[:, -1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky_solve(M, H)
+
+    @pytest.mark.parametrize("I", [0, 1, 300])
+    def test_not_positive_definite_takes_pinv_fallback(self, I):
+        from repro.perf import counters as perf
+
+        M, H = self._problem(6, I)
+        H[-1, :] = H[:, -1] = 0.0
+        with perf.counting() as c:
+            U = solve_normal_equations(M, H)
+        assert c.extra["pinv_fallbacks"] == 1
+        assert c.extra["truncated_eigenvalues"] == 1
+        self._assert_same(U, np.matmul(M[:, None, :], psd_pinv(H))[:, 0, :])
+
+    @pytest.mark.parametrize("failure", ["missing", "broken"])
+    def test_failed_load_falls_back_to_scipy_linalg(self, monkeypatch,
+                                                    failure):
+        import importlib.util
+        import sys
+
+        from repro.linalg import solve
+
+        def broken(*args, **kwargs):
+            raise ImportError("cannot load _flapack")
+
+        with monkeypatch.context() as m:
+            m.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+            if failure == "missing":
+                m.setattr(importlib.util, "find_spec", lambda name: None)
+            else:
+                m.setattr(importlib.util, "spec_from_file_location", broken)
+            assert solve._load_flapack() is None
+            assert "scipy.linalg._flapack" not in sys.modules
+        problems = [self._problem(R, I) for R, I in [(3, 0), (8, 1000),
+                                                      (17, 5)]]
+        fast = [solve_normal_equations(M, H) for M, H in problems]
+        monkeypatch.setattr(solve, "_flapack", None)
+        for (M, H), U in zip(problems, fast):
+            self._assert_same(solve_normal_equations(M, H), U)
+
+    def test_other_dtypes_use_scipy_linalg(self):
+        M, H = self._problem(5, 40)
+        M, H = M.astype(np.float32), H.astype(np.float32)
+        U = solve_normal_equations(M, H)
+        assert U.dtype == np.float32
+        self._assert_same(U, self._scipy_solve(M, H))
+
+    def test_later_scipy_linalg_import_agrees(self):
+        """The extension loaded without its package serves scipy.linalg too."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.linalg import solve\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "assert 'scipy.linalg._flapack' not in sys.modules\n"
+            "rng = np.random.default_rng(0)\n"
+            "A = rng.standard_normal((20, 16))\n"
+            "H, M = A.T @ A, rng.standard_normal((500, 16))\n"
+            "U = solve.solve_normal_equations(M, H)\n"
+            "from scipy import linalg as sla\n"
+            "from scipy.linalg import lapack\n"
+            "ref = sla.cho_solve(sla.cho_factor(H, check_finite=False), "
+            "M.T, check_finite=False).T\n"
+            "assert np.array_equal(U, ref)\n"
+            "assert np.array_equal(solve.solve_normal_equations(M, H), ref)\n"
+            "assert sla._flapack.dpotrf is solve._flapack.dpotrf\n"
+            "assert lapack.get_lapack_funcs(('potrs',), (H,))[0] "
+            "is solve._flapack.dpotrs\n"
+            "print('ok')\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["ok"]
