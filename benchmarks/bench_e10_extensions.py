@@ -1,42 +1,8 @@
-"""E10 — extension workloads: completion gradient, restarts, nonneg CP."""
+"""E10 — restart amortization through a shared symbolic tree."""
 
 from conftest import save_result
 
-from repro.core.cpals import initialize_factors
-from repro.core.engine import MemoizedMttkrp
-from repro.core.strategy import balanced_binary
 from repro.experiments import e10_extensions
-from repro.synth.datasets import load_dataset
-
-
-def test_gradient_sweep_kernel(benchmark, bench_scale, bench_rank):
-    """The completion gradient: all-N MTTKRPs in one tree sweep."""
-    tensor = load_dataset("enron", scale=bench_scale)
-    engine = MemoizedMttkrp(
-        tensor, balanced_binary(tensor.ndim),
-        initialize_factors(tensor, bench_rank, random_state=0),
-    )
-
-    def sweep():
-        engine.invalidate_all()
-        engine.mttkrp_all()
-
-    sweep()
-    benchmark(sweep)
-
-
-def test_e10a_table(benchmark, bench_scale, bench_rank, results_dir):
-    result = benchmark.pedantic(
-        lambda: e10_extensions.run_gradient_kernel(
-            scale=bench_scale, rank=bench_rank
-        ),
-        rounds=1, iterations=1,
-    )
-    save_result(result, results_dir)
-    # The sweep must clearly beat per-mode COO on at least one dataset.
-    assert max(
-        row[5] for row in result.rows  # "vs coo" column
-    ) > 1.0
 
 
 def test_e10b_table(benchmark, bench_scale, bench_rank, results_dir):
@@ -48,14 +14,3 @@ def test_e10b_table(benchmark, bench_scale, bench_rank, results_dir):
     )
     save_result(result, results_dir)
     assert result.observations["restart_speedup"] > 0.9
-
-
-def test_e10c_table(benchmark, bench_scale, bench_rank, results_dir):
-    result = benchmark.pedantic(
-        lambda: e10_extensions.run_ncp_parity(
-            scale=bench_scale, rank=bench_rank
-        ),
-        rounds=1, iterations=1,
-    )
-    save_result(result, results_dir)
-    assert result.observations["time_ratio"] < 2.0

@@ -1,15 +1,9 @@
 """Higher-level algorithms built on the memoized MTTKRP engine."""
 
-from .completion import CompletionResult, complete, holdout_split
-from .ncp import cp_nmu
 from .restarts import (RankSelection, RestartReport, cp_als_restarts,
                        select_rank)
 
 __all__ = [
-    "CompletionResult",
-    "complete",
-    "holdout_split",
-    "cp_nmu",
     "RankSelection",
     "RestartReport",
     "cp_als_restarts",

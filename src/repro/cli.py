@@ -1,10 +1,9 @@
-"""Command-line interface: decompose / plan / complete / inspect tensors.
+"""Command-line interface: decompose / plan / inspect tensors.
 
 Usage::
 
     python -m repro decompose data.tns --rank 16 --out factors.npz
     python -m repro plan data.tns --rank 16 --top 8
-    python -m repro complete ratings.tns --rank 8 --test-fraction 0.2
     python -m repro info delicious --scale 0.2
     python -m repro datasets
     python -m repro trace --trace-dir out/ decompose data.tns --rank 16
@@ -43,8 +42,6 @@ import logging
 import os
 import sys
 import time
-
-import numpy as np
 
 from .core.coo import CooTensor
 
@@ -202,79 +199,44 @@ def cmd_explain(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .core.cpals import cp_als
+    from .core.validate import check_positive_int
+
+    if args.workers is not None:
+        check_positive_int(args.workers, "--workers")
     tensor = load_input(args.input, args.scale)
-    if args.nonneg:
-        from .algos.ncp import cp_nmu
+    closeables: list = []
+    engine_factory = None
+    if args.workers is not None and args.workers > 1:
+        # Parallel memoized engine: resolve 'auto' through the planner
+        # here, since engine_factory bypasses cp_als's own planning path.
+        def engine_factory(t, _w=args.workers):
+            from .parallel.engine import ParallelMemoizedMttkrp
 
-        result = cp_nmu(
-            tensor, args.rank, strategy=args.strategy
-            if args.strategy != "auto" else "bdt",
-            n_iter_max=args.iters, tol=args.tol, random_state=args.seed,
-        )
-    else:
-        from .core.cpals import cp_als
+            strategy = args.strategy
+            if isinstance(strategy, str) and strategy.lower() == "auto":
+                from .model.planner import plan
 
-        closeables: list = []
-        engine_factory = None
-        if args.workers is not None and args.workers > 1:
-            # Parallel memoized engine: resolve 'auto' through the planner
-            # here, since engine_factory bypasses cp_als's own planning path.
-            def engine_factory(t, _w=args.workers):
-                from .parallel.engine import ParallelMemoizedMttkrp
-
-                strategy = args.strategy
-                if isinstance(strategy, str) and strategy.lower() == "auto":
-                    from .model.planner import plan
-
-                    strategy = plan(t, args.rank).best.strategy
-                engine = ParallelMemoizedMttkrp(
-                    t, strategy, n_workers=_w,
-                    min_chunk_rows=args.min_chunk_rows,
-                )
-                closeables.append(engine)
-                return engine
-
-        try:
-            result = cp_als(
-                tensor, args.rank, strategy=args.strategy,
-                n_iter_max=args.iters, tol=args.tol, random_state=args.seed,
-                engine_factory=engine_factory,
+                strategy = plan(t, args.rank).best.strategy
+            engine = ParallelMemoizedMttkrp(
+                t, strategy, n_workers=_w,
+                min_chunk_rows=args.min_chunk_rows,
             )
-        finally:
-            for engine in closeables:
-                engine.close()
+            closeables.append(engine)
+            return engine
+
+    try:
+        result = cp_als(
+            tensor, args.rank, strategy=args.strategy,
+            n_iter_max=args.iters, tol=args.tol, random_state=args.seed,
+            engine_factory=engine_factory,
+        )
+    finally:
+        for engine in closeables:
+            engine.close()
     print(f"strategy   : {result.strategy_name}")
     print(f"iterations : {result.n_iterations} (converged={result.converged})")
     print(f"fit        : {result.fit:.6f}")
-    if args.out:
-        _save_model(result.ktensor, args.out)
-        print(f"model written to {args.out}")
-    return 0
-
-
-def cmd_complete(args) -> int:
-    from .algos.completion import complete, holdout_split
-
-    tensor = load_input(args.input, args.scale)
-    if args.test_fraction > 0:
-        train, test_idx, test_vals = holdout_split(
-            tensor, args.test_fraction, random_state=args.seed
-        )
-    else:
-        train, test_idx, test_vals = tensor, None, None
-    result = complete(
-        train, args.rank, n_iter_max=args.iters, tol=args.tol,
-        learning_rate=args.learning_rate, random_state=args.seed,
-    )
-    print(f"strategy    : {result.strategy_name}")
-    print(f"epochs      : {result.n_iterations} "
-          f"(converged={result.converged})")
-    print(f"train RMSE  : {result.rmse:.6g}")
-    if test_idx is not None:
-        pred = result.predict(test_idx)
-        rmse = float(np.sqrt(np.mean((pred - test_vals) ** 2)))
-        print(f"test RMSE   : {rmse:.6g} "
-              f"({test_idx.shape[0]:,} held-out entries)")
     if args.out:
         _save_model(result.ktensor, args.out)
         print(f"model written to {args.out}")
@@ -690,15 +652,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the artifact JSON to this path")
     p.set_defaults(fn=cmd_explain)
 
-    p = sub.add_parser("decompose", help="CP-ALS / nonnegative CP")
+    p = sub.add_parser("decompose", help="CP-ALS")
     add_input(p)
     p.add_argument("--rank", type=int, default=16)
     p.add_argument("--strategy", default="auto")
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nonneg", action="store_true",
-                   help="nonnegative CP via multiplicative updates")
     p.add_argument("--workers", type=int, default=None,
                    help="run CP-ALS on the parallel engine with this many "
                    "pool workers (default: sequential engine)")
@@ -707,18 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(lower it to force pool fan-out on small tensors)")
     p.add_argument("--out", default=None, help="write factors to .npz")
     p.set_defaults(fn=cmd_decompose)
-
-    p = sub.add_parser("complete", help="tensor completion (missing-data CP)")
-    add_input(p)
-    p.add_argument("--rank", type=int, default=8)
-    p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--test-fraction", type=float, default=0.0,
-                   help="hold out this fraction for test RMSE")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="write factors to .npz")
-    p.set_defaults(fn=cmd_complete)
 
     p = sub.add_parser(
         "trace", help="run another subcommand with tracing enabled",

@@ -83,7 +83,6 @@ class MemoizedMttkrp:
         self._values: list[np.ndarray | None] = [None] * len(self.strategy.nodes)
         self._factors: list[np.ndarray] | None = None
         self._rank: int | None = None
-        self._root_vals: np.ndarray = tensor.vals
         self._kernel = get_kernel(kernel)
         self._arena = WorkspaceArena()
         if factors is not None:
@@ -146,24 +145,6 @@ class MemoizedMttkrp:
                 tracker.on_free(id(self), nid)
             self._values[nid] = None
 
-    def set_root_values(self, vals: np.ndarray) -> None:
-        """Replace the tensor's nonzero *values* (same sparsity pattern).
-
-        The symbolic tree depends only on the coordinate pattern, so callers
-        whose values change but whose pattern is fixed — e.g. the residual
-        tensor in gradient-based completion — reuse all symbolic work.
-        Drops every cached node.  The engine keeps its own copy: kernel
-        indices cache permuted root values per array, so a caller's buffer
-        changed in place and passed again must not look unchanged.
-        """
-        vals = np.array(vals, dtype=VALUE_DTYPE, order="C")
-        if vals.shape != (self.tensor.nnz,):
-            raise ValueError(
-                f"values must have shape ({self.tensor.nnz},), got {vals.shape}"
-            )
-        self._root_vals = vals
-        self.invalidate_all()
-
     # ------------------------------------------------------------------
     # numeric phase
     # ------------------------------------------------------------------
@@ -201,41 +182,13 @@ class MemoizedMttkrp:
                 self._publish_memory_gauges()
             return out
 
-    def mttkrp_all(self) -> list[np.ndarray]:
-        """All N MTTKRPs under the *current* factors, one tree sweep.
-
-        With fixed factors the N leaf tensors share every internal node, so
-        the whole set costs a single full-tree materialization — the
-        gradient-evaluation pattern of CP completion/optimization, where all
-        factors update simultaneously between evaluations.  Skips the
-        per-mode eager free (every node stays cached until the next
-        invalidation), trading the tree-height memory bound for speed.
-        """
-        outs: list[np.ndarray] = [None] * self.tensor.ndim  # type: ignore[list-item]
-        for mode in self.strategy.mode_order:
-            with _trace.span("mttkrp", mode=mode, sweep=True):
-                leaf_id = self.strategy.leaf_id(mode)
-                self._ensure_node(leaf_id)
-                sym = self.symbolic.nodes[leaf_id]
-                vals = self._values[leaf_id]
-                assert vals is not None
-                out = np.zeros(
-                    (self.tensor.shape[mode], self.rank), dtype=VALUE_DTYPE
-                )
-                out[sym.index[:, 0]] = vals
-                perf.record(mttkrps=1, words=vals.size)
-                outs[mode] = out
-        if _switch.is_on("trace"):
-            self._publish_memory_gauges()
-        return outs
-
     def node_tensor(self, node_id: int) -> SemiSparseTensor:
         """Materialize a node's semi-sparse tensor (computing if needed)."""
         self._ensure_node(node_id)
         sym = self.symbolic.nodes[node_id]
         if self.strategy.nodes[node_id].is_root:
             vals = np.broadcast_to(
-                self._root_vals[:, None], (self.tensor.nnz, self.rank)
+                self.tensor.vals[:, None], (self.tensor.nnz, self.rank)
             )
         else:
             vals = self._values[node_id]
@@ -279,7 +232,7 @@ class MemoizedMttkrp:
         parent = self.strategy.nodes[node.parent]  # type: ignore[index]
         parent_sym = self.symbolic.nodes[node.parent]  # type: ignore[index]
         if parent.is_root:
-            parent_vals, root_vals = None, self._root_vals
+            parent_vals, root_vals = None, self.tensor.vals
         else:
             parent_vals = self._values[parent.id]
             assert parent_vals is not None

@@ -20,6 +20,7 @@ import numpy as np
 from ..core.coo import CooTensor
 from ..core.dtypes import VALUE_DTYPE
 from ..core.engine import MemoizedMttkrp
+from ..core.validate import check_positive_int
 from ..kernels import get_kernel
 from ..obs import switch as _switch
 from ..obs import trace as _trace
@@ -45,10 +46,12 @@ class ParallelMemoizedMttkrp(MemoizedMttkrp):
                  n_workers: int | None = None, pool: WorkerPool | None = None,
                  symbolic=None, min_chunk_rows: int | None = None,
                  kernel=None):
+        if min_chunk_rows is not None:
+            self.min_chunk_rows = check_positive_int(
+                min_chunk_rows, "min_chunk_rows"
+            )
         self._own_pool = pool is None
         self.pool = pool or WorkerPool(n_workers)
-        if min_chunk_rows is not None:
-            self.min_chunk_rows = int(min_chunk_rows)
         super().__init__(tensor, strategy, factors, symbolic=symbolic,
                          kernel=kernel)
         self._chunk_kernel = (

@@ -3,159 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.algos import (complete, cp_als_restarts, cp_nmu, holdout_split,
-                         select_rank)
-from repro.core.coo import CooTensor
-from repro.core.engine import MemoizedMttkrp
-from repro.synth.lowrank import lowrank_tensor, random_kruskal
-
-from .helpers import random_coo
-
-
-@pytest.fixture(scope="module")
-def nonneg_planted():
-    shape = (10, 9, 8, 7)
-    return lowrank_tensor(shape, rank=3, nnz=int(np.prod(shape)),
-                          nonneg=True, random_state=0)
-
-
-class TestCpNmu:
-    def test_fit_monotone_nondecreasing(self, nonneg_planted):
-        result = cp_nmu(nonneg_planted.tensor, rank=3, n_iter_max=25,
-                        tol=0.0, random_state=1)
-        fits = np.array(result.fits)
-        assert (np.diff(fits) >= -1e-7).all(), fits
-
-    def test_factors_nonnegative(self, nonneg_planted):
-        result = cp_nmu(nonneg_planted.tensor, rank=3, n_iter_max=15,
-                        random_state=2)
-        for U in result.ktensor.factors:
-            assert (U >= 0).all()
-        assert (result.ktensor.weights >= 0).all()
-
-    def test_reasonable_fit_on_nonneg_lowrank(self, nonneg_planted):
-        result = cp_nmu(nonneg_planted.tensor, rank=3, n_iter_max=150,
-                        tol=1e-9, random_state=3)
-        assert result.fit > 0.9
-
-    def test_negative_tensor_rejected(self):
-        t = CooTensor([[0, 0]], [-1.0], (2, 2))
-        with pytest.raises(ValueError, match="nonnegative"):
-            cp_nmu(t, rank=1)
-
-    def test_strategies_agree(self, nonneg_planted):
-        a = cp_nmu(nonneg_planted.tensor, rank=2, strategy="star",
-                   n_iter_max=5, tol=0.0, random_state=4)
-        b = cp_nmu(nonneg_planted.tensor, rank=2, strategy="bdt",
-                   n_iter_max=5, tol=0.0, random_state=4)
-        np.testing.assert_allclose(a.fits, b.fits, rtol=1e-8)
-
-    def test_order_one_rejected(self):
-        with pytest.raises(ValueError):
-            cp_nmu(CooTensor.empty((4,)), rank=1)
-
-
-class TestCompletion:
-    @pytest.fixture(scope="class")
-    def observed(self):
-        # Partially observed planted model: 35% of cells, enough to recover
-        # a rank-2 model on this shape.
-        rng = np.random.default_rng(10)
-        model = random_kruskal((15, 12, 10), 2, rng, nonneg=False)
-        from repro.synth.random_tensor import sample_unique_indices
-
-        idx = sample_unique_indices((15, 12, 10), 630, rng)
-        vals = model.values_at(idx)
-        tensor = CooTensor(idx, vals, (15, 12, 10), canonical=True)
-        return tensor, model
-
-    def test_train_rmse_decreases(self, observed):
-        tensor, _ = observed
-        result = complete(tensor, rank=2, n_iter_max=60, tol=0.0,
-                          random_state=0)
-        assert result.train_rmse[-1] < 0.5 * result.train_rmse[0]
-
-    def test_generalizes_to_heldout(self, observed):
-        tensor, model = observed
-        train, test_idx, test_vals = holdout_split(
-            tensor, test_fraction=0.2, random_state=1
-        )
-        result = complete(train, rank=2, n_iter_max=400, tol=1e-9,
-                          learning_rate=0.08, regularization=1e-5,
-                          random_state=2)
-        pred = result.predict(test_idx)
-        test_rms = float(np.sqrt(np.mean(test_vals**2)))
-        rel_err = float(
-            np.sqrt(np.mean((pred - test_vals) ** 2))
-        ) / max(test_rms, 1e-12)
-        assert rel_err < 0.35, rel_err
-
-    def test_mttkrp_all_matches_per_mode(self):
-        """The single-sweep gradient kernel equals per-mode MTTKRPs."""
-        rng = np.random.default_rng(3)
-        t = random_coo(rng, (5, 6, 4, 3), 40)
-        factors = [rng.standard_normal((s, 3)) for s in t.shape]
-        eng = MemoizedMttkrp(t, "bdt", factors)
-        all_at_once = eng.mttkrp_all()
-        eng2 = MemoizedMttkrp(t, "bdt", factors)
-        for n in range(4):
-            np.testing.assert_allclose(
-                all_at_once[n], eng2.mttkrp(n), rtol=1e-10, atol=1e-10
-            )
-
-    def test_set_root_values_changes_results(self):
-        rng = np.random.default_rng(4)
-        t = random_coo(rng, (5, 5, 5), 30)
-        factors = [rng.standard_normal((5, 2)) for _ in range(3)]
-        eng = MemoizedMttkrp(t, "bdt", factors)
-        before = eng.mttkrp(0).copy()
-        new_vals = rng.standard_normal(t.nnz)
-        eng.set_root_values(new_vals)
-        after = eng.mttkrp(0)
-        reference = MemoizedMttkrp(
-            CooTensor(t.idx, new_vals, t.shape, canonical=True),
-            "bdt", factors,
-        ).mttkrp(0)
-        np.testing.assert_allclose(after, reference, rtol=1e-10, atol=1e-10)
-        assert not np.allclose(before, after)
-
-    def test_set_root_values_wrong_length(self):
-        rng = np.random.default_rng(5)
-        t = random_coo(rng, (4, 4), 10)
-        eng = MemoizedMttkrp(t, "star")
-        with pytest.raises(ValueError):
-            eng.set_root_values(np.zeros(t.nnz + 1))
-
-    def test_validation(self, observed):
-        tensor, _ = observed
-        with pytest.raises(ValueError):
-            complete(CooTensor.empty((3, 3)), rank=1)
-        with pytest.raises(ValueError):
-            complete(tensor, rank=1, learning_rate=0.0)
-        with pytest.raises(ValueError):
-            complete(tensor, rank=1, regularization=-1.0)
-
-    def test_holdout_split_partitions(self, observed):
-        tensor, _ = observed
-        train, test_idx, test_vals = holdout_split(
-            tensor, test_fraction=0.25, random_state=6
-        )
-        assert train.nnz + test_idx.shape[0] == tensor.nnz
-        assert test_idx.shape[0] == test_vals.shape[0]
-        # Held-out coordinates are absent from the training pattern.
-        assert np.all(train.values_at(test_idx) == 0.0)
-
-    def test_holdout_bad_fraction(self, observed):
-        tensor, _ = observed
-        with pytest.raises(ValueError):
-            holdout_split(tensor, test_fraction=1.5)
-
-    def test_callback(self, observed):
-        tensor, _ = observed
-        epochs = []
-        complete(tensor, rank=1, n_iter_max=3, tol=0.0, random_state=7,
-                 callback=lambda e, rmse, factors: epochs.append(e))
-        assert epochs == [0, 1, 2]
+from repro.algos import cp_als_restarts, select_rank
+from repro.synth.lowrank import lowrank_tensor
 
 
 class TestRestarts:

@@ -102,6 +102,22 @@ class TestCommands:
         assert any(line.startswith("fit") for line in outputs[0])
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "2", "--min-chunk-rows", "0"],
+        ["--workers", "2", "--min-chunk-rows", "-1"],
+        ["--workers", "0"],
+        ["--workers", "-3"],
+    ])
+    def test_decompose_bad_parallel_inputs_exit_2(self, flags, capsys):
+        """A worker count or chunk threshold below 1 is one error line and
+        exit code 2, never a traceback or a silent sequential run."""
+        assert main(["decompose", "nips", "--scale", "0.01", "--rank", "2",
+                     "--iters", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "fit" not in captured.out
+
     def test_decompose_process_tier(self, tmp_path, capsys):
         """The process tier and its --tier/--layout flags are gone: asking
         for them is an argparse usage error."""
@@ -118,37 +134,21 @@ class TestCommands:
         assert "--layout" in err
 
     def test_serving_commands_removed(self, capsys):
-        """``repro serve``, ``repro dashboard`` and the experiments
-        runner's ``--serve`` flag are gone: asking for any of them is an
-        argparse usage error."""
+        """``repro serve``, ``repro dashboard``, ``repro complete``,
+        ``decompose --nonneg`` and the experiments runner's ``--serve``
+        flag are gone: asking for any of them is an argparse usage
+        error."""
         from repro.experiments.runner import main as experiments_main
 
         for run, argv in ((main, ["serve"]), (main, ["dashboard"]),
+                          (main, ["complete", "nips"]),
+                          (main, ["decompose", "nips", "--nonneg"]),
                           (experiments_main, ["--serve"])):
             with pytest.raises(SystemExit) as exc:
                 run(argv)
             assert exc.value.code == 2, argv
             err = capsys.readouterr().err
             assert "invalid choice" in err or "unrecognized" in err, argv
-
-    def test_decompose_nonneg(self, capsys):
-        assert main([
-            "decompose", "nips", "--scale", "0.01", "--rank", "2",
-            "--iters", "5", "--nonneg",
-        ]) == 0
-        assert "nmu" in capsys.readouterr().out
-
-    def test_complete_with_holdout(self, tmp_path, capsys):
-        planted = lowrank_tensor((10, 9, 8), rank=2, nnz=500,
-                                 random_state=3)
-        src = tmp_path / "obs.tns"
-        write_tns(planted.tensor, src)
-        assert main([
-            "complete", str(src), "--rank", "2", "--iters", "40",
-            "--test-fraction", "0.2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "train RMSE" in out and "test RMSE" in out
 
     @pytest.mark.parametrize("command", ["plan", "explain"])
     def test_infeasible_memory_budget_exits_2(self, command, capsys):

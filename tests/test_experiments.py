@@ -146,16 +146,6 @@ class TestRunner:
 
 
 class TestExtensionExperiments:
-    def test_e10_gradient_kernel_structure(self):
-        from repro.experiments import e10_extensions
-
-        result = e10_extensions.run_gradient_kernel(
-            scale=SCALE, rank=4, names=("nips",), repeats=1
-        )
-        assert result.exp_id == "E10a"
-        assert len(result.rows) == 1
-        assert result.observations["sweep_speedup"]["nips"] > 0
-
     def test_e10_restart_amortization_positive(self):
         from repro.experiments import e10_extensions
 
@@ -163,14 +153,6 @@ class TestExtensionExperiments:
             scale=SCALE, rank=4, name="nips", n_restarts=2, n_iter=2
         )
         assert result.observations["restart_speedup"] > 0
-
-    def test_e10_ncp_parity_runs(self):
-        from repro.experiments import e10_extensions
-
-        result = e10_extensions.run_ncp_parity(
-            scale=SCALE, rank=4, name="choa", n_iter=2
-        )
-        assert result.observations["time_ratio"] > 0
 
     def test_e11_storage_structure(self):
         from repro.experiments import e11_storage

@@ -583,24 +583,6 @@ class TestLengthClassSum:
         for a, b in zip(ref.factors, new.factors):
             assert_bitwise(a, b)
 
-    def test_root_values_buffer_reused_in_place(self):
-        """Root values changed in place and set again are not mistaken
-        for the cached ones."""
-        rng = np.random.default_rng(8)
-        tensor = random_coo(rng, (12, 10, 9, 8), 600)
-        factors = random_factors(rng, tensor.shape, 3)
-        engine = MemoizedMttkrp(tensor, "bdt", factors)
-        buf = rng.standard_normal(tensor.nnz)
-        engine.set_root_values(buf)
-        engine.mttkrp(0)
-        buf *= -2.0
-        engine.set_root_values(buf)
-        fresh = MemoizedMttkrp(
-            CooTensor(tensor.idx, buf, tensor.shape, canonical=True),
-            "bdt", factors, kernel="reference",
-        )
-        np.testing.assert_array_equal(engine.mttkrp(0), fresh.mttkrp(0))
-
     def test_nbytes_counts_layout_and_root_value_cache(self):
         rng = np.random.default_rng(6)
         tensor = random_coo(rng, (30, 25, 20, 15), 2000)

@@ -301,6 +301,14 @@ class TestParallelMemoized:
         )
         eng.close()
 
+    @pytest.mark.parametrize("min_chunk_rows", [0, -1])
+    def test_min_chunk_rows_must_be_positive(self, min_chunk_rows):
+        rng = np.random.default_rng(9)
+        t = random_coo(rng, (4, 4, 4), 20)
+        with pytest.raises(ValueError, match="min_chunk_rows must be >= 1"):
+            ParallelMemoizedMttkrp(t, "bdt", n_workers=2,
+                                   min_chunk_rows=min_chunk_rows)
+
 
 class TestScalingSimulator:
     """The one scaling model: :func:`parallel_iteration_seconds`."""

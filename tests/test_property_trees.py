@@ -127,18 +127,3 @@ class TestRandomTrees:
                 engine.update_factor(
                     n, rng.standard_normal((tensor.shape[n], 2))
                 )
-
-    @given(tree_and_tensor())
-    @settings(max_examples=25, deadline=None)
-    def test_mttkrp_all_agrees(self, data):
-        strategy, tensor, rng = data
-        factors = random_factors(rng, tensor.shape, 2)
-        engine = MemoizedMttkrp(tensor, strategy, factors)
-        all_out = engine.mttkrp_all()
-        dense = tensor.to_dense()
-        for mode in range(tensor.ndim):
-            np.testing.assert_allclose(
-                all_out[mode],
-                dense_mttkrp(dense, factors, mode),
-                rtol=1e-9, atol=1e-9,
-            )
