@@ -24,11 +24,6 @@ three configurations:
   ``eigh``), factor deltas, cross-mode congruence, and the
   fit-trajectory classifier, mirrored mode-for-mode off ``cp_als``'s
   wiring, i.e. what ``REPRO_OBS=health`` and ``repro trace`` turn on;
-* ``enabled_attribution`` — spans plus per-node/per-mode cost
-  attribution (:mod:`repro.obs.attribution`): predictions registered
-  from the cost model, per-iteration windows diffed into
-  predicted-vs-measured readings, i.e. what ``repro explain --measure``
-  and ``repro trace`` turn on;
 * ``enabled_roofline`` — spans plus a per-iteration roofline
   attribution pass (:func:`repro.obs.roofline.throughput_from_spans`
   joining every finished span so far with the model's per-node terms,
@@ -45,8 +40,8 @@ to ``benchmarks/history/history.jsonl`` for ``repro bench-diff``::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py
 
-The acceptance bar: enabled overhead < 3%, memory tracking, cost
-attribution, numerical health, and the sampling profiler (at default
+The acceptance bar: enabled overhead < 3%, memory tracking, numerical
+health, and the sampling profiler (at default
 hz) < 2% each on top, disabled within timer noise of an uninstrumented
 build (the guard is one switch check per call site — profiler off
 means one ``None`` check in the span hooks).
@@ -80,7 +75,6 @@ def _als_iteration(engine: MemoizedMttkrp) -> None:
 
 def _best_iteration_seconds(engine, repeats: int, *,
                             mem_tracker=None,
-                            attr_recorder=None,
                             roofline_pass=None,
                             health_collector=None,
                             health_grams=None,
@@ -90,8 +84,6 @@ def _best_iteration_seconds(engine, repeats: int, *,
     for i in range(repeats):
         if mem_tracker is not None:
             mem_tracker.begin_iteration(i)
-        if attr_recorder is not None:
-            attr_recorder.begin_iteration(i)
         if health_collector is not None:
             health_collector.begin_iteration(i)
         t0 = time.perf_counter()
@@ -118,8 +110,6 @@ def _best_iteration_seconds(engine, repeats: int, *,
         seconds = time.perf_counter() - t0
         if mem_tracker is not None:
             mem_tracker.end_iteration(IterationRecord(i, engine=engine))
-        if attr_recorder is not None:
-            attr_recorder.end_iteration(IterationRecord(i))
         if emit_iteration_events:
             # Mirror cp_als's per-iteration event on top of the engine's
             # own node_rebuild events.
@@ -194,27 +184,12 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
     # Re-measure the disabled baseline mid-run: on drifting shared hosts
     # the start-of-run baseline is minutes stale by the time the later
     # configs measure, and a 2% budget is not resolvable against it.
-    # The attribution/roofline budgets below assert against this
+    # The health/roofline budgets below assert against this
     # adjacent re-measurement; both baselines are reported so the drift
     # itself is visible in the artifact.
     switch.disable("trace")
     disabled_recheck = _best_iteration_seconds(engine, repeats)
     switch.enable("trace", clear=True)
-
-    switch.get("trace").clear()
-    switch.enable("attr", clear=True)
-    recorder = switch.get("attr")
-    recorder.register(engine.strategy, engine.symbolic.node_nnz(),
-                      ACCEPT_RANK)
-    with_attribution = _best_iteration_seconds(
-        engine, repeats, attr_recorder=recorder
-    )
-    attr_readings = len(recorder.readings)
-    attr_worst_err = max(
-        (r.max_node_err("flops") or 0.0) for r in recorder.readings
-    )
-    switch.disable("attr")
-    recorder.reset()
 
     from repro.linalg.gram import GramCache
 
@@ -295,10 +270,6 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
                 "seconds_per_iteration": disabled_recheck,
                 "overhead_pct": pct(disabled_recheck),
             },
-            "enabled_attribution": {
-                "seconds_per_iteration": with_attribution,
-                "overhead_pct": pct(with_attribution),
-            },
             "enabled_health": {
                 "seconds_per_iteration": with_health,
                 "overhead_pct": pct(with_health),
@@ -314,8 +285,6 @@ def run_overhead_bench(repeats: int = REPEATS) -> dict:
         },
         "spans_per_measured_block": span_count,
         "memtrack": {"peak_bytes": mem_peak, "events": mem_events},
-        "attribution": {"readings": attr_readings,
-                        "max_node_flop_err": attr_worst_err},
         "health": {"readings": health_readings,
                    "final_trajectory": health_trajectory},
         "roofline": {"configs": roofline_configs},
@@ -351,15 +320,6 @@ def main() -> None:
     print("\n".join(lines))
     print(f"wrote {base}.json")
     recheck = report["runs"]["disabled_recheck"]["seconds_per_iteration"]
-    attr = report["runs"]["enabled_attribution"]
-    attr_cost = (attr["seconds_per_iteration"] / recheck - 1.0) * 100.0
-    assert attr_cost < 2.0, (
-        f"attribution overhead {attr_cost:.2f}% (vs the adjacent "
-        f"re-measured baseline) exceeds the 2% budget"
-    )
-    assert report["attribution"]["max_node_flop_err"] == 0.0, (
-        "attributed per-node flops diverged from the model on numpy"
-    )
     profile_ab = report["profile"]["ab_overhead_pct"]
     assert profile_ab < 2.0, (
         f"sampling profiler costs {profile_ab:.2f}% over the interleaved "

@@ -165,13 +165,14 @@ def cmd_explain(args) -> int:
     if args.measure:
         from .core.cpals import cp_als
         from .obs import switch
+        from .obs.attribution import attribution_from_spans
 
-        with switch.enabled("attr") as on:
+        with switch.enabled("trace") as on:
             cp_als(
                 tensor, args.rank, strategy=expl.report.best.strategy,
                 n_iter_max=args.iters, tol=0.0, random_state=args.seed,
             )
-        measured = on["attr"].snapshot()
+        measured = attribution_from_spans(on["trace"].finished())
     artifact = expl.to_artifact(input=args.input, scale=args.scale)
     if measured is not None:
         artifact["result"]["measured"] = measured
@@ -204,6 +205,8 @@ def cmd_decompose(args) -> int:
 
     if args.workers is not None:
         check_positive_int(args.workers, "--workers")
+    if args.min_chunk_rows is not None:
+        check_positive_int(args.min_chunk_rows, "--min-chunk-rows")
     tensor = load_input(args.input, args.scale)
     closeables: list = []
     engine_factory = None
@@ -308,13 +311,6 @@ def cmd_trace(args) -> int:
     with open(memory_path, "w") as fh:
         _json.dump(mem.snapshot(), fh, indent=2)
         fh.write("\n")
-    attr = on["attr"]
-    attribution_path = None
-    if attr.has_data:
-        attribution_path = os.path.join(args.trace_dir, "attribution.json")
-        with open(attribution_path, "w") as fh:
-            _json.dump(attr.snapshot(), fh, indent=2)
-            fh.write("\n")
     health_collector = on["health"]
     health_path = None
     if health_collector.has_data:
@@ -374,7 +370,6 @@ def cmd_trace(args) -> int:
     print(f"\nwrote {chrome_path} (open in chrome://tracing or "
           f"https://ui.perfetto.dev), {jsonl_path}, {memory_path}, "
           f"{metrics_path}, {events_path}"
-          + (f", {attribution_path}" if attribution_path else "")
           + (f", {health_path}" if health_path else "")
           + (f", {profile_path} (+ profile.folded for flamegraph.pl/"
              "speedscope)" if profile_path else ""))
@@ -430,21 +425,10 @@ def cmd_report(args) -> int:
             ))
     from .obs.attribution import attribution_from_spans, format_attribution
 
-    doc = arts.attribution()
+    doc = attribution_from_spans(spans)
     if doc is not None:
-        rendered = format_attribution(doc)
-        if rendered:
-            print(f"\ncost attribution from {arts.path('attribution')}:")
-            print(rendered)
-    else:
-        # No recorder artifact: reconstruct the time attribution the
-        # spans alone support (per-node seconds, per-mode seconds).
-        doc = attribution_from_spans(spans)
-        if doc is not None:
-            rendered = format_attribution(doc)
-            if rendered:
-                print()
-                print(rendered)
+        print()
+        print(format_attribution(doc))
     # One-line achieved-throughput summary; trace dirs recorded before
     # calibration existed simply report "uncalibrated".
     from .obs.roofline import report_from_trace_dir, report_line
@@ -628,10 +612,9 @@ def build_parser() -> argparse.ArgumentParser:
         "every candidate with its tree shape, per-node and per-mode "
         "predicted flop/word/byte terms, the winner's margin over each "
         "runner-up and which cost term dominates it.  --measure then runs "
-        "CP-ALS on the winner with cost attribution enabled and appends "
-        "the measured per-node breakdown (exact flop alignment on the "
-        "numpy backend).  --json emits the repro-plan/v1 artifact in the "
-        "shared repro-bench/v1 envelope.",
+        "CP-ALS on the winner under the span tracer and appends the "
+        "measured per-node and per-mode wall time.  --json emits the "
+        "repro-plan/v1 artifact in the shared repro-bench/v1 envelope.",
     )
     add_input(p)
     p.add_argument("--rank", type=int, default=16)
@@ -641,8 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibrate", action="store_true",
                    help="micro-benchmark this machine first")
     p.add_argument("--measure", action="store_true",
-                   help="run CP-ALS on the winner and attach the measured "
-                   "per-node attribution")
+                   help="run CP-ALS on the winner and attach its measured "
+                   "per-node and per-mode time")
     p.add_argument("--iters", type=int, default=3,
                    help="iterations for --measure (default: 3)")
     p.add_argument("--seed", type=int, default=0)

@@ -49,10 +49,6 @@ class CPResult:
         :class:`~repro.obs.memory.MemReading` list (measured vs predicted
         peak memoized-value bytes) when the ``mem`` instrument was on
         (see :mod:`repro.obs.switch`), else None.
-    attribution_readings: per-iteration
-        :class:`~repro.obs.attribution.AttributionReading` list (measured
-        per-tree-node / per-mode work aligned node-for-node with the cost
-        model) when the ``attr`` instrument was on, else None.
     health_readings: per-iteration
         :class:`~repro.obs.health.HealthReading` list (Gram conditioning,
         factor deltas, congruence/swamp detection, fit-trajectory
@@ -67,7 +63,6 @@ class CPResult:
     planner_report: object | None = None
     timings: dict = field(default_factory=dict)
     memory_readings: list | None = None
-    attribution_readings: list | None = None
     health_readings: list | None = None
 
     @property
@@ -319,7 +314,6 @@ def _cp_als_run(
             "total": total,
         },
         memory_readings=readings("mem"),
-        attribution_readings=readings("attribution"),
         health_readings=readings("health"),
     )
 

@@ -157,9 +157,6 @@ class MemoizedMttkrp:
         matrices by the tree height.
         """
         mode = check_mode(mode, self.tensor.ndim)
-        attr = _switch.get("attr") if _switch.is_on("attr") else None
-        if attr is not None:
-            attr.begin_mode(mode)
         with _trace.span("mttkrp", mode=mode):
             tracker = _switch.get("mem") if _switch.is_on("mem") else None
             for nid in self.strategy.invalidated_by(mode):
@@ -176,8 +173,6 @@ class MemoizedMttkrp:
             )
             out[sym.index[:, 0]] = vals
             perf.record(mttkrps=1, words=vals.size)
-            if attr is not None:
-                attr.end_mode(mode, leaf_id, vals.size)
             if _switch.is_on("trace"):
                 self._publish_memory_gauges()
             return out
@@ -260,26 +255,23 @@ class MemoizedMttkrp:
         """Run ``build(traced)`` as node ``ctx.node_id``'s rebuild.
 
         Timed only when someone listens: under a ``node_rebuild`` span
-        while tracing, with a plain clock while events or attribution are
-        on; the ``node_rebuild`` event and ``attrs`` (extra span/event
-        fields) follow the measurement.  Records the rebuild's work in the
-        perf counters and, when on, the cost attribution.
+        while tracing, with a plain clock while events are on; the
+        ``node_rebuild`` event and ``attrs`` (extra span/event fields)
+        follow the measurement.  Records the rebuild's work in the perf
+        counters.
         """
         node_id, nnz = ctx.node_id, ctx.sym.nnz
-        seconds = 0.0
         if _switch.is_on("trace"):
             with _trace.span("node_rebuild", node=node_id, nnz=nnz,
                              parent_nnz=ctx.parent_sym.nnz, **attrs) as rec:
                 result = build(True)
-            seconds = rec.duration
             _events.emit("node_rebuild", node=node_id, nnz=nnz,
-                         seconds=seconds, **attrs)
-        elif _switch.is_on("events") or _switch.is_on("attr"):
+                         seconds=rec.duration, **attrs)
+        elif _switch.is_on("events"):
             t0 = time.perf_counter()
             result = build(False)
-            seconds = time.perf_counter() - t0
             _events.emit("node_rebuild", node=node_id, nnz=nnz,
-                         seconds=seconds, **attrs)
+                         seconds=time.perf_counter() - t0, **attrs)
         else:
             result = build(False)
         flops, words = contraction_work(
@@ -291,8 +283,6 @@ class MemoizedMttkrp:
             contractions=len(ctx.sym.delta_modes),
             node_builds=1,
         )
-        if _switch.is_on("attr"):
-            _switch.get("attr").on_rebuild(node_id, flops, words, seconds)
         return result
 
     def workspace_nbytes(self) -> int:

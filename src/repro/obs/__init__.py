@@ -4,8 +4,8 @@ Zero-dependency instrumentation for the engine/kernel/parallel stack.
 Import the submodules directly (``from repro.obs import trace``); this
 package re-exports nothing.
 
-* :mod:`repro.obs.switch` — the one on/off table for the six
-  instruments (trace, mem, events, attr, profile, health), read from
+* :mod:`repro.obs.switch` — the one on/off table for the five
+  instruments (trace, mem, events, profile, health), read from
   ``REPRO_OBS`` at import or driven in code with ``switch.enabled(...)``.
 * :mod:`repro.obs.observer` — the CP-ALS loop's per-iteration observer
   protocol (``begin_iteration`` / ``observe_mode`` / ``end_iteration``).
@@ -35,10 +35,9 @@ package re-exports nothing.
   versioned ``repro-plan/v1`` artifact (``repro explain``).  Imported
   lazily: it depends on :mod:`repro.model`, which depends on the engine
   this package instruments.
-* :mod:`repro.obs.attribution` — measured per-tree-node / per-mode cost
-  attribution during real runs, aligned node-for-node with the model's
-  prediction; feeds ``attribution.json`` and the
-  ``attr.mode*.flops_ratio`` gauges.
+* :mod:`repro.obs.attribution` — per-tree-node / per-mode wall time
+  rebuilt from ``node_rebuild`` and ``mttkrp`` spans (``repro report``,
+  ``repro explain --measure``).
 * :mod:`repro.obs.profiler` — sampling wall-clock stack profiler joined
   to the span tree: folded ``lane → span path → frames`` stacks for the
   main thread and the thread pool's workers, persisted as a

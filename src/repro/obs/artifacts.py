@@ -23,7 +23,6 @@ _log = logging.getLogger("repro.obs.artifacts")
 FILENAMES = {
     "events": "events.jsonl",
     "metrics": "metrics.json",
-    "attribution": "attribution.json",
     "profile": "profile.json",
     "health": "health.json",
 }
@@ -90,10 +89,6 @@ class TraceArtifacts:
     def metrics(self) -> dict | None:
         """The full ``metrics.json`` document (build + metrics snapshot)."""
         return self._load("metrics", self._load_json)
-
-    def attribution(self) -> dict | None:
-        """The ``repro-attr/v1`` document, if the run recorded one."""
-        return self._load("attribution", self._load_json)
 
     def profile(self) -> dict | None:
         """The ``repro-profile/v1`` document, if the run was profiled.

@@ -10,7 +10,7 @@ observation:
   CLI ``repro trace`` command and the experiment runner do) and the
   engine's measured flops/words flow in;
 * **gauges / event counts** — last-value and monotonically increasing
-  scalars (the ``attr.*``, ``mem.*`` and ``health.*`` readings,
+  scalars (the ``mem.*`` and ``health.*`` readings,
   kernel-registry resolution counts).
 
 :func:`repro.obs.metrics` snapshots everything into one JSON-friendly dict.

@@ -12,9 +12,8 @@ one observer list — the loop has no branch for any single instrument:
   :class:`IterationRecord`.
 
 Observers run in list order, so later ones read what earlier ones filled
-in: the memory tracker, cost attribution and health collector set
-``record.mem`` / ``.attribution`` / ``.health``; the event emitter
-streams the finished record.
+in: the memory tracker and health collector set ``record.mem`` /
+``.health``; the event emitter streams the finished record.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ class IterationRecord:
     grams: object = None
     engine: object = None
     mem: object = None
-    attribution: object = None
     health: object = None
 
 
@@ -59,8 +57,8 @@ class IterationObserver:
 def start_run(engine, rank: int, **run_fields) -> list:
     """Set up every enabled per-iteration instrument for one run.
 
-    Returns the observer list in feed order.  Memory and attribution need
-    a memoized engine's symbolic tree.  ``run_fields`` go out as the
+    Returns the observer list in feed order.  The memory tracker needs a
+    memoized engine's symbolic tree.  ``run_fields`` go out as the
     ``run_start`` event.
     """
     from ..core.engine import MemoizedMttkrp
@@ -76,10 +74,6 @@ def start_run(engine, rank: int, **run_fields) -> list:
         tracker = _switch.get("mem")
         tracker.start_run(engine, rank, predicted_peak)
         observers.append(tracker)
-    if memoized and _switch.is_on("attr"):
-        recorder = _switch.get("attr")
-        recorder.register(engine.strategy, engine.symbolic.node_nnz(), rank)
-        observers.append(recorder)
     if _switch.is_on("health"):
         collector = _switch.get("health")
         collector.start_run(n_modes=len(engine.mode_order))

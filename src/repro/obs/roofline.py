@@ -9,13 +9,13 @@ that says whether a slow config is leaving the machine idle or is
 already pinned against memory bandwidth (in which case more workers
 cannot help, only traffic reductions can).
 
-Two attribution sources, the second the more exact:
+Two attribution sources:
 
 * ``node_rebuild`` spans joined to the strategy's per-node model terms
   (:func:`repro.model.cost.node_cost_terms`) — the memoized tree
   engines;
-* the cost-attribution recorder's *measured* per-mode flop/word
-  counters (``repro-attr/v1``), which need no model join at all.
+* a saved trace dir's ``metrics.json``: the run's perf-counter flop and
+  word totals over its summed ``mttkrp`` span seconds.
 
 Everything degrades gracefully: with no ``repro-machine/v1`` artifact
 the report still lists achieved GB/s, marked ``uncalibrated`` instead
@@ -31,7 +31,7 @@ from ..core.dtypes import VALUE_ITEMSIZE
 __all__ = [
     "ROOFLINE_SCHEMA", "ConfigThroughput", "RooflineReport",
     "tree_node_terms", "throughput_from_spans",
-    "throughput_from_attribution", "roofline_report",
+    "roofline_report",
     "report_from_trace_dir", "publish_roofline_gauges", "report_line",
 ]
 
@@ -44,8 +44,9 @@ class ConfigThroughput:
     """Achieved throughput of one kernel configuration.
 
     ``bytes_moved`` is the *model's* traffic term for the spans' work
-    (measured counters where the attribution recorder ran), so ``gbs``
-    is achieved effective bandwidth: model bytes over measured seconds.
+    (the perf counters' word total for a saved trace dir, which counts
+    with the model's convention), so ``gbs`` is achieved effective
+    bandwidth: model bytes over measured seconds.
     Fractions are ``None`` until a calibrated roofline scales them.
     """
 
@@ -237,29 +238,6 @@ def throughput_from_spans(
     return sorted(acc.values(), key=lambda c: c.config)
 
 
-def throughput_from_attribution(doc: dict) -> ConfigThroughput | None:
-    """Achieved throughput from the recorder's measured per-mode counters.
-
-    No model join: the ``repro-attr/v1`` mode rows carry *measured*
-    flops/words next to measured seconds — the most exact source, but
-    only the tree engines feed the recorder.
-    """
-    if not isinstance(doc, dict):
-        return None
-    modes = doc.get("modes") or []
-    seconds = sum(float(m.get("seconds", 0.0)) for m in modes)
-    flops = sum(float(m.get("measured_flops", 0)) for m in modes)
-    words = sum(float(m.get("measured_words", 0)) for m in modes)
-    if seconds <= 0 or (flops <= 0 and words <= 0):
-        return None
-    label = doc.get("strategy") or "tree"
-    return ConfigThroughput(
-        config=f"attr/{label}", spans=len(modes), seconds=seconds,
-        flops=flops, bytes_moved=words * VALUE_ITEMSIZE,
-        source="attribution",
-    )
-
-
 def roofline_report(
     configs,
     roofline=None,
@@ -293,9 +271,10 @@ def report_from_trace_dir(trace_dir: str, roofline=None,
                           *, load: bool = True) -> RooflineReport:
     """Post-hoc roofline attribution over a saved ``repro trace`` dir.
 
-    The attribution artifact (when the recorder ran) contributes its
-    measured-counter config.  A trace dir without one yields no configs;
-    the report still renders the (possibly uncalibrated) ceilings.
+    ``metrics.json`` contributes one config: the run's counted flops and
+    words over its total ``mttkrp`` span seconds.  A trace dir without
+    that file yields no configs; the report still renders the (possibly
+    uncalibrated) ceilings.
     """
     import json
     import os
@@ -308,17 +287,25 @@ def report_from_trace_dir(trace_dir: str, roofline=None,
 
         roofline = load_roofline(os.path.join(trace_dir, "machine.json"))
     configs = []
-    attr_path = os.path.join(trace_dir, "attribution.json")
-    if os.path.exists(attr_path):
+    metrics_path = os.path.join(trace_dir, "metrics.json")
+    if os.path.exists(metrics_path):
         try:
-            with open(attr_path) as fh:
-                attributed = throughput_from_attribution(json.load(fh))
-        except (OSError, ValueError):
-            attributed = None
-        if attributed is not None:
-            configs.append(attributed)
+            with open(metrics_path) as fh:
+                metrics = json.load(fh)["metrics"]
+            counters = metrics["counters"]
+            flops, words = float(counters["flops"]), float(counters["words"])
+            mttkrp = metrics["spans"].get("mttkrp", {})
+            seconds = float(mttkrp.get("total_seconds", 0.0))
+        except (OSError, ValueError, KeyError, TypeError):
+            seconds = 0.0
+        if seconds > 0 and (flops > 0 or words > 0):
+            configs.append(ConfigThroughput(
+                config="counters", spans=int(mttkrp.get("count", 0)),
+                seconds=seconds, flops=flops,
+                bytes_moved=words * VALUE_ITEMSIZE, source="metrics.json",
+            ))
     else:
-        notes.append(f"no attribution.json under {trace_dir}")
+        notes.append(f"no metrics.json under {trace_dir}")
     return roofline_report(configs, roofline, load=load, notes=notes)
 
 

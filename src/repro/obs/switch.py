@@ -1,8 +1,7 @@
 """One switch for every telemetry instrument.
 
-The six instruments — span tracer, memory tracker, event log, cost
-attribution, sampling profiler, numerical health — share one on/off
-table.  Turn them on with one spec, either in the environment before the
+The five instruments — span tracer, memory tracker, event log,
+sampling profiler, numerical health — share one on/off table.  Turn them on with one spec, either in the environment before the
 process starts::
 
     REPRO_OBS=all python -m repro decompose nips --scale 0.05
@@ -17,7 +16,7 @@ or in code::
     spans = on["trace"].finished()
 
 A spec is ``all`` (everything ``repro trace`` records: trace, mem,
-events, attr, health — the profiler's sampler thread stays opt-in) or a
+events, health — the profiler's sampler thread stays opt-in) or a
 comma list of instrument names.  An item may carry a value:
 ``events=<path>`` opens a JSON-lines sink, ``profile=<hz>`` sets the
 sampling rate, ``mem=tracemalloc`` adds allocator sampling.
@@ -40,7 +39,7 @@ __all__ = ["INSTRUMENTS", "ALL", "parse", "is_on", "get", "active",
            "enable", "disable", "enabled"]
 
 #: what ``all`` turns on: every instrument ``repro trace`` records.
-ALL = ("trace", "mem", "events", "attr", "health")
+ALL = ("trace", "mem", "events", "health")
 
 
 def _profiler():
@@ -78,7 +77,6 @@ _TABLE = {
                   _mem_on, lambda tracker: tracker.close()),
     "events": _Entry("events", "EventLog", "clear",
                      _events_on, lambda log: log.close_sink()),
-    "attr": _Entry("attribution", "AttributionRecorder", "reset"),
     "profile": _Entry("profiler", "ProfileStore", "clear",
                       _profile_on, lambda store: _profiler().stop_sampler()),
     "health": _Entry("health", "HealthCollector", "reset"),

@@ -107,6 +107,8 @@ class TestCommands:
         ["--workers", "2", "--min-chunk-rows", "-1"],
         ["--workers", "0"],
         ["--workers", "-3"],
+        ["--workers", "1", "--min-chunk-rows", "0"],
+        ["--min-chunk-rows", "-5"],
     ])
     def test_decompose_bad_parallel_inputs_exit_2(self, flags, capsys):
         """A worker count or chunk threshold below 1 is one error line and

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from repro.core import strategy as S
-from repro.core.engine import MemoizedMttkrp
+from repro.core.engine import MemoizedMttkrp, contraction_work
 from repro.core.symbolic import SymbolicTree
 from repro.model.cost import (DEFAULT_MACHINE, ExecutionParams, MachineModel,
                               cost_from_symbolic, cost_report,
-                              iteration_flops_words, parallel_iteration_seconds,
+                              iteration_flops_words, node_cost_terms,
+                              parallel_iteration_seconds,
                               simulate_peak_value_bytes, symbolic_index_bytes)
+from repro.obs import switch
 from repro.perf import counting
 
 from .helpers import random_coo, random_factors
@@ -56,6 +58,37 @@ class TestModelMatchesCounters:
         flops, words = iteration_flops_words(strategy, sym.node_nnz(), RANK)
         assert c.flops == flops
         assert c.words == words
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.name)
+    def test_per_node_rebuild_spans_match_terms(self, strategy):
+        """Per node, not just per iteration: the steady-state sweep rebuilds
+        every non-root node once, and the work its span's inputs imply is
+        that node's predicted contraction (its terms minus the scatter)."""
+        rng = np.random.default_rng(0)
+        tensor = random_coo(rng, (6, 5, 7, 4), 80)
+        sym = SymbolicTree(tensor, strategy)
+        engine = MemoizedMttkrp(
+            tensor, strategy, random_factors(rng, tensor.shape, RANK),
+            symbolic=sym,
+        )
+        with switch.enabled("trace") as on:
+            run_one_iteration(engine, rng)  # warm-up to steady state
+            on["trace"].clear()
+            run_one_iteration(engine, rng)
+            spans = [r for r in on["trace"].finished()
+                     if r.kind == "node_rebuild"]
+        terms = {t.node_id: t
+                 for t in node_cost_terms(strategy, sym.node_nnz(), RANK)
+                 if t.parent is not None}
+        by_node = {int(r.attrs["node"]): r for r in spans}
+        assert len(spans) == len(by_node)  # no node rebuilt twice
+        assert sorted(by_node) == sorted(terms)
+        for nid, rec in by_node.items():
+            term = terms[nid]
+            assert rec.attrs["nnz"] == term.nnz
+            assert contraction_work(rec.attrs["parent_nnz"], RANK,
+                                    len(strategy.nodes[nid].delta)) == \
+                (term.flops, term.words - term.scatter_words)
 
     @pytest.mark.parametrize("order", [3, 5, 6])
     def test_flops_exact_other_orders(self, order):

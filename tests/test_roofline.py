@@ -15,8 +15,8 @@ from repro.model.cost import (DEFAULT_EXECUTION, ExecutionParams,
                               resolve_bandwidth_workers)
 from repro.obs.roofline import (ConfigThroughput, publish_roofline_gauges,
                                 report_from_trace_dir, report_line,
-                                roofline_report, throughput_from_attribution,
-                                throughput_from_spans, tree_node_terms)
+                                roofline_report, throughput_from_spans,
+                                tree_node_terms)
 from repro.obs.trace import SpanRecord
 
 QUICK = dict(n_elements=50_000, repeats=1, matmul_n=64, max_threads=2)
@@ -152,19 +152,6 @@ class TestThroughputJoins:
             node_terms={3: {"flops": 1.0, "words": 1.0}},
         ) == []                                          # no node attr
 
-    def test_attribution_join(self):
-        doc = {"strategy": "bdt", "modes": [
-            {"mode": 0, "seconds": 0.5, "measured_flops": 1e9,
-             "measured_words": 1e8},
-            {"mode": 1, "seconds": 0.5, "measured_flops": 1e9,
-             "measured_words": 1e8},
-        ]}
-        c = throughput_from_attribution(doc)
-        assert c.config == "attr/bdt"
-        assert c.gflops == pytest.approx(2.0)
-        assert c.gbs == pytest.approx(2e8 * 8 / 1e9)
-        assert throughput_from_attribution({"modes": []}) is None
-
     def test_tree_node_terms_excludes_scatter_and_root(self):
         from repro.core.strategy import balanced_binary
         from repro.core.symbolic import SymbolicTree
@@ -214,8 +201,37 @@ class TestRooflineReport:
     def test_trace_dir_missing_artifacts(self, tmp_path, machine_path):
         report = report_from_trace_dir(str(tmp_path))
         assert not report.calibrated
-        assert any("no attribution.json" in n for n in report.notes)
+        assert not report.configs
+        assert any("no metrics.json" in n for n in report.notes)
         assert "uncalibrated" in report_line(report)
+
+    def test_trace_dir_config_from_metrics(self, tmp_path, quick_roofline):
+        # The run's counted work over its summed mttkrp span seconds.
+        doc = {"run_id": "run-0", "metrics": {
+            "counters": {"flops": 2_000_000_000, "words": 100_000_000},
+            "spans": {"mttkrp": {"count": 40, "total_seconds": 0.5}},
+        }}
+        with open(tmp_path / "metrics.json", "w") as fh:
+            json.dump(doc, fh)
+        report = report_from_trace_dir(str(tmp_path), quick_roofline)
+        (c,) = report.configs
+        assert c.config == "counters" and c.source == "metrics.json"
+        assert c.spans == 40 and c.seconds == 0.5
+        assert c.gflops == pytest.approx(4.0)
+        assert c.gbs == pytest.approx(1e8 * 8 / 0.5 / 1e9)
+        assert c.bandwidth_fraction == pytest.approx(
+            c.gbs / quick_roofline.peak_bandwidth_gbs)
+        assert report.notes == []
+        assert "best counters" in report_line(report)
+        # No timed MTTKRP (or a malformed file): no config, no guess.
+        doc["metrics"]["spans"] = {}
+        with open(tmp_path / "metrics.json", "w") as fh:
+            json.dump(doc, fh)
+        assert report_from_trace_dir(str(tmp_path), quick_roofline,
+                                     load=False).configs == []
+        (tmp_path / "metrics.json").write_text("{not json")
+        assert report_from_trace_dir(str(tmp_path), quick_roofline,
+                                     load=False).configs == []
 
     def test_trace_dir_prefers_snapshotted_machine(self, tmp_path,
                                                    quick_roofline,
