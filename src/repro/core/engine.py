@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..kernels import RebuildContext, WorkspaceArena, get_kernel
+from ..kernels.indices import lexicographic
 from ..obs import events as _events
 from ..obs import switch as _switch
 from ..obs import trace as _trace
@@ -165,20 +166,20 @@ class MemoizedMttkrp:
                 self._values[nid] = None
             leaf_id = self.strategy.leaf_id(mode)
             self._ensure_node(leaf_id)
-            sym = self.symbolic.nodes[leaf_id]
             vals = self._values[leaf_id]
             assert vals is not None
             out = np.zeros(
                 (self.tensor.shape[mode], self.rank), dtype=VALUE_DTYPE
             )
-            out[sym.index[:, 0]] = vals
+            out[self.symbolic.leaf_rows(leaf_id)] = vals
             perf.record(mttkrps=1, words=vals.size)
             if _switch.is_on("trace"):
                 self._publish_memory_gauges()
             return out
 
     def node_tensor(self, node_id: int) -> SemiSparseTensor:
-        """Materialize a node's semi-sparse tensor (computing if needed)."""
+        """Materialize a node's semi-sparse tensor (computing if needed),
+        its value rows in the lexicographic order of its index."""
         self._ensure_node(node_id)
         sym = self.symbolic.nodes[node_id]
         if self.strategy.nodes[node_id].is_root:
@@ -188,6 +189,7 @@ class MemoizedMttkrp:
         else:
             vals = self._values[node_id]
             assert vals is not None
+            vals = lexicographic(vals, self.symbolic.row_order(node_id))
         return SemiSparseTensor(
             sym.modes,
             sym.index,

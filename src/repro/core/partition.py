@@ -1,7 +1,7 @@
 """Contiguous near-equal splits of an index range.
 
-Nonzero chunks, segment-aligned rebuild chunks and the bandwidth probe's
-per-thread slices all cut ``range(n)`` the same way; this is that cut.
+Nonzero chunks and the bandwidth probe's per-thread slices cut
+``range(n)`` the same way; this is that cut.
 """
 
 from __future__ import annotations

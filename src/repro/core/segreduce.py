@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .dtypes import INDEX_ITEMSIZE, as_index_array
-from .partition import contiguous_chunks
 
 _INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -133,58 +132,6 @@ class SegmentPlan:
         reduced = self.reduce(values)
         out[self.group_ids] += reduced
         return out
-
-    def chunks(self, n_chunks: int) -> list[tuple[slice, slice]]:
-        """Split the plan into segment-aligned chunks for parallel reduction.
-
-        Returns up to ``n_chunks`` pairs ``(source_slice, segment_slice)``:
-        applying :meth:`reduce_chunk` to a source slice produces exactly the
-        rows ``segment_slice`` of the full :meth:`reduce` output, so workers
-        write disjoint output ranges with no reduction conflicts.
-        """
-        if n_chunks < 1:
-            raise ValueError("n_chunks must be >= 1")
-        if self.n_segments == 0:
-            return []
-        n_chunks = min(n_chunks, self.n_segments)
-        out = []
-        for seg_lo, seg_hi in contiguous_chunks(self.n_segments, n_chunks):
-            if seg_lo == seg_hi:
-                continue
-            src_lo = int(self._starts[seg_lo])
-            src_hi = (
-                int(self._starts[seg_hi])
-                if seg_hi < self.n_segments
-                else self.n_sources
-            )
-            out.append((slice(src_lo, src_hi), slice(seg_lo, seg_hi)))
-        return out
-
-    def reduce_chunk(
-        self, values: np.ndarray, source_slice: slice, segment_slice: slice
-    ) -> np.ndarray:
-        """Reduce one chunk from :meth:`chunks`.
-
-        ``values`` is the full ``m x R`` source array; the gather for the
-        chunk's rows happens here so callers can share one input array across
-        workers.
-        """
-        if self.n_sources == 0:
-            return values[:0]
-        if self._perm_identity:
-            gathered = values[source_slice]
-        else:
-            gathered = values[self._perm[source_slice]]
-        local_starts = self._starts[segment_slice] - source_slice.start
-        return np.add.reduceat(gathered, local_starts, axis=0)
-
-    def sorted_sources(self, source_slice: slice) -> np.ndarray:
-        """Source row ids (pre-gather order) for one chunk's slice."""
-        return self._perm[source_slice]
-
-    def local_starts(self, source_slice: slice, segment_slice: slice) -> np.ndarray:
-        """Segment start offsets relative to a chunk's source slice."""
-        return self._starts[segment_slice] - source_slice.start
 
     def index_nbytes(self) -> int:
         """Bytes held by the plan's index structures (for the memory model)."""

@@ -70,6 +70,7 @@ class SymbolicTree:
         self.strategy = strategy
         self.nodes: list[NodeSymbolic] = [None] * len(strategy.nodes)  # type: ignore[list-item]
         self._kernel_indices: dict[int, NodeKernelIndex] = {}
+        self._leaf_rows: dict[int, np.ndarray] = {}
         self._build()
 
     def _build(self) -> None:
@@ -112,7 +113,9 @@ class SymbolicTree:
         Built on first request and cached on the tree, so every engine,
         restart, and parallel worker sharing this symbolic tree shares one
         set of precomputed arrays.  Like the index blocks themselves, these
-        depend only on the sparsity pattern and the strategy.
+        depend only on the sparsity pattern and the strategy.  The parent's
+        index is built first: the child reads the parent's value rows in
+        the parent's stored order.
         """
         node = self.strategy.nodes[node_id]
         if node.is_root:
@@ -120,9 +123,32 @@ class SymbolicTree:
         ki = self._kernel_indices.get(node_id)
         if ki is None:
             assert node.parent is not None
-            ki = build_node_index(self.nodes[node_id], self.nodes[node.parent])
+            parent_ki = self.kernel_index(node.parent)
+            ki = build_node_index(
+                self.nodes[node_id], self.nodes[node.parent],
+                None if parent_ki is None else parent_ki.row_order,
+            )
             self._kernel_indices[node_id] = ki
         return ki
+
+    def row_order(self, node_id: int) -> np.ndarray | None:
+        """The lexicographic row behind each of the node's stored value
+        rows, or ``None`` when they are stored lexicographically (always
+        for the root)."""
+        ki = self.kernel_index(node_id)
+        return None if ki is None else ki.row_order
+
+    def leaf_rows(self, node_id: int) -> np.ndarray:
+        """A leaf's mode index for each stored value row: where the MTTKRP
+        scatters the leaf's values (cached)."""
+        rows = self._leaf_rows.get(node_id)
+        if rows is None:
+            column = self.nodes[node_id].index[:, 0]
+            order = self.row_order(node_id)
+            rows = np.ascontiguousarray(
+                column if order is None else column[order])
+            self._leaf_rows[node_id] = rows
+        return rows
 
     def build_kernel_indices(self) -> None:
         """Eagerly build every node's kernel index (normally lazy)."""

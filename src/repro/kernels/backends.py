@@ -1,7 +1,8 @@
 """Kernel backends: interchangeable implementations of one node rebuild.
 
 A backend turns a :class:`RebuildContext` (static indices + current numeric
-state) into the node's ``(n_segments, R)`` value matrix.  All backends
+state) into the node's ``(n_segments, R)`` value matrix, its rows in the
+node's stored order (``NodeKernelIndex.row_order``).  All backends
 compute the *same* values — the engine's perf counters and the cost model
 are backend-independent — they differ only in how the gather → Hadamard →
 segmented-sum pipeline is executed:
@@ -10,12 +11,13 @@ segmented-sum pipeline is executed:
     The default.  Pre-permuted flat gather indices (no per-rebuild
     permutation pass), ``np.take`` into reused workspace buffers (no large
     allocations), in-place Hadamard, cache-sized segment-aligned blocks, and
-    length-class sums for segments of at most eight rows (see
+    position-major length-class sums for segments of at most eight rows,
+    every block writing one contiguous slice of the output (see
     :mod:`repro.kernels.indices`).  Bitwise identical to ``reference``.
 
 ``reference``
-    The original engine's numeric path, kept as the plain-numpy baseline
-    for benchmarking and differential testing.
+    The original engine's numeric path on lexicographic rows, kept as the
+    plain-numpy baseline and bitwise oracle for differential testing.
 
 ``numba``
     A fused-loop ``prange`` kernel (see :mod:`repro.kernels.numba_backend`),
@@ -30,7 +32,7 @@ from ..core.dtypes import VALUE_DTYPE
 from ..obs import switch as _switch
 from ..obs import trace as _trace
 from .blocking import resolve_block_rows
-from .indices import length_class_sum
+from .indices import length_class_sum, lexicographic
 from .workspace import WorkspaceArena
 
 
@@ -69,7 +71,7 @@ class KernelBackend:
     name = "abstract"
 
     #: whether :meth:`rebuild_chunk` is implemented (the parallel engine's
-    #: segment-aligned chunking requires it).
+    #: block-group chunking requires it).
     supports_chunks = False
 
     def rebuild(self, ctx: RebuildContext) -> np.ndarray:
@@ -83,12 +85,11 @@ class KernelBackend:
         with _trace.span("kernel", backend=self.name, node=ctx.node_id):
             return self.rebuild(ctx)
 
-    def rebuild_chunk(self, ctx: RebuildContext, source_slice: slice,
-                      segment_slice: slice, out: np.ndarray) -> None:
-        """Compute rows ``segment_slice`` of the node's value matrix into
-        ``out`` (the full ``(n_segments, R)`` array), reading only sources
-        in ``source_slice``.  Chunks come from ``SegmentPlan.chunks`` and
-        are segment-aligned, so concurrent chunk writes never overlap."""
+    def rebuild_chunk(self, ctx: RebuildContext, blocks, out: np.ndarray) -> None:
+        """Run some of the node's cached ``blocks``
+        (:meth:`~repro.kernels.indices.NodeKernelIndex.blocks_for`) into
+        ``out`` (the full ``(n_segments, R)`` array).  Every block writes
+        its own slice of stored rows, so concurrent chunks never overlap."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -100,7 +101,8 @@ class NumpyKernel(KernelBackend):
 
     Segments longer than eight rows are summed by ``reduceat``; shorter
     ones by their length class (:func:`~repro.kernels.indices
-    .length_class_sum`), bitwise identical either way.
+    .length_class_sum`), bitwise identical either way.  Each block writes
+    one contiguous slice of stored rows.
     """
 
     name = "numpy"
@@ -114,12 +116,8 @@ class NumpyKernel(KernelBackend):
             self._run_blocks(ctx, ki, ki.blocks_for(block_rows), out)
         return out
 
-    def rebuild_chunk(self, ctx: RebuildContext, source_slice: slice,
-                      segment_slice: slice, out: np.ndarray) -> None:
-        ki = ctx.kernel_index()
-        blocks = ki.blocks(resolve_block_rows(ctx.rank),
-                           segment_slice.start, segment_slice.stop)
-        self._run_blocks(ctx, ki, blocks, out)
+    def rebuild_chunk(self, ctx: RebuildContext, blocks, out: np.ndarray) -> None:
+        self._run_blocks(ctx, ctx.kernel_index(), blocks, out)
 
     def _run_blocks(self, ctx: RebuildContext, ki, blocks, out) -> None:
         factors = ctx.factors
@@ -134,9 +132,10 @@ class NumpyKernel(KernelBackend):
         rest = tuple(zip(ki.delta_modes[1:], ki.gather[1:]))
         for lo, hi, width, rows, lstarts in blocks:
             n = hi - lo
-            # Identity plans map source row k to output row k: gather
-            # straight into the output and skip the reduction entirely.
-            prod = out[lo:hi] if ki.identity else arena.request("prod", n, rank)
+            # Identity plans and one-row segments map source row k to one
+            # output row: gather straight into the output, no reduction.
+            direct = ki.identity or width == 1
+            prod = out[rows] if direct else arena.request("prod", n, rank)
             np.take(factors[d0], g0[lo:hi], axis=0, out=prod, mode="clip")
             for d_mode, g in rest:
                 scratch = arena.request("scratch", n, rank)
@@ -152,29 +151,23 @@ class NumpyKernel(KernelBackend):
                 np.take(parent_vals, perm[lo:hi], axis=0, out=scratch,
                         mode="clip")
                 np.multiply(prod, scratch, out=prod)
-            if ki.identity:
+            if direct:
                 continue
-            if isinstance(rows, slice):
-                np.add.reduceat(prod, lstarts, axis=0, out=out[rows])
-                continue
-            if width == 1:  # one-row segments: scatter the products
-                out[rows] = prod
-                continue
-            sums = arena.request("sums", rows.shape[0], rank)
             if width:
-                length_class_sum(prod, width, sums)
+                length_class_sum(prod, width, out[rows])
             else:
-                np.add.reduceat(prod, lstarts, axis=0, out=sums)
-            out[rows] = sums
+                np.add.reduceat(prod, lstarts, axis=0, out=out[rows])
 
 
 class ReferenceKernel(KernelBackend):
-    """The seed engine's numeric path, verbatim (baseline + differential
-    testing): per-rebuild strided column reads, a fresh allocation per pass,
-    and the segment permutation applied to the ``(m, R)`` products."""
+    """The seed engine's numeric path (baseline + differential testing):
+    per-rebuild strided column reads, a fresh allocation per pass, and the
+    segment permutation applied to the ``(m, R)`` products, all on
+    lexicographic rows.  The parent's values are brought into
+    lexicographic order on the way in and the result into the node's
+    stored order on the way out."""
 
     name = "reference"
-    supports_chunks = True
 
     def rebuild(self, ctx: RebuildContext) -> np.ndarray:
         sym, parent_sym = ctx.sym, ctx.parent_sym
@@ -190,28 +183,9 @@ class ReferenceKernel(KernelBackend):
         if ctx.parent_vals is None:
             prod *= ctx.root_vals[:, None]
         else:
-            prod *= ctx.parent_vals
+            prod *= lexicographic(ctx.parent_vals,
+                                  ctx.symbolic.row_order(parent_sym.node_id))
         assert sym.plan is not None
-        return sym.plan.reduce(prod)
-
-    def rebuild_chunk(self, ctx: RebuildContext, source_slice: slice,
-                      segment_slice: slice, out: np.ndarray) -> None:
-        sym, parent_sym = ctx.sym, ctx.parent_sym
-        plan = sym.plan
-        assert plan is not None
-        factors = ctx.factors
-        rows = plan.sorted_sources(source_slice)
-        prod: np.ndarray | None = None
-        for d_mode, d_col in zip(sym.delta_modes, sym.delta_parent_cols):
-            gathered = factors[d_mode][parent_sym.index[rows, d_col]]
-            if prod is None:
-                prod = gathered
-            else:
-                prod *= gathered
-        assert prod is not None
-        if ctx.parent_vals is None:
-            prod *= ctx.root_vals[rows, None]
-        else:
-            prod *= ctx.parent_vals[rows]
-        starts = plan.local_starts(source_slice, segment_slice)
-        np.add.reduceat(prod, starts, axis=0, out=out[segment_slice])
+        result = sym.plan.reduce(prod)
+        row_order = ctx.symbolic.row_order(ctx.node_id)
+        return result if row_order is None else result[row_order]

@@ -42,39 +42,28 @@ def resolve_block_rows(rank: int) -> int:
     return default_block_rows(rank)
 
 
-def segment_blocks(
-    starts: np.ndarray,
-    n_sources: int,
-    block_rows: int,
-    *,
-    seg_lo: int = 0,
-    seg_hi: int | None = None,
-):
+def segment_blocks(starts: np.ndarray, n_sources: int, block_rows: int):
     """Yield ``(src_lo, src_hi, seg_lo, seg_hi, local_starts)`` blocks.
 
     Each block covers whole segments and at most ``block_rows`` source rows
     (more only when a single segment alone exceeds ``block_rows``).
-    ``block_rows <= 0`` yields the whole range as one block.  ``seg_lo`` /
-    ``seg_hi`` restrict to a segment sub-range (the parallel engine's
-    chunks); ``local_starts`` are the block's ``reduceat`` offsets relative
-    to ``src_lo``.
+    ``block_rows <= 0`` yields the whole range as one block.
+    ``local_starts`` are the block's ``reduceat`` offsets relative to
+    ``src_lo``.
     """
-    n_segments = starts.shape[0] if seg_hi is None else seg_hi
-    if seg_lo >= n_segments:
+    n_segments = starts.shape[0]
+    if n_segments == 0:
         return
-    end_src = (
-        n_sources if n_segments == starts.shape[0] else int(starts[n_segments])
-    )
     if block_rows <= 0:
-        lo = int(starts[seg_lo])
-        yield lo, end_src, seg_lo, n_segments, starts[seg_lo:n_segments] - lo
+        lo = int(starts[0])
+        yield lo, n_sources, 0, n_segments, starts - lo
         return
-    seg = seg_lo
+    seg = 0
     while seg < n_segments:
         lo = int(starts[seg])
-        nxt = int(np.searchsorted(starts[:n_segments], lo + block_rows, side="right")) - 1
+        nxt = int(np.searchsorted(starts, lo + block_rows, side="right")) - 1
         if nxt <= seg:
             nxt = seg + 1  # one oversized segment: take it whole
-        hi = int(starts[nxt]) if nxt < n_segments else end_src
+        hi = int(starts[nxt]) if nxt < n_segments else n_sources
         yield lo, hi, seg, nxt, starts[seg:nxt] - lo
         seg = nxt

@@ -1,16 +1,18 @@
 """Parallel memoized engine: chunked node rebuilds on a thread pool.
 
 Parallelizes the memoized MTTKRP's numeric phase.  Each node rebuild is
-split along *segment boundaries* of its reduction plan, so every worker
-produces a disjoint range of the node's output rows: gathers, Hadamard
-products, and the segmented sums all run concurrently with no write
-conflicts and no reduction pass.
+split into contiguous groups of the node's cached blocks
+(:meth:`~repro.kernels.indices.NodeKernelIndex.blocks_for`).  Every block
+writes its own slice of the node's stored rows, so workers produce
+disjoint output ranges: gathers, Hadamard products, and the segmented sums
+all run concurrently with no write conflicts and no reduction pass.
 
 Workers execute through the kernel backend's ``rebuild_chunk`` — the same
 precomputed flat gather indices and per-thread workspace buffers as the
 sequential engine, so no per-chunk index arithmetic happens on the hot
-path.  Backends without chunk support (e.g. ``numba``, which parallelizes
-inside the node already) fall back to the numpy chunk kernel.
+path.  Backends without chunk support (``numba``, which parallelizes
+inside the node already, and the whole-node ``reference`` path) fall back
+to the numpy chunk kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from ..core.coo import CooTensor
 from ..core.dtypes import VALUE_DTYPE
 from ..core.engine import MemoizedMttkrp
 from ..core.validate import check_positive_int
-from ..kernels import get_kernel
+from ..kernels import get_kernel, resolve_block_rows
 from ..obs import switch as _switch
 from ..obs import trace as _trace
 from .pool import WorkerPool
@@ -73,32 +75,32 @@ class ParallelMemoizedMttkrp(MemoizedMttkrp):
         self.close()
 
     def _compute_node(self, node_id: int) -> np.ndarray:
-        sym = self.symbolic.nodes[node_id]
-        plan = sym.plan
-        assert plan is not None
+        ki = self.symbolic.kernel_index(node_id)
         n_chunks = min(
             self.pool.n_workers,
-            max(1, plan.n_sources // self.min_chunk_rows),
+            max(1, ki.n_sources // self.min_chunk_rows),
         )
-        chunks = plan.chunks(n_chunks) if n_chunks > 1 else []
+        chunks = (block_groups(ki.blocks_for(resolve_block_rows(self.rank)),
+                               ki.n_sources, n_chunks)
+                  if n_chunks > 1 else [])
         if len(chunks) <= 1:
             return super()._compute_node(node_id)
 
         ctx = self._rebuild_context(node_id)
         kernel = self._chunk_kernel
-        out = np.empty((sym.nnz, self.rank), dtype=VALUE_DTYPE)
+        out = np.empty((ki.n_segments, self.rank), dtype=VALUE_DTYPE)
 
-        def chunk(s, g, traced):
+        def chunk(blocks, traced):
             if traced:
                 with _trace.span("kernel_chunk", backend=kernel.name,
                                  node=node_id):
-                    kernel.rebuild_chunk(ctx, s, g, out)
+                    kernel.rebuild_chunk(ctx, blocks, out)
             else:
-                kernel.rebuild_chunk(ctx, s, g, out)
+                kernel.rebuild_chunk(ctx, blocks, out)
 
         def build(traced):
             self.pool.run([
-                (lambda s=s, g=g: chunk(s, g, traced)) for s, g in chunks
+                (lambda b=b: chunk(b, traced)) for b in chunks
             ])
             return out
 
@@ -109,3 +111,13 @@ class ParallelMemoizedMttkrp(MemoizedMttkrp):
             # mttkrp span boundaries.
             self._publish_memory_gauges()
         return out
+
+
+def block_groups(blocks: list, n_sources: int, n_groups: int) -> list[list]:
+    """Split ``blocks`` (ascending, covering ``n_sources`` sources) into at
+    most ``n_groups`` contiguous non-empty groups of about equal source
+    counts: a block joins the group its first source falls in."""
+    groups: list[list] = [[] for _ in range(n_groups)]
+    for block in blocks:
+        groups[block[0] * n_groups // n_sources].append(block)
+    return [g for g in groups if g]

@@ -134,6 +134,30 @@ class TestModelIO:
         for a, b in zip(back.factors, model.factors):
             np.testing.assert_allclose(a, b)
 
+    def test_members_stored_and_bitwise(self, tmp_path):
+        """Every archive member is stored uncompressed, and the model
+        comes back bit for bit through load_model and plain np.load."""
+        import zipfile
+
+        rng = np.random.default_rng(3)
+        model = KruskalTensor(
+            rng.random(4), random_factors(rng, (50, 60, 70), 4)
+        )
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert sorted(m.filename for m in members) == [
+            "factor_0.npy", "factor_1.npy", "factor_2.npy", "weights.npy"]
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+        back = load_model(path)
+        with np.load(path) as raw:
+            plain = [raw["weights"]] + [raw[f"factor_{n}"] for n in range(3)]
+        for got in ([back.weights] + back.factors, plain):
+            for a, b in zip(got, [model.weights] + model.factors):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
     def test_missing_weights_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, factor_0=np.ones((2, 1)))

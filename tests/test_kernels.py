@@ -22,8 +22,9 @@ from repro.kernels import (MAX_CLASS_ROWS, KernelBackend, WorkspaceArena,
                            resolve_block_rows, segment_blocks,
                            unavailable_kernels)
 from repro.kernels.backends import RebuildContext
-from repro.kernels.indices import length_class_layout
+from repro.kernels.indices import CLASS_TILE_SOURCES, lexicographic
 from repro.parallel import ParallelMemoizedMttkrp
+from repro.parallel.engine import block_groups
 from repro.perf import counting
 
 from .helpers import random_coo, random_factors
@@ -373,8 +374,10 @@ class TestKernelIndexCache:
         ) == sym.index_nbytes()
 
     def test_gather_arrays_are_flat_and_permuted(self):
-        """gather = the parent's index column taken through the source
-        order: the plan's permutation, then the length-class layout."""
+        """Every stored row's sources (``runs()``) are exactly its
+        segment's parent rows, in the plan's order: the parent-row map
+        names the parent's stored row of each, and the gather arrays hold
+        the parent's lexicographic index column for each."""
         rng = np.random.default_rng(4)
         tensor = random_coo(rng, (9, 7, 8, 6), 250)
         sym = SymbolicTree(tensor, S.balanced_binary(4))
@@ -384,24 +387,85 @@ class TestKernelIndexCache:
                 continue
             ki = sym.kernel_index(node.id)
             plan = sym.nodes[node.id].plan
-            parent_index = sym.nodes[node.parent].index
-            order = np.arange(plan.n_sources)
-            built = length_class_layout(plan.starts, plan.n_sources)
-            reorders = not plan.has_identity_perm or sym.strategy.nodes[
-                node.parent].is_root
-            if built is not None and not plan.is_identity and reorders:
-                order = built[0]
-                n_layouts += 1
-                assert ki.layout is not None
-            perm = ki.perm if ki.perm is not None else order
-            np.testing.assert_array_equal(perm, plan.perm[order])
+            parent_order = sym.row_order(node.parent)
+            # the parent's lexicographic row behind each source
+            stored = (np.arange(ki.n_sources) if ki.perm is None
+                      else ki.perm)
+            source = (stored if parent_order is None
+                      else parent_order[stored])
             for g, d_col in zip(
                 ki.gather, sym.nodes[node.id].delta_parent_cols
             ):
                 assert g.flags.c_contiguous
-                expected = parent_index[:, d_col][plan.perm[order]]
-                np.testing.assert_array_equal(g, expected)
+                np.testing.assert_array_equal(
+                    g, sym.nodes[node.parent].index[source, d_col])
+            row_order = (np.arange(ki.n_segments) if ki.row_order is None
+                         else ki.row_order)
+            lens = np.diff(plan.starts, append=plan.n_sources)
+            run_starts, run_lens, run_strides = ki.runs()
+            for row in range(ki.n_segments):
+                seg = row_order[row]
+                run = (run_starts[row]
+                       + run_strides[row] * np.arange(run_lens[row]))
+                lo = plan.starts[seg]
+                np.testing.assert_array_equal(
+                    source[run], plan.perm[lo:lo + lens[seg]])
+            n_layouts += ki.layout is not None
         assert n_layouts > 0
+
+    def test_identity_child_inherits_row_order(self):
+        """An identity child of a layout node stores its rows in the
+        parent's order and reads the parent's rows contiguously."""
+        rng = np.random.default_rng(12)
+        idx = rng.integers(0, 6, (400, 4))
+        idx[:, 1] = 0  # (1, 2, 3) -> (2, 3) is one-to-one and sorted
+        tensor = CooTensor(idx, rng.standard_normal(400), (6, 1, 6, 6))
+        factors = random_factors(rng, tensor.shape, 5)
+        strategy = S.chain(4, 2)
+        new = MemoizedMttkrp(tensor, strategy, factors, kernel="numpy")
+        ref = MemoizedMttkrp(tensor, strategy, factors, kernel="reference")
+        sym = new.symbolic
+        (child,) = [n for n in strategy.nodes if n.modes == (2, 3)]
+        ki = sym.kernel_index(child.id)
+        assert ki.identity and ki.perm is None
+        assert ki.row_order is sym.row_order(child.parent)
+        assert ki.row_order is not None
+        for mode in new.mode_order:
+            np.testing.assert_array_equal(new.mttkrp(mode), ref.mttkrp(mode))
+            np.testing.assert_allclose(
+                new.mttkrp(mode), naive_mttkrp(tensor, factors, mode),
+                rtol=AGREEMENT_RTOL, atol=AGREEMENT_RTOL)
+
+    def test_sorted_child_of_layout_parent_gathers(self):
+        """A child whose plan keeps its parent's order still gathers when
+        the parent stores its rows in layout order, so it gets a layout of
+        its own; its stored rows equal the reference's lexicographic rows
+        taken through its row order."""
+        from repro.synth.skewed import skewed_random_tensor
+
+        tensor = skewed_random_tensor((60, 50, 40, 30), 3000, 1.2,
+                                      random_state=0,
+                                      value_distribution="uniform")
+        strategy = S.balanced_binary(4)
+        factors = random_factors(np.random.default_rng(1), tensor.shape, 6)
+        new = MemoizedMttkrp(tensor, strategy, factors, kernel="numpy")
+        ref = MemoizedMttkrp(tensor, strategy, factors, kernel="reference")
+        sym = new.symbolic
+        checked = 0
+        for node in strategy.nodes:
+            if node.is_root or strategy.nodes[node.parent].is_root:
+                continue
+            ki = sym.kernel_index(node.id)
+            if not (sym.nodes[node.id].plan.has_identity_perm
+                    and sym.row_order(node.parent) is not None):
+                continue
+            assert ki.perm is not None and ki.layout is not None
+            new._ensure_node(node.id)
+            lex = ref.node_tensor(node.id).vals
+            assert_bitwise(new._values[node.id], lex[ki.row_order])
+            assert_bitwise(new.node_tensor(node.id).vals, lex)
+            checked += 1
+        assert checked > 0
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +482,11 @@ class _OneIndexTree:
         return self.ki
 
 
-def layout_segment_sum(values, lengths, block_rows):
+def layout_segment_sum(values, lengths, block_rows,
+                       tile=CLASS_TILE_SOURCES):
     """Segment-sum ``values`` (``(n, R)``) over consecutive runs of
-    ``lengths`` through the numpy kernel's real block loop.
+    ``lengths`` through the numpy kernel's real block loop, and return the
+    rows mapped back to segment order through the node's row order.
 
     The node has one delta mode whose factor is ``values`` itself and root
     values of exactly 1.0, so every product is the value unchanged.
@@ -428,7 +494,7 @@ def layout_segment_sum(values, lengths, block_rows):
     n, rank = values.shape
     starts = (np.cumsum(lengths) - lengths).astype(np.intp)
     ki = make_node_index(1, (0,), [np.arange(n)], None, starts, n,
-                         identity=False, parent_is_root=True)
+                         identity=False, parent_is_root=True, tile=tile)
     ctx = RebuildContext(_OneIndexTree(ki), 1, None, None, [values], None,
                          np.ones(n), rank, WorkspaceArena())
     out = np.empty((len(lengths), rank))
@@ -436,7 +502,7 @@ def layout_segment_sum(values, lengths, block_rows):
         with np.errstate(over="ignore", invalid="ignore"):
             get_kernel("numpy")._run_blocks(ctx, ki, ki.blocks(block_rows),
                                             out)
-    return ki, out
+    return ki, lexicographic(out, ki.row_order)
 
 
 def reduceat(values, lengths):
@@ -475,13 +541,17 @@ def special_values(seed, n, rank, special_frac):
 class TestLengthClassSum:
     @pytest.mark.parametrize("width", range(2, MAX_CLASS_ROWS + 1))
     def test_class_sum_matches_reduceat(self, width):
+        """A position-major tile (source ``j`` of every segment together)
+        sums like ``reduceat`` over each segment's sources."""
         rng = np.random.default_rng(width)
         block = rng.standard_normal((50 * width, 5)) * 10.0 ** rng.integers(
             -12, 12, (50 * width, 5))
         out = np.empty((50, 5))
         length_class_sum(block, width, out)
+        segment_major = block.reshape(width, 50, 5).transpose(1, 0, 2)
         assert_bitwise(out, np.add.reduceat(
-            block, np.arange(0, 50 * width, width), axis=0))
+            segment_major.reshape(-1, 5), np.arange(0, 50 * width, width),
+            axis=0))
 
     @given(
         lengths=hst.lists(hst.one_of(
@@ -490,15 +560,16 @@ class TestLengthClassSum:
         ), max_size=40),
         rank=hst.sampled_from([1, 3, 16]),
         block_rows=hst.sampled_from([0, 1, 7, 64, 5000]),
+        tile=hst.sampled_from([1, 2, 5, 16, 4096]),
         seed=hst.integers(0, 2**31 - 1),
         special_frac=hst.sampled_from([0.0, 0.05, 0.5]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_layout_matches_reduceat(self, lengths, rank, block_rows, seed,
-                                     special_frac):
+    def test_layout_matches_reduceat(self, lengths, rank, block_rows, tile,
+                                     seed, special_frac):
         lengths = np.array(lengths, dtype=np.intp)
         values = special_values(seed, int(lengths.sum()), rank, special_frac)
-        _, out = layout_segment_sum(values, lengths, block_rows)
+        _, out = layout_segment_sum(values, lengths, block_rows, tile)
         if values.shape[0]:
             assert_bitwise(out, reduceat(values, lengths))
 
@@ -514,10 +585,25 @@ class TestLengthClassSum:
         values[3:6, 2] = [np.inf, 1.0, -np.inf]
         values[36:45, 2] = np.nan
         values[6:10, 3] = [1e308, 1e308, -1e308, 1.0]
-        ki, out = layout_segment_sum(values, lengths, block_rows)
-        assert ki.layout is not None
+        for tile in (1, 6, 4096):
+            ki, out = layout_segment_sum(values, lengths, block_rows, tile)
+            assert ki.layout is not None
+            assert_bitwise(out, reduceat(values, lengths))
+            assert np.signbit(out[:, 0]).all()
+
+    def test_small_tiles_split_classes_position_major(self):
+        """Seven 3-row segments in tiles of 6 sources: two segments per
+        tile, the last tile holding one; inside a tile source ``j`` of
+        every segment is stored together."""
+        lengths = np.full(7, 3, dtype=np.intp)
+        values = np.arange(21.0)[:, None]
+        ki, out = layout_segment_sum(values, lengths, 64, tile=6)
+        assert list(ki.layout.tiles(3)) == [(0, 0, 2), (6, 2, 2),
+                                            (12, 4, 2), (18, 6, 1)]
+        np.testing.assert_array_equal(
+            ki.perm[:6], [0, 3, 1, 4, 2, 5])
+        np.testing.assert_array_equal(ki.perm[18:], [18, 19, 20])
         assert_bitwise(out, reduceat(values, lengths))
-        assert np.signbit(out[:, 0]).all()
 
     def test_empty_node(self):
         ki, out = layout_segment_sum(np.empty((0, 3)),
@@ -529,35 +615,48 @@ class TestLengthClassSum:
         lengths = np.array([9, 12, 30], dtype=np.intp)
         ki, _ = layout_segment_sum(np.ones((51, 2)), lengths, 64)
         assert ki.layout is None and ki.perm is None
+        assert ki.row_order is None
 
     def test_runs_cover_every_segment_once(self):
-        """``runs()`` (what fused backends iterate) sums to the plain
-        reduction when each run is scattered to its row."""
-        lengths = np.array([3, 12, 1, 1, 8, 2, 40, 5], dtype=np.intp)
-        rng = np.random.default_rng(2)
-        values = rng.standard_normal((int(lengths.sum()), 3))
-        ki, out = layout_segment_sum(values, lengths, 0)
-        run_starts, rows = ki.runs()
-        sums = np.add.reduceat(values[ki.perm], run_starts, axis=0)
-        got = np.empty_like(sums)
-        got[rows] = sums
-        assert_bitwise(got, out)
+        """``runs()`` (what fused backends iterate) gives each stored row
+        exactly its segment's sources, in order, also across tiles."""
+        lengths = np.array([3, 12, 1, 1, 8, 2, 40, 5, 3, 3, 2], dtype=np.intp)
+        for tile in (1, 4, 4096):
+            ki, _ = layout_segment_sum(np.ones((int(lengths.sum()), 1)),
+                                       lengths, 0, tile)
+            starts = np.cumsum(lengths) - lengths
+            run_starts, run_lens, run_strides = ki.runs()
+            for row, seg in enumerate(ki.row_order):
+                run = (run_starts[row]
+                       + run_strides[row] * np.arange(run_lens[row]))
+                np.testing.assert_array_equal(
+                    ki.perm[run], starts[seg] + np.arange(lengths[seg]))
 
     def test_chunks_map_to_layout_regions(self):
-        """Any segment range maps to whole runs of each region, and the
-        ranges of a partition reproduce the whole-node blocks."""
-        lengths = np.array([1, 9, 2, 2, 1, 30, 3, 1, 8, 9], dtype=np.intp)
+        """Contiguous groups of the cached blocks (the thread tier's
+        chunks) write disjoint stored rows and together reproduce the
+        whole-node result."""
+        lengths = np.array([1, 9, 2, 2, 1, 30, 3, 1, 8, 9, 2, 2, 1],
+                           dtype=np.intp)
         rng = np.random.default_rng(3)
         values = rng.standard_normal((int(lengths.sum()), 2))
-        ki, full = layout_segment_sum(values, lengths, 4)
+        n = values.shape[0]
+        full_ki, full = layout_segment_sum(values, lengths, 4, tile=4)
+        ki = make_node_index(1, (0,), [np.arange(n)], None,
+                             (np.cumsum(lengths) - lengths).astype(np.intp),
+                             n, identity=False, parent_is_root=True, tile=4)
         ctx = RebuildContext(_OneIndexTree(ki), 1, None, None, [values],
-                             None, np.ones(values.shape[0]), 2,
-                             WorkspaceArena())
-        out = np.full_like(full, np.nan)
+                             None, np.ones(n), 2, WorkspaceArena())
         kernel = get_kernel("numpy")
-        for lo, hi in [(0, 3), (3, 4), (4, 9), (9, 10)]:
-            kernel.rebuild_chunk(ctx, slice(None), slice(lo, hi), out)
-        assert_bitwise(out, full)
+        blocks = ki.blocks_for(4)
+        for n_groups in (1, 2, 3, len(blocks), 64):
+            groups = block_groups(blocks, n, n_groups)
+            assert 1 <= len(groups) <= min(n_groups, len(blocks))
+            assert [b for g in groups for b in g] == blocks
+            out = np.full_like(full, np.nan)
+            for group in groups:
+                kernel.rebuild_chunk(ctx, group, out)
+            assert_bitwise(lexicographic(out, ki.row_order), full)
 
     def test_zipf_cp_als_reference_equals_default(self, monkeypatch):
         """A skewed tensor with many one-row segments: CP-ALS factors from
@@ -595,7 +694,7 @@ class TestLengthClassSum:
         assert ki.layout is not None
         base = (ki.starts.nbytes + sum(g.nbytes for g in ki.gather)
                 + ki.perm.nbytes)
-        layout_bytes = ki.layout.segs.nbytes + ki.layout.long_starts.nbytes
+        layout_bytes = ki.row_order.nbytes + ki.layout.long_starts.nbytes
         assert ki.nbytes() == base + layout_bytes
         MemoizedMttkrp(tensor, sym.strategy,
                        random_factors(rng, tensor.shape, 4),

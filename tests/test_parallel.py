@@ -301,6 +301,43 @@ class TestParallelMemoized:
         )
         eng.close()
 
+    @pytest.mark.parametrize("strategy", [
+        S.star(4), S.two_way(4), S.chain(4, 1), S.chain(4, 2),
+        S.balanced_binary(4),
+    ], ids=lambda s: s.name)
+    def test_chunked_zipf_bitwise_equal_to_inline(self, strategy):
+        """Every rebuild split into groups of cached blocks gives the
+        inline engine's bits, across factor updates."""
+        from types import SimpleNamespace
+
+        from repro.core.engine import MemoizedMttkrp
+        from repro.synth.skewed import skewed_random_tensor
+
+        tensor = skewed_random_tensor((60, 50, 40, 30), 3000, 1.2,
+                                      random_state=0,
+                                      value_distribution="uniform")
+        rng = np.random.default_rng(10)
+        factors = random_factors(rng, tensor.shape, 8)
+        inline = MemoizedMttkrp(tensor, strategy, factors)
+        with ParallelMemoizedMttkrp(tensor, strategy, factors, n_workers=3,
+                                    min_chunk_rows=1) as par:
+            kernel, chunk_starts = par._chunk_kernel, []
+
+            def rebuild_chunk(ctx, blocks, out):
+                chunk_starts.append(blocks[0][0])
+                kernel.rebuild_chunk(ctx, blocks, out)
+
+            par._chunk_kernel = SimpleNamespace(
+                name=kernel.name, rebuild_chunk=rebuild_chunk)
+            for _ in range(2):
+                for mode in inline.mode_order:
+                    np.testing.assert_array_equal(par.mttkrp(mode),
+                                                  inline.mttkrp(mode))
+                    U = rng.standard_normal((tensor.shape[mode], 8))
+                    inline.update_factor(mode, U)
+                    par.update_factor(mode, U)
+        assert max(chunk_starts) > 0  # some rebuild ran in several chunks
+
     @pytest.mark.parametrize("min_chunk_rows", [0, -1])
     def test_min_chunk_rows_must_be_positive(self, min_chunk_rows):
         rng = np.random.default_rng(9)

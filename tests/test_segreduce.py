@@ -127,43 +127,6 @@ class TestStableOrder:
             np.array_equal(perm, np.arange(len(targets))))
 
 
-class TestChunks:
-    def test_chunks_cover_everything(self):
-        rng = np.random.default_rng(1)
-        targets = rng.integers(0, 20, size=200)
-        plan = SegmentPlan(targets)
-        values = rng.standard_normal((200, 4))
-        full = plan.reduce(values)
-        for k in (1, 2, 3, 7, 50):
-            chunks = plan.chunks(k)
-            rebuilt = np.zeros_like(full)
-            for src, seg in chunks:
-                rebuilt[seg] = plan.reduce_chunk(values, src, seg)
-            np.testing.assert_allclose(rebuilt, full, atol=1e-12)
-
-    def test_chunk_output_ranges_disjoint(self):
-        plan = SegmentPlan(np.random.default_rng(2).integers(0, 9, size=50))
-        chunks = plan.chunks(4)
-        covered = []
-        for _, seg in chunks:
-            covered.extend(range(seg.start, seg.stop))
-        assert sorted(covered) == list(range(plan.n_segments))
-        assert len(covered) == len(set(covered))
-
-    def test_more_chunks_than_segments(self):
-        plan = SegmentPlan(np.array([0, 0, 1]))
-        assert len(plan.chunks(10)) == 2
-
-    def test_empty_plan_chunks(self):
-        plan = SegmentPlan(np.array([], dtype=np.int64))
-        assert plan.chunks(4) == []
-
-    def test_invalid_chunk_count(self):
-        plan = SegmentPlan(np.array([0]))
-        with pytest.raises(ValueError):
-            plan.chunks(0)
-
-
 class TestSegmentSum:
     def test_dense_bins_2d(self):
         out = segment_sum(
