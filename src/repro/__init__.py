@@ -15,14 +15,22 @@ Quickstart::
     print(result.fit, result.strategy_name)
 """
 
-from . import (algos, baselines, core, formats, io, kernels, linalg, model,
-               parallel, perf, synth)
+import importlib
+
 from .core import (CooTensor, CPResult, KruskalTensor, MemoizedMttkrp,
                    MemoStrategy, balanced_binary, chain, cp_als,
                    default_candidates, from_nested, star, two_way)
 from .model import CostReport, MachineModel, PlannerReport, plan
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    """Import a subpackage on first access (PEP 562): ``import repro``
+    loads only what the re-exported names need."""
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "algos",

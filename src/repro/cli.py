@@ -48,15 +48,17 @@ from .core.coo import CooTensor
 
 def load_input(path_or_name: str, scale: float = 1.0) -> CooTensor:
     """Resolve a CLI tensor argument to a CooTensor."""
-    from .io.cache import load_npz
-    from .io.frostt import read_tns
-    from .synth.datasets import dataset_names, load_dataset
-
     lower = path_or_name.lower()
     if lower.endswith((".tns", ".tns.gz")):
+        from .io.frostt import read_tns
+
         return read_tns(path_or_name)
     if lower.endswith(".npz"):
+        from .io.cache import load_npz
+
         return load_npz(path_or_name)
+    from .synth.datasets import dataset_names, load_dataset
+
     if path_or_name in dataset_names():
         return load_dataset(path_or_name, scale=scale)
     if os.path.exists(path_or_name):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dtypes import INDEX_ITEMSIZE, as_index_array
+from .dtypes import as_index_array
 
 _INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -132,13 +132,6 @@ class SegmentPlan:
         reduced = self.reduce(values)
         out[self.group_ids] += reduced
         return out
-
-    def index_nbytes(self) -> int:
-        """Bytes held by the plan's index structures (for the memory model)."""
-        return int(
-            self._perm.nbytes + self._starts.nbytes
-            + self.group_ids.shape[0] * INDEX_ITEMSIZE
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -82,9 +82,11 @@ def run(scale: float = DEFAULT_SCALE, rank: int = DEFAULT_RANK,
         rows=rows,
         expected_shape=(
             "Full memoization (bdt) costs O(log N) extra value matrices and "
-            "<= (ceil(log N)+1)x index storage relative to the COO tensor, "
-            "for an (N-1)/log N-and-better flop reduction; the star needs "
-            "near-zero extra memory but maximal flops.  The measured column "
+            "a few COO copies of kernel indices (gather columns, parent-row "
+            "maps, starts, row orders), for an (N-1)/log N-and-better flop "
+            "reduction; the star needs near-zero value memory but maximal "
+            "flops, and N-1 gather columns over all nonzeros per leaf.  "
+            "The measured column "
             "(live-byte tracker on a real run) must equal the symbolic "
             "prediction exactly."
         ),

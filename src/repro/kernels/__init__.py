@@ -17,8 +17,8 @@ differential tests), and ``numba`` (fused ``prange`` loop, auto-detected).
 
 from .backends import KernelBackend, NumpyKernel, RebuildContext, ReferenceKernel
 from .blocking import default_block_rows, resolve_block_rows, segment_blocks
-from .indices import (MAX_CLASS_ROWS, NodeKernelIndex, build_node_index,
-                      length_class_sum, make_node_index)
+from .indices import (MAX_CLASS_ROWS, NodeKernelIndex, length_class_sum,
+                      make_node_index)
 from .registry import (DEFAULT_KERNEL, available_kernels, get_kernel,
                        register_kernel, register_unavailable,
                        unavailable_kernels)
@@ -42,7 +42,6 @@ __all__ = [
     "ReferenceKernel",
     "WorkspaceArena",
     "available_kernels",
-    "build_node_index",
     "default_block_rows",
     "get_kernel",
     "length_class_sum",

@@ -26,6 +26,8 @@ segmented-sum pipeline is executed:
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from ..core.dtypes import VALUE_DTYPE
@@ -165,16 +167,33 @@ class ReferenceKernel(KernelBackend):
     segment permutation applied to the ``(m, R)`` products, all on
     lexicographic rows.  The parent's values are brought into
     lexicographic order on the way in and the result into the node's
-    stored order on the way out."""
+    stored order on the way out.
+
+    The symbolic pass keeps neither the parent's index block nor the
+    node's :class:`~repro.core.segreduce.SegmentPlan`; this backend
+    recomputes both from the tensor on a node's first rebuild and keeps
+    them as long as the symbolic tree lives."""
 
     name = "reference"
 
+    def __init__(self):
+        self._static = weakref.WeakKeyDictionary()
+
+    def _parent_index_and_plan(self, ctx: RebuildContext):
+        per_tree = self._static.setdefault(ctx.symbolic, {})
+        static = per_tree.get(ctx.node_id)
+        if static is None:
+            static = (ctx.parent_sym.index, ctx.sym.plan)
+            per_tree[ctx.node_id] = static
+        return static
+
     def rebuild(self, ctx: RebuildContext) -> np.ndarray:
         sym, parent_sym = ctx.sym, ctx.parent_sym
+        parent_index, plan = self._parent_index_and_plan(ctx)
         factors = ctx.factors
         prod: np.ndarray | None = None
         for d_mode, d_col in zip(sym.delta_modes, sym.delta_parent_cols):
-            rows = factors[d_mode][parent_sym.index[:, d_col]]
+            rows = factors[d_mode][parent_index[:, d_col]]
             if prod is None:
                 prod = rows.copy()
             else:
@@ -185,7 +204,6 @@ class ReferenceKernel(KernelBackend):
         else:
             prod *= lexicographic(ctx.parent_vals,
                                   ctx.symbolic.row_order(parent_sym.node_id))
-        assert sym.plan is not None
-        result = sym.plan.reduce(prod)
+        result = plan.reduce(prod)
         row_order = ctx.symbolic.row_order(ctx.node_id)
         return result if row_order is None else result[row_order]

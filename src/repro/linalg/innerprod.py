@@ -8,12 +8,14 @@ the inner product to an ``R``-length dot with the just-updated factor.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core.coo import CooTensor
 from .khatri_rao import khatri_rao_rows
+
+if TYPE_CHECKING:
+    from ..core.coo import CooTensor
 
 
 def sparse_kruskal_innerprod(

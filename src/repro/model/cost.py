@@ -22,7 +22,6 @@ from ..core.dtypes import INDEX_ITEMSIZE, VALUE_ITEMSIZE
 from ..core.engine import contraction_work
 from ..core.strategy import MemoStrategy
 from ..core.symbolic import SymbolicTree
-from ..parallel.pool import available_cpus
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,9 @@ class CostReport:
         maximum bytes of simultaneously live memoized value matrices under
         the strategy's mode schedule.
     index_bytes:
-        bytes of symbolic structures (index blocks + reduction plans),
-        allocated once and held for the run's lifetime.
+        bytes of the index arrays the rebuilds read (root coordinates,
+        kernel indices, leaf output rows), allocated once by the symbolic
+        pass and held for the run's lifetime.
     node_nnz: per-node intermediate nonzero counts (model input).
     predicted_seconds: ``machine.seconds(flops, words)``.
     """
@@ -147,7 +147,7 @@ def node_cost_terms(
     rebuild from its parent (``contraction_work``) plus, for leaves, the
     scatter read of its value matrix into the MTTKRP output.  Byte terms
     mirror :func:`simulate_peak_value_bytes` (value matrices) and
-    :func:`symbolic_index_bytes` (index structures) per node.
+    :func:`symbolic_index_bytes` (index arrays) per node.
     """
     if len(node_nnz) != len(strategy.nodes):
         raise ValueError(
@@ -166,7 +166,7 @@ def node_cost_terms(
                 node_id=node.id, modes=node.modes, parent=None, delta=(),
                 nnz=nnz_t, parent_nnz=None, flops=0, words=0,
                 scatter_words=0, value_bytes=0,
-                index_bytes=nnz_t * len(node.modes) * INDEX_ITEMSIZE,
+                index_bytes=node_index_bytes(strategy, node_nnz, node.id),
                 rebuild_mode=None,
             ))
             continue
@@ -178,8 +178,7 @@ def node_cost_terms(
             delta=node.delta, nnz=nnz_t, parent_nnz=parent_nnz,
             flops=flops, words=words + scatter, scatter_words=scatter,
             value_bytes=nnz_t * rank * VALUE_ITEMSIZE,
-            index_bytes=(nnz_t * len(node.modes)
-                         + parent_nnz + 2 * nnz_t) * INDEX_ITEMSIZE,
+            index_bytes=node_index_bytes(strategy, node_nnz, node.id),
             rebuild_mode=rebuild_mode.get(node.id),
         ))
     return terms
@@ -241,22 +240,39 @@ def simulate_peak_value_bytes(
     return peak
 
 
-def symbolic_index_bytes(strategy: MemoStrategy, node_nnz: Sequence[int]) -> int:
-    """Bytes of symbolic structures, matching ``SymbolicTree.index_nbytes``.
+def node_index_bytes(
+    strategy: MemoStrategy, node_nnz: Sequence[int], node_id: int
+) -> int:
+    """Bytes of the index arrays node ``node_id`` keeps for the run
+    (``SymbolicTree.node_index_nbytes``).
 
-    Root: its index block aliases the tensor's coordinates (counted, since
-    the model compares storage across strategies that all share it).
-    Non-root node ``t``: index block (``nnz_t * |modes|`` indices), reduction
-    permutation (``nnz_parent``), segment starts (``nnz_t``), and group ids
-    (``nnz_t``).
+    Root: the tensor's coordinates (``nnz * N`` indices; counted, since the
+    model compares storage across strategies that all share it).  Non-root
+    node ``t`` with parent ``p``: one gather column per delta mode and the
+    parent-row map (``nnz_p`` indices each), segment starts and row order
+    (``nnz_t`` each), a leaf's output rows (``nnz_t``), and for a root
+    child the root values in gather order (``nnz_p`` values).  A node
+    without a parent-row map or an own row order holds less, so the model
+    is an upper bound, exact for nodes that carry both.
     """
-    total = 0
-    for node in strategy.nodes:
-        nnz_t = node_nnz[node.id]
-        total += nnz_t * len(node.modes) * INDEX_ITEMSIZE
-        if node.parent is not None:
-            total += (node_nnz[node.parent] + 2 * nnz_t) * INDEX_ITEMSIZE
-    return total
+    node = strategy.nodes[node_id]
+    nnz_t = int(node_nnz[node_id])
+    if node.parent is None:
+        return nnz_t * len(node.modes) * INDEX_ITEMSIZE
+    nnz_p = int(node_nnz[node.parent])
+    indices = (len(node.delta) + 1) * nnz_p + 2 * nnz_t
+    if node.is_leaf:
+        indices += nnz_t
+    values = nnz_p if strategy.nodes[node.parent].is_root else 0
+    return indices * INDEX_ITEMSIZE + values * VALUE_ITEMSIZE
+
+
+def symbolic_index_bytes(strategy: MemoStrategy, node_nnz: Sequence[int]) -> int:
+    """Bytes of the persistent index arrays, an upper bound on
+    ``SymbolicTree.index_nbytes`` (:func:`node_index_bytes` summed over
+    the nodes)."""
+    return sum(node_index_bytes(strategy, node_nnz, node.id)
+               for node in strategy.nodes)
 
 
 def cost_report(
@@ -367,6 +383,8 @@ def parallel_iteration_seconds(
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    from ..parallel.pool import available_cpus
+
     p = min(int(n_workers), available_cpus())
     serial = machine.seconds(
         cost.flops_per_iteration, cost.words_per_iteration

@@ -19,7 +19,9 @@ import sys
 import tempfile
 
 HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special",
-         "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+         "scipy._lib._array_api", "numpy.f2py", "numpy.testing",
+         "concurrent.futures", "repro.parallel", "repro.synth",
+         "repro.baselines", "repro.formats")
 
 
 def run_decompose_path(workdir: str) -> None:

@@ -78,11 +78,13 @@ class TestRestarts:
             cp_als_restarts(tensor, 4, n_restarts=2, memory_budget=10, **opts)
         assert str(restarted.value) == str(direct.value)
 
-        unbounded = plan(tensor, 4).best
+        # At rank 64 the value matrices outweigh the index arrays, so the
+        # fastest tree is not the smallest and a budget can change the pick.
+        unbounded = plan(tensor, 64).best
         budget = unbounded.cost.total_memory_bytes - 1
-        expected = cp_als(tensor, 4, memory_budget=budget, **opts)
+        expected = cp_als(tensor, 64, memory_budget=budget, **opts)
         assert expected.strategy_name != unbounded.strategy.name
-        report = cp_als_restarts(tensor, 4, n_restarts=2,
+        report = cp_als_restarts(tensor, 64, n_restarts=2,
                                  memory_budget=budget, **opts)
         assert all(r.strategy_name == expected.strategy_name
                    for r in report.results)

@@ -127,10 +127,26 @@ class TestModelMatchesCounters:
 
     @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.name)
     def test_index_bytes_matches_symbolic(self, strategy):
+        """The modeled index bytes bound the arrays the tree keeps, node
+        by node, and equal them wherever a node carries a parent-row map
+        and its own length-class layout (and at the root)."""
         rng = np.random.default_rng(2)
-        tensor = random_coo(rng, (6, 5, 7, 4), 80)
-        sym = SymbolicTree(tensor, strategy)
-        assert symbolic_index_bytes(strategy, sym.node_nnz()) == sym.index_nbytes()
+        for nnz in (80, 400):
+            tensor = random_coo(rng, (6, 5, 7, 4), nnz)
+            sym = SymbolicTree(tensor, strategy)
+            node_nnz = sym.node_nnz()
+            terms = node_cost_terms(strategy, node_nnz, RANK)
+            for term in terms:
+                measured = sym.node_index_nbytes(term.node_id)
+                ki = sym.kernel_index(term.node_id)
+                if ki is None or (ki.perm is not None
+                                  and ki.layout is not None):
+                    assert term.index_bytes == measured
+                else:
+                    assert term.index_bytes > measured
+            modeled = symbolic_index_bytes(strategy, node_nnz)
+            assert modeled == sum(t.index_bytes for t in terms)
+            assert modeled >= sym.index_nbytes()
 
 
 class TestCostReport:

@@ -98,16 +98,42 @@ class TestPlanner:
         assert report.best.strategy.n_intermediates() > 0
 
     def test_memory_budget_excludes_candidates(self, tensor4d):
+        """Exactly the candidates over the budget are infeasible, and the
+        pick is the fastest of the rest.  (Under the index-memory model the
+        fastest tree here is also the smallest, so the budget is set
+        between footprints rather than just under the unbounded pick's.)"""
         unbounded = plan(tensor4d, rank=8)
-        # Budget below the best candidate's footprint forces a cheaper pick.
-        tight = plan(
-            tensor4d, rank=8,
-            memory_budget=unbounded.best.cost.total_memory_bytes - 1,
-        )
-        assert tight.best.strategy != unbounded.best.strategy or (
-            tight.best.cost.total_memory_bytes
-            < unbounded.best.cost.total_memory_bytes
-        )
+        totals = sorted(s.cost.total_memory_bytes for s in unbounded.scored)
+        budget = totals[len(totals) // 2]
+        tight = plan(tensor4d, rank=8, memory_budget=budget)
+        assert any(not s.feasible for s in tight.scored)
+        for s in tight.scored:
+            assert s.feasible == (s.cost.total_memory_bytes <= budget)
+        assert tight.best.predicted_seconds == min(
+            s.predicted_seconds for s in tight.scored if s.feasible)
+
+    def test_budget_between_old_and_new_index_model(self, tensor4d):
+        """A budget that covered a tree's index blocks and segment plans
+        but not the kernel indices its rebuilds read is now infeasible; a
+        budget above the kept arrays still plans."""
+        from repro.core.dtypes import INDEX_ITEMSIZE
+
+        best = plan(tensor4d, rank=8).best
+        strategy, cost = best.strategy, best.cost
+        nnz = cost.node_nnz
+        blocks_and_plans = sum(
+            nnz[n.id] * len(n.modes)
+            + (0 if n.is_root else nnz[n.parent] + 2 * nnz[n.id])
+            for n in strategy.nodes) * INDEX_ITEMSIZE
+        old_total = cost.peak_value_bytes + blocks_and_plans
+        assert old_total < cost.total_memory_bytes
+        budget = (old_total + cost.total_memory_bytes) // 2
+        with pytest.raises(InfeasibleBudgetError):
+            _ = plan(tensor4d, rank=8, candidates=[strategy],
+                     memory_budget=budget).best
+        fits = plan(tensor4d, rank=8, candidates=[strategy],
+                    memory_budget=cost.total_memory_bytes).best
+        assert fits.strategy.signature() == strategy.signature()
 
     def test_impossible_budget_raises_on_best(self, tensor4d):
         report = plan(tensor4d, rank=8, memory_budget=1)

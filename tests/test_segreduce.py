@@ -76,10 +76,6 @@ class TestSegmentPlan:
         plan.scatter_into(np.array([[1.0], [2.0], [3.0]]), out)
         np.testing.assert_allclose(out.ravel(), [1, 3, 1, 5, 1])
 
-    def test_index_nbytes_positive(self):
-        plan = SegmentPlan(np.array([0, 0, 1, 2]))
-        assert plan.index_nbytes() > 0
-
     @given(
         st.lists(st.integers(0, 10), min_size=1, max_size=100),
     )

@@ -98,7 +98,7 @@ class TestAccounting:
     def test_index_nbytes_is_sum(self, tensor):
         sym = SymbolicTree(tensor, S.balanced_binary(4))
         assert sym.index_nbytes() == sum(
-            n.index_nbytes() for n in sym.nodes
+            sym.node_index_nbytes(n.node_id) for n in sym.nodes
         )
 
     def test_compression_ratios_at_least_one_for_skewed(self):
