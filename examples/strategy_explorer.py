@@ -1,6 +1,6 @@
 """Strategy explorer: see the memoization search space the planner navigates.
 
-Enumerates candidate memoization trees for a 6th-order tensor, prints the
+Scores candidate memoization trees for a 6th-order tensor, prints the
 predicted time/memory frontier, shows how a memory budget changes the pick,
 and cross-checks the model's flop prediction against the engine's measured
 operation counters.
@@ -28,11 +28,11 @@ X = repro.synth.skewed_random_tensor(
 print(f"tensor: {X}")
 
 # ---------------------------------------------------------------------------
-# 2. The full candidate space for order 6 and the predicted frontier.
+# 2. The planner's candidates for order 6 and the predicted frontier.
 # ---------------------------------------------------------------------------
 report = repro.plan(X, rank=RANK)
 print(f"\n{len(report.scored)} candidate strategies "
-      f"(Catalan enumeration + named families). Extremes:")
+      f"(named families + DP-optimal trees). Extremes:")
 rows = []
 for scored in report.scored[:6] + report.scored[-3:]:
     c = scored.cost

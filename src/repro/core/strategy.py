@@ -19,16 +19,16 @@ The strategy space is the paper's algorithm space.  Its special cases:
 * :func:`balanced_binary` — a balanced binary dimension tree
   (``O(N log N)`` contractions per iteration).
 
-The model-driven planner (:mod:`repro.model.planner`) enumerates candidates
-from these generators (plus an exhaustive binary-tree search for small ``N``)
-and selects by predicted cost.
+The model-driven planner (:mod:`repro.model.planner`) scores these generators
+and the model-cheapest trees of a dynamic-programming search
+(:mod:`repro.model.search`), and selects by predicted cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .validate import check_positive_int
 
@@ -428,9 +428,9 @@ def balanced_binary(n_modes: int) -> MemoStrategy:
 def enumerate_binary(n_modes: int, *, max_trees: int | None = None) -> list[MemoStrategy]:
     """All binary trees over contiguous mode ranges (Catalan-many).
 
-    For ``N <= 8`` this is an exhaustive search of the contiguous-split
-    strategy space (429 trees at ``N = 8``); ``max_trees`` truncates the
-    enumeration for larger orders.
+    429 trees at ``N = 8``; ``max_trees`` truncates the enumeration.  The
+    planner's DP search covers this space, so the planner scores it only as
+    a memory-budget fallback; tests use it as the DP's oracle.
     """
     n_modes = check_positive_int(n_modes, "n_modes", minimum=2)
 
@@ -461,14 +461,12 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def default_candidates(n_modes: int, *, exhaustive_limit: int = 8) -> list[MemoStrategy]:
-    """The planner's default candidate set for an order-``N`` tensor.
+def default_candidates(n_modes: int) -> list[MemoStrategy]:
+    """The named strategy families for an order-``N`` tensor.
 
-    Always contains the star (baseline work bound), every chain depth, every
-    two-way split, and the balanced binary tree; for ``N <= exhaustive_limit``
-    the full contiguous-binary enumeration is added.  Duplicate tree shapes
-    are removed (e.g. ``chain(N, N-2)`` coincides with one of the enumerated
-    binary trees).
+    The star (baseline work bound), every chain depth, every two-way split,
+    and the balanced binary tree.  Duplicate tree shapes are removed (e.g.
+    ``two_way(N, 1)`` coincides with ``chain(N, 1)``).
     """
     candidates: list[MemoStrategy] = [star(n_modes)]
     for m in range(1, n_modes - 1):
@@ -476,16 +474,16 @@ def default_candidates(n_modes: int, *, exhaustive_limit: int = 8) -> list[MemoS
     for split in range(1, n_modes):
         candidates.append(two_way(n_modes, split))
     candidates.append(balanced_binary(n_modes))
-    if n_modes <= exhaustive_limit:
-        candidates.extend(enumerate_binary(n_modes))
-    seen: set[str] = set()
-    unique: list[MemoStrategy] = []
-    for c in candidates:
-        sig = c.signature()
-        if sig not in seen:
-            seen.add(sig)
-            unique.append(c)
-    return unique
+    return distinct(candidates)
+
+
+def distinct(strategies: Iterable[MemoStrategy]) -> list[MemoStrategy]:
+    """``strategies`` without repeated tree shapes, keeping the first of
+    each signature."""
+    unique: dict[str, MemoStrategy] = {}
+    for s in strategies:
+        unique.setdefault(s.signature(), s)
+    return list(unique.values())
 
 
 def resolve_strategy(spec, n_modes: int) -> MemoStrategy:

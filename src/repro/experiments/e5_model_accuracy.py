@@ -12,7 +12,7 @@ per-node work terms equal what the engine counts is pinned by tier-1,
 from __future__ import annotations
 
 from ..core.engine import MemoizedMttkrp
-from ..core.strategy import (balanced_binary, chain, star, two_way)
+from ..core.strategy import balanced_binary, chain, distinct, star, two_way
 from ..model.calibrate import calibrate_machine
 from ..model.planner import plan
 from ..synth.datasets import dataset_names
@@ -28,10 +28,7 @@ def candidate_pool(order: int):
     for m in (1, order - 2):
         if 1 <= m <= order - 2:
             pool.append(chain(order, m))
-    unique = {}
-    for s in pool:
-        unique.setdefault(s.signature(), s)
-    return list(unique.values())
+    return distinct(pool)
 
 
 def run(scale: float = DEFAULT_SCALE, rank: int = DEFAULT_RANK,

@@ -1,4 +1,5 @@
-"""Performance model and the adaptive (model-driven) strategy planner."""
+"""Performance model and the adaptive (model-driven) strategy planner:
+the DP tree search, the analytic cost model and its calibration."""
 
 from .calibrate import (MACHINE_SCHEMA, BandwidthPoint, MachineRoofline,
                         calibrate_machine, calibrate_roofline,
@@ -14,7 +15,7 @@ from .cost import (DEFAULT_EXECUTION, DEFAULT_MACHINE,
 from .fit import WorkSample, collect_samples, fit_machine_model, fitted_machine
 from .overlap import DistinctCounter
 from .planner import PlannerReport, ScoredStrategy, plan
-from .search import greedy_tree, search_candidates
+from .search import dp_tree, search_candidates
 from .report import format_table
 
 __all__ = [
@@ -50,7 +51,7 @@ __all__ = [
     "PlannerReport",
     "ScoredStrategy",
     "plan",
-    "greedy_tree",
+    "dp_tree",
     "search_candidates",
     "format_table",
 ]

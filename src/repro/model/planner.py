@@ -1,8 +1,9 @@
-"""The adaptive planner: enumerate strategies, predict, select.
+"""The adaptive planner: search, predict, select.
 
 This is the paper's "model-driven" step.  Given a tensor and a CP rank, the
-planner (1) generates candidate memoization trees, (2) obtains every
-candidate node's intermediate size from one shared
+planner (1) finds the model-cheapest memoization trees by interval dynamic
+programming (:mod:`repro.model.search`) and adds the named families, (2)
+obtains every candidate node's intermediate size from one shared
 :class:`~repro.model.overlap.DistinctCounter`, (3) scores each candidate with
 the analytic cost model, and (4) returns the cheapest candidate whose memory
 footprint fits the budget.  Because the candidate set always includes the
@@ -16,10 +17,16 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..core.coo import CooTensor
-from ..core.strategy import MemoStrategy
+from ..core.strategy import MemoStrategy, distinct, enumerate_binary
 from ..core.validate import check_positive_int
 from .cost import DEFAULT_MACHINE, CostReport, MachineModel, cost_report
 from .overlap import DistinctCounter
+from .search import search_candidates
+
+
+#: highest order at which the budget fallback scores every contiguous
+#: binary tree (429 at order 8).
+ENUMERATION_LIMIT = 8
 
 
 class InfeasibleBudgetError(RuntimeError, ValueError):
@@ -87,6 +94,19 @@ class PlannerReport:
         return "\n".join(lines)
 
 
+def _score(strategy: MemoStrategy, counter: DistinctCounter, rank: int,
+           machine: MachineModel, memory_budget: int | None) -> ScoredStrategy:
+    ndim = counter.tensor.ndim
+    if strategy.n_modes != ndim:
+        raise ValueError(f"candidate {strategy.name!r} covers "
+                         f"{strategy.n_modes} modes, tensor has {ndim}")
+    report = cost_report(strategy, counter.node_nnz(strategy), rank, machine)
+    feasible = (
+        memory_budget is None or report.total_memory_bytes <= memory_budget
+    )
+    return ScoredStrategy(strategy, report, feasible)
+
+
 def plan(
     tensor: CooTensor,
     rank: int,
@@ -106,12 +126,15 @@ def plan(
     rank: CP rank the decomposition will use.
     candidates:
         strategies to consider; defaults to
-        :func:`repro.model.search.search_candidates` (star, all chains,
-        all two-way splits, balanced binary, every contiguous binary tree
-        for order <= 8, greedy-constructed trees above that).
+        :func:`repro.model.search.search_candidates` (the named families
+        plus the DP-optimal trees under the natural and size-sorted mode
+        orders).
     memory_budget:
         cap in bytes on a candidate's ``total_memory_bytes``; infeasible
-        candidates are kept in the report but never selected.
+        candidates are kept in the report but never selected.  The DP
+        ignores the cap, so when the fastest default candidate does not fit
+        and the order is at most :data:`ENUMERATION_LIMIT`, every contiguous
+        binary tree is scored too.
     machine:
         time-model constants; defaults to :data:`DEFAULT_MACHINE` (pass the
         result of :func:`repro.model.calibrate.calibrate_machine` for
@@ -128,24 +151,18 @@ def plan(
         tensor, method=count_method, sample_size=sample_size,
         random_state=random_state,
     )
-    if candidates is None:
-        from .search import search_candidates
-
-        candidates = search_candidates(tensor, counter=counter)
+    searched = candidates is None
+    if searched:
+        candidates = search_candidates(tensor, rank, counter=counter,
+                                       machine=machine)
     if not candidates:
         raise ValueError("candidate list is empty")
-    scored: list[ScoredStrategy] = []
-    for strat in candidates:
-        if strat.n_modes != tensor.ndim:
-            raise ValueError(
-                f"candidate {strat.name!r} covers {strat.n_modes} modes, "
-                f"tensor has {tensor.ndim}"
-            )
-        report = cost_report(strat, counter.node_nnz(strat), rank, machine)
-        feasible = (
-            memory_budget is None or report.total_memory_bytes <= memory_budget
-        )
-        scored.append(ScoredStrategy(strat, report, feasible))
+    args = (counter, rank, machine, memory_budget)
+    scored = [_score(strat, *args) for strat in candidates]
+    if (searched and tensor.ndim <= ENUMERATION_LIMIT
+            and not min(scored, key=lambda s: s.predicted_seconds).feasible):
+        every = distinct([*candidates, *enumerate_binary(tensor.ndim)])
+        scored += [_score(strat, *args) for strat in every[len(candidates):]]
     scored.sort(key=lambda s: (not s.feasible, s.predicted_seconds))
     notes = [f"distinct-count cache entries: {counter.cache_size()}"]
     return PlannerReport(

@@ -1,12 +1,13 @@
-"""Greedy strategy search for orders beyond exhaustive enumeration.
+"""Model-optimal strategy search by interval dynamic programming.
 
-The contiguous-binary-tree space grows as the Catalan numbers
-(`~4^N / N^1.5`), so past order ~8 the planner cannot score every tree.  The
-greedy constructor builds one good tree top-down: at each node it picks the
-contiguous cut of the (permuted) mode list that minimizes the *estimated
-downstream cost* of the two children, using the same distinct-projection
-counts the cost model consumes — so the greedy tree plugs into the planner as
-one more candidate, scored on equal footing.
+The cost model is edge-additive in exact integers: every non-root node
+costs ``contraction_work(parent_nnz, R, |delta|)`` per iteration and every
+leaf adds ``nnz * R`` scatter words.  Over the trees whose nodes are
+contiguous ranges of one mode order (a node's children split its range into
+two or more contiguous parts), the cheapest tree is therefore an interval
+DP — the dimension-tree search of Kaya & Uçar.  It needs one distinct count
+per range, O(N^2) in all, and covers the star, every chain, every two-way
+split, the balanced tree and every contiguous binary tree.
 """
 
 from __future__ import annotations
@@ -16,105 +17,85 @@ from typing import Sequence
 import numpy as np
 
 from ..core.coo import CooTensor
-from ..core.strategy import MemoStrategy, from_nested
+from ..core.engine import contraction_work
+from ..core.strategy import (MemoStrategy, NestedSpec, default_candidates,
+                             distinct, from_nested)
+from .cost import DEFAULT_MACHINE, MachineModel
 from .overlap import DistinctCounter
 
 
-def greedy_tree(
-    tensor: CooTensor,
+def dp_tree(
+    counter: DistinctCounter,
+    rank: int,
     *,
-    counter: DistinctCounter | None = None,
+    machine: MachineModel = DEFAULT_MACHINE,
     mode_order: Sequence[int] | None = None,
-    name: str = "greedy",
+    name: str = "dp",
 ) -> MemoStrategy:
-    """Build a memoization tree greedily by best contiguous cut.
+    """The model-cheapest tree over contiguous ranges of ``mode_order``.
 
-    ``mode_order`` permutes the modes before cutting (defaults to sorting by
-    per-mode distinct-index count, which groups "collapsible" modes — a
-    standard heuristic for maximizing intermediate shrinkage).  The result is
-    a valid :class:`MemoStrategy` over the *original* mode labels.
+    ``mode_order`` defaults to the natural order ``0..N-1``.  Subtree costs
+    are exact ``(flops, words)`` pairs compared by ``machine.seconds``; on a
+    tie the split with the shorter leading part wins.  The result is a
+    :class:`MemoStrategy` over the original mode labels.
     """
-    if tensor.ndim < 2:
-        raise ValueError("greedy_tree requires an order >= 2 tensor")
-    counter = counter or DistinctCounter(tensor)
-    if mode_order is None:
-        sizes = [counter.count([m]) for m in range(tensor.ndim)]
-        mode_order = list(np.argsort(sizes, kind="stable"))
-    else:
-        mode_order = list(mode_order)
-        if sorted(mode_order) != list(range(tensor.ndim)):
-            raise ValueError("mode_order must permute all modes")
+    n = counter.tensor.ndim
+    if n < 2:
+        raise ValueError("dp_tree requires an order >= 2 tensor")
+    order = tuple(range(n) if mode_order is None else map(int, mode_order))
+    if sorted(order) != list(range(n)):
+        raise ValueError("mode_order must permute all modes")
+    nnz = {(i, j): counter.count(tuple(sorted(order[i:j])))
+           for i in range(n) for j in range(i + 1, n + 1)}
+    # below[i, j]: (flops, words) of the subtree on range [i, j) without its
+    # own rebuild, which its parent pays; ends[i, j]: where its parts end.
+    below = {(i, i + 1): (0, nnz[i, i + 1] * rank) for i in range(n)}
+    ends: dict[tuple[int, int], tuple[int, ...]] = {}
+    for length in range(2, n + 1):
+        for i in range(n - length + 1):
+            j = i + length
+            # tail[s]: the cheapest split of [s, j) into children of [i, j),
+            # as (flops, words, part ends).  [i, j) itself is no split.
+            tail = {j: (0, 0, ())}
+            for s in range(j - 1, i - 1, -1):
+                options = []
+                for e in range(s + 1, j + (s > i)):
+                    f, w = contraction_work(nnz[i, j], rank, length - (e - s))
+                    options.append((f + below[s, e][0] + tail[e][0],
+                                    w + below[s, e][1] + tail[e][1],
+                                    (e,) + tail[e][2]))
+                tail[s] = min(options, key=lambda c: machine.seconds(*c[:2]))
+            below[i, j], ends[i, j] = tail[i][:2], tail[i][2]
+    return from_nested(_spec(order, ends, 0, n), name=name)
 
-    # Memoize subtree cost by mode tuple; the recursion in _subtree_cost is
-    # exponential in principle but operates on contiguous slices of
-    # mode_order, giving O(N^2) distinct tuples.
-    from functools import lru_cache
 
-    order = tuple(mode_order)
-
-    @lru_cache(maxsize=None)
-    def cost(lo: int, hi: int, parent_nnz: int) -> float:
-        modes = order[lo:hi]
-        if len(modes) == 1:
-            return float(parent_nnz)
-        nnz_here = counter.count(modes)
-        best = float("inf")
-        for cut in range(lo + 1, hi):
-            best = min(best, cost(lo, cut, nnz_here) + cost(cut, hi, nnz_here))
-        return float(parent_nnz) + best
-
-    def build(lo: int, hi: int, parent_nnz: int):
-        modes = order[lo:hi]
-        if len(modes) == 1:
-            return int(modes[0])
-        nnz_here = counter.count(modes)
-        best_cut, best_cost = lo + 1, float("inf")
-        for cut in range(lo + 1, hi):
-            c = cost(lo, cut, nnz_here) + cost(cut, hi, nnz_here)
-            if c < best_cost:
-                best_cut, best_cost = cut, c
-        return (build(lo, best_cut, nnz_here), build(best_cut, hi, nnz_here))
-
-    spec = build(0, tensor.ndim, tensor.nnz)
-    # Each recursive closure is a reference cycle through its own name.
-    # Unbroken, the cycles keep ``counter`` (with its column-major copy of
-    # the index) alive until the garbage collector next runs.
-    del cost, build
-    return from_nested(spec, name=name)
+def _spec(order: tuple[int, ...], ends: dict, i: int, j: int) -> NestedSpec:
+    """Nested spec of range ``[i, j)``.  (A module function, not a closure:
+    a recursive closure is a reference cycle that would keep the counter
+    alive until the garbage collector runs.)"""
+    if j - i == 1:
+        return order[i]
+    starts = (i,) + ends[i, j][:-1]
+    return tuple(_spec(order, ends, s, e) for s, e in zip(starts, ends[i, j]))
 
 
 def search_candidates(
     tensor: CooTensor,
+    rank: int,
     *,
     counter: DistinctCounter | None = None,
-    exhaustive_limit: int = 8,
+    machine: MachineModel = DEFAULT_MACHINE,
 ) -> list[MemoStrategy]:
-    """The planner's candidate set.
-
-    Order <= ``exhaustive_limit``: the full default family (including the
-    Catalan enumeration over contiguous mode ranges) *plus* the greedy tree
-    under the size-sorted mode order — the only candidate able to group
-    non-adjacent modes, which matters when collapsible modes are not
-    neighbors in the label order.  Higher orders: the named families plus
-    greedy trees under both the size-sorted and natural mode orders.
-    """
-    from ..core.strategy import default_candidates
-
-    candidates = default_candidates(tensor.ndim,
-                                    exhaustive_limit=exhaustive_limit)
+    """The planner's candidate set: the named families
+    (:func:`~repro.core.strategy.default_candidates`), then the DP tree
+    under the natural mode order (``dp``) and under the order sorted by
+    per-mode distinct count (``dp-sorted``, which can group non-adjacent
+    modes).  A DP tree with a named family's shape is dropped, so the
+    family keeps its name."""
     counter = counter or DistinctCounter(tensor)
-    candidates.append(greedy_tree(tensor, counter=counter))
-    if tensor.ndim > exhaustive_limit:
-        candidates.append(
-            greedy_tree(
-                tensor, counter=counter,
-                mode_order=range(tensor.ndim), name="greedy-natural",
-            )
-        )
-    seen: set[str] = set()
-    unique = []
-    for c in candidates:
-        if c.signature() not in seen:
-            seen.add(c.signature())
-            unique.append(c)
-    return unique
+    sizes = [counter.count((m,)) for m in range(tensor.ndim)]
+    return distinct(default_candidates(tensor.ndim) + [
+        dp_tree(counter, rank, machine=machine),
+        dp_tree(counter, rank, machine=machine,
+                mode_order=np.argsort(sizes, kind="stable"), name="dp-sorted"),
+    ])

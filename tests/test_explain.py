@@ -51,7 +51,7 @@ class TestExplainPlan:
         payload = artifact["result"]
         assert payload["schema"] == PLAN_SCHEMA
         # Every candidate the search produced must appear — no silent drops.
-        assert payload["n_candidates"] == len(search_candidates(tensor4d))
+        assert payload["n_candidates"] == len(search_candidates(tensor4d, 8))
         names = [c["name"] for c in payload["candidates"]]
         assert payload["best"] in names
         # Older artifacts may still carry the retired execution section.
@@ -135,7 +135,7 @@ class TestCliSurfaces:
         doc = json.loads(capsys.readouterr().out)
         validate_plan_artifact(doc)
         assert doc["schema"] == "repro-bench/v1"
-        assert doc["result"]["n_candidates"] == len(search_candidates(t))
+        assert doc["result"]["n_candidates"] == len(search_candidates(t, 4))
 
     def test_plan_explain_text(self, tmp_path, capsys):
         path, _ = self._write_tensor(tmp_path)

@@ -280,10 +280,11 @@ class TestDefaultCandidates:
         sigs = [c.signature() for c in cands]
         assert len(sigs) == len(set(sigs))
 
-    def test_exhaustive_limit_respected(self):
-        small = S.default_candidates(4)
-        big = S.default_candidates(4, exhaustive_limit=3)
-        assert len(big) < len(small)
+    def test_named_families_only(self):
+        """No enumerated binary trees: the planner's DP covers them."""
+        names = [c.name for c in S.default_candidates(8)]
+        assert not any(n.startswith("binary#") for n in names)
+        assert len(names) == 14  # two_way[1] is chain[1]
 
     @given(st.integers(2, 8))
     @settings(max_examples=10, deadline=None)
