@@ -296,18 +296,28 @@ class CooTensor:
 
 def _canonicalize(idx: np.ndarray, vals: np.ndarray, shape) -> tuple:
     """Sort lexicographically and merge duplicate coordinates (summing)."""
-    if idx.shape[0] == 0:
+    m = idx.shape[0]
+    if m == 0:
         return idx, vals
-    unique_rows, inverse = rowcodes.group_rows(idx, shape)
-    if unique_rows.shape[0] == idx.shape[0]:
-        # No duplicates: the unique rows are the sorted rows; recover the
-        # sorting permutation from the inverse map to carry the values.
-        perm = np.empty(idx.shape[0], dtype=np.intp)
-        perm[inverse] = np.arange(idx.shape[0])
-        return unique_rows, vals[perm]
-    summed = np.bincount(inverse, weights=vals, minlength=unique_rows.shape[0])
+    order, starts = rowcodes.stable_groups(idx, shape)
+    if starts.shape[0] == m:
+        # No duplicates: the stable order carries rows and values.
+        if order is None:
+            return idx, vals
+        return np.take(idx, order, axis=0), np.take(vals, order)
+    # Duplicates are summed by ``bincount`` over each row's group id, in
+    # input order, so the sums do not depend on the sort.
+    group = np.zeros(m, dtype=np.intp)
+    group[starts[1:]] = 1
+    np.cumsum(group, out=group)
+    if order is not None:
+        inverse = np.empty_like(group)
+        inverse[order] = group
+        group = inverse
+        starts = np.take(order, starts)
+    summed = np.bincount(group, weights=vals, minlength=starts.shape[0])
     return (
-        np.ascontiguousarray(unique_rows, dtype=INDEX_DTYPE),
+        np.take(idx, starts, axis=0),
         summed.astype(VALUE_DTYPE, copy=False),
     )
 

@@ -211,6 +211,7 @@ def _cp_als_run(
         engine = MemoizedMttkrp(tensor, chosen)
         strategy_name = engine.strategy.name
     engine.set_factors(factors)
+    del factors  # the engine holds them; updates replace its copies
     setup_time = time.perf_counter() - t0
 
     observers = _observer.start_run(
@@ -238,7 +239,7 @@ def _cp_als_run(
             rows = supports[n]
             with _obs.span("factor_solve", mode=n):
                 H = grams.combined(skip=n)
-                M_rows = M if rows is None else M[rows]
+                M_rows = M if rows is None else np.take(M, rows, axis=0)
                 U = solve_normal_equations(M_rows, H)
                 # First iteration: 2-norm normalization settles scale;
                 # later iterations use max-norm so weights track
@@ -292,7 +293,8 @@ def _cp_als_run(
     finally:
         set_solve_site(None, None)
 
-    ktensor = KruskalTensor(weights, engine.factors).normalize()
+    # normalize() allocates new factors, so no copy is needed first
+    ktensor = KruskalTensor(weights, engine.factors, copy=False).normalize()
     total = setup_time + float(np.sum(iter_times))
     _observer.stop_run(engine, n_iterations=len(fits), converged=converged,
                        fit=fits[-1] if fits else None, total_seconds=total)

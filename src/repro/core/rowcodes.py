@@ -9,6 +9,13 @@ consecutive columns are packed into the few keys that each fit, and the rows
 are ``lexsort``-ed over those.  A key compares like the columns it packs, so
 either way the groups come out in lexicographic row order.
 
+:func:`stable_groups` also returns the *stable* order of the rows, the
+order a segmented sum reads them in.  It gets both from one sort: the key
+``key * m + position`` orders like the pair ``(key, position)`` and no two
+are equal, so any sort of it is stable, and its quotient and remainder by
+``m`` are the sorted key and the source row (as in ALTO's one linearized
+key per nonzero).
+
 The sort never goes through ``np.unique``: without ``return_*`` flags it
 hashes, and on ``axis=0`` it sorts a void dtype, both far slower than a sort
 of ``int64`` keys.
@@ -129,7 +136,85 @@ def group_rows(idx: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray]:
     starts = _run_starts([key[order] for key in keys])
     inverse = np.empty(m, dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
-    return idx[order[starts]], inverse
+    return np.take(idx, order[starts], axis=0), inverse
+
+
+def stable_groups(idx: np.ndarray, dims) -> tuple[np.ndarray | None,
+                                                  np.ndarray]:
+    """Sort the rows of ``idx`` stably and find the runs of equal rows.
+
+    Returns ``(order, starts)``: ``order`` lists the source rows in
+    lexicographic row order, equal rows in source order (``None`` when the
+    rows already are in that order), and ``starts`` the sorted positions
+    where a run of equal rows begins.  The unique rows are
+    ``idx[order[starts]]``; ``order`` and ``starts`` are the ``perm`` and
+    ``starts`` of ``SegmentPlan(group_rows(idx, dims)[1])``, one sort
+    instead of two.
+    """
+    m, k = idx.shape
+    if m == 0:
+        return None, np.zeros(0, dtype=np.intp)
+    if k == 0:
+        return None, np.zeros(1, dtype=np.intp)
+    return stable_groups_columns(_columns(idx), dims)
+
+
+def stable_groups_columns(columns, dims) -> tuple[np.ndarray | None,
+                                                 np.ndarray]:
+    """:func:`stable_groups` of the matrix whose (one or more, equally
+    long) columns are ``columns``."""
+    m = columns[0].shape[0]
+    if m == 0:
+        return None, np.zeros(0, dtype=np.intp)
+    keys = _column_keys(columns, dims)
+    if _rows_sorted(keys):
+        order, sorted_keys = None, keys
+    elif len(keys) == 1:
+        order, sorted_key = _stable_sort(keys[0], _space(dims), m)
+        sorted_keys = [sorted_key]
+    else:
+        order = np.lexsort(keys[::-1])
+        sorted_keys = [np.take(key, order) for key in keys]
+    return order, np.flatnonzero(_run_starts(sorted_keys))
+
+
+def _space(dims) -> int:
+    """Size of the key space of ``dims``, ``prod(dims)``."""
+    space = 1
+    for d in dims:
+        space *= int(d)
+    return space
+
+
+def _rows_sorted(keys: list[np.ndarray]) -> bool:
+    """True if the rows whose keys (most significant first) are ``keys``
+    are in lexicographic order."""
+    first = keys[0]
+    if (first[1:] < first[:-1]).any():
+        return False
+    tied = first[1:] == first[:-1]
+    for key in keys[1:]:
+        if (tied & (key[1:] < key[:-1])).any():
+            return False
+        tied &= key[1:] == key[:-1]
+    return True
+
+
+def _stable_sort(key: np.ndarray, space: int,
+                 m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, key[order])`` for the stable argsort ``order`` of ``key``
+    (``m`` values in ``[0, space)``, overwritten), from one sort of ``key *
+    m + position``; a stable argsort when that would overflow int64."""
+    if space * m - 1 > _MAX_CODE:
+        order = np.argsort(key, kind="stable")
+        return order, np.take(key, order)
+    packed = _narrowed(key, space * m)
+    packed *= m
+    packed += np.arange(m, dtype=packed.dtype)
+    packed.sort()
+    sorted_key = packed // m
+    packed -= sorted_key * m
+    return packed.astype(np.intp, copy=False), sorted_key
 
 
 def count_distinct_rows(idx: np.ndarray, dims) -> int:
@@ -142,13 +227,10 @@ def count_distinct_rows(idx: np.ndarray, dims) -> int:
     return count_distinct_columns(_columns(idx), dims)
 
 
-def _narrowed(key: np.ndarray, dims) -> np.ndarray:
-    """``key`` (values in ``[0, prod(dims))``) in the narrowest unsigned
-    dtype of 16 or 32 bits that holds them, else unchanged: a narrower
-    array sorts faster, and the cast keeps every value."""
-    space = 1
-    for d in dims:
-        space *= int(d)
+def _narrowed(key: np.ndarray, space: int) -> np.ndarray:
+    """``key`` (values in ``[0, space)``) in the narrowest unsigned dtype
+    of 16 or 32 bits that holds them, else unchanged: a narrower array
+    sorts faster, and the cast keeps every value."""
     if space <= 1 << 16:
         return key.astype(np.uint16)
     if space <= 1 << 32:
@@ -172,7 +254,7 @@ def count_distinct_columns(columns, dims) -> int:
         # A canonical tensor's rows are in lexicographic order, so the key
         # of its leading modes arrives sorted.
         if (key[1:] < key[:-1]).any():
-            key = np.sort(_narrowed(key, dims))
+            key = np.sort(_narrowed(key, _space(dims)))
         sorted_keys = [key]
     else:
         order = np.lexsort(keys[::-1])

@@ -8,10 +8,13 @@ node's unique coordinate rows once and turns the grouping into the node's
 rebuild is a gather + Hadamard + segmented-sum with no sorting or hashing.
 
 Only what the rebuilds read stays: the kernel indices, the leaves' output
-rows and the root's coordinates (the tensor's own).  A node's
-:class:`~repro.core.segreduce.SegmentPlan` is dropped once its kernel index
-exists, an interior node's index block once its last child has one; both
-are recomputed from the tensor on request (:class:`NodeSymbolic`).
+rows and the root's coordinates (the tensor's own).  Grouping a node is
+one stable sort of its rows' keys (:func:`~repro.core.rowcodes.stable_groups`),
+whose order and run starts are the kernel index's source order and segment
+starts; no :class:`~repro.core.segreduce.SegmentPlan` is built.  An interior
+node's unique rows, kept one column per mode, are released once its last
+child has its index; the rows and the plan are recomputed from the tensor
+on request (:class:`NodeSymbolic`).
 """
 
 from __future__ import annotations
@@ -100,9 +103,9 @@ class SymbolicTree:
         self._build()
 
     def _build(self) -> None:
-        """Group each node from its parent's index block and build its
+        """Group each node from its parent's index columns and build its
         kernel index at once, in parent-before-children order; a parent's
-        block is released after its last child, a plan right away."""
+        columns are released after its last child."""
         strat, tensor = self.strategy, self.tensor
         root = strat.root
         self.nodes[root.id] = NodeSymbolic(
@@ -110,39 +113,47 @@ class SymbolicTree:
             delta_parent_cols=(), delta_modes=(), parent_modes=None,
             tensor=tensor,
         )
-        blocks = {root.id: tensor.idx}
+        # a node's unique rows over its modes, lexicographic, one array
+        # per mode
+        blocks = {root.id: [tensor.idx[:, j] for j in range(tensor.ndim)]}
         for nid in strat.topological_order():
             node = strat.nodes[nid]
             if node.is_root:
                 continue
             parent = strat.nodes[node.parent]  # type: ignore[index]
-            parent_block = blocks[parent.id]
-            keep_cols = [parent.modes.index(m) for m in node.modes]
+            parent_cols = blocks[parent.id]
+            columns = [parent_cols[parent.modes.index(m)] for m in node.modes]
             delta_cols = tuple(parent.modes.index(m) for m in node.delta)
-            block, inverse = _group(tensor, parent_block[:, keep_cols],
-                                    node.modes)
-            plan = SegmentPlan(inverse)
-            del inverse
+            order, starts = rowcodes.stable_groups_columns(
+                columns, [tensor.shape[m] for m in node.modes])
+            n_sources = columns[0].shape[0]
+            identity = order is None and starts.shape[0] == n_sources
             ki = make_node_index(
-                nid, node.delta, [parent_block[:, c] for c in delta_cols],
-                None if plan.has_identity_perm else plan.perm,
-                plan.starts, plan.n_sources, plan.is_identity,
+                nid, node.delta, [parent_cols[c] for c in delta_cols],
+                order, starts, n_sources, identity,
                 parent_is_root=parent.is_root,
                 parent_row_order=self.row_order(parent.id),
             )
-            del plan
             self._kernel_indices[nid] = ki
             self.nodes[nid] = NodeSymbolic(
-                node_id=nid, modes=node.modes, nnz=int(block.shape[0]),
+                node_id=nid, modes=node.modes, nnz=int(starts.shape[0]),
                 delta_parent_cols=delta_cols, delta_modes=node.delta,
                 parent_modes=parent.modes, tensor=tensor,
             )
+            # the parent row behind each of the node's unique rows
+            first = (None if identity else
+                     starts if order is None else np.take(order, starts))
+            del order, starts
             if node.children:
-                blocks[nid] = np.ascontiguousarray(block)
+                blocks[nid] = (columns if first is None else
+                               [np.take(col, first) for col in columns])
             else:
-                column = block[:, 0]
-                self._leaf_rows[nid] = (column.copy() if ki.row_order is None
-                                        else column[ki.row_order])
+                if ki.row_order is not None:
+                    first = (ki.row_order if first is None
+                             else np.take(first, ki.row_order))
+                column = columns[0]
+                self._leaf_rows[nid] = (column.copy() if first is None
+                                        else np.take(column, first))
             if nid == parent.children[-1]:
                 del blocks[parent.id]
 

@@ -59,18 +59,19 @@ def check_indices_in_bounds(idx: np.ndarray, shape: Sequence[int]) -> None:
         )
     if idx.shape[0] == 0:
         return
-    lo = idx.min(axis=0)
-    hi = idx.max(axis=0)
-    if (lo < 0).any():
-        mode = int(np.argmax(lo < 0))
-        raise ValueError(f"negative index in mode {mode}")
-    dims = np.asarray(shape, dtype=idx.dtype)
-    if (hi >= dims).any():
-        mode = int(np.argmax(hi >= dims))
-        raise ValueError(
-            f"index {int(hi[mode])} out of bounds for mode {mode} of size "
-            f"{shape[mode]}"
-        )
+    # One column at a time: a reduction over axis 0 of a C-ordered block
+    # is several times slower than the same reductions column by column.
+    columns = [idx[:, j] for j in range(idx.shape[1])]
+    for mode, col in enumerate(columns):
+        if col.min() < 0:
+            raise ValueError(f"negative index in mode {mode}")
+    for mode, col in enumerate(columns):
+        hi = int(col.max())
+        if hi >= shape[mode]:
+            raise ValueError(
+                f"index {hi} out of bounds for mode {mode} of size "
+                f"{shape[mode]}"
+            )
 
 
 def check_finite_values(vals: np.ndarray, idx: np.ndarray) -> None:

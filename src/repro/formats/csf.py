@@ -41,7 +41,7 @@ class CsfTensor:
         ndim = tensor.ndim
         reordered = tensor.idx[:, order]
         perm = rowcodes.lexsort_rows(reordered)
-        idxs = np.ascontiguousarray(reordered[perm])
+        idxs = np.take(reordered, perm, axis=0)
         self.vals = np.ascontiguousarray(tensor.vals[perm])
         nnz = idxs.shape[0]
 

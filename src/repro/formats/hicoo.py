@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.coo import CooTensor
 from ..core.dtypes import INDEX_DTYPE, VALUE_DTYPE
-from ..core.rowcodes import group_rows
+from ..core.rowcodes import stable_groups
 from ..core.validate import check_mode, check_positive_int
 from ..perf import counters as perf
 
@@ -57,26 +57,21 @@ class HicooTensor:
             _offset_dtype(B), copy=False
         )
         block_dims = [(-(-s // B)) for s in tensor.shape]
-        unique_blocks, inverse = group_rows(block_coords, block_dims)
-        order = np.argsort(inverse, kind="stable")
+        order, starts = stable_groups(block_coords, block_dims)
+        first = starts if order is None else np.take(order, starts)
 
         #: per-block coordinates (n_blocks x N), block-major order.
-        self.block_index = np.ascontiguousarray(
-            unique_blocks, dtype=INDEX_DTYPE
-        )
+        self.block_index = np.take(block_coords, first, axis=0)
         #: per-nonzero within-block offsets, grouped by block.
-        self.offsets = np.ascontiguousarray(offsets[order])
+        self.offsets = (offsets if order is None
+                        else np.take(offsets, order, axis=0))
         #: nonzero values, grouped by block.
         self.vals = np.ascontiguousarray(
-            tensor.vals[order], dtype=VALUE_DTYPE
+            tensor.vals if order is None else np.take(tensor.vals, order),
+            dtype=VALUE_DTYPE,
         )
         #: block boundary pointers into offsets/vals (n_blocks + 1).
-        sorted_inverse = inverse[order]
-        self.block_ptr = np.concatenate((
-            [0],
-            np.flatnonzero(np.diff(sorted_inverse)) + 1,
-            [tensor.nnz],
-        )).astype(np.intp) if tensor.nnz else np.zeros(1, dtype=np.intp)
+        self.block_ptr = np.append(starts, tensor.nnz).astype(np.intp)
 
     @property
     def ndim(self) -> int:

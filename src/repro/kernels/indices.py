@@ -53,10 +53,11 @@ its run, in gather order.  Region 0's ``reduceat`` offsets are a view of
 its head, so a node's reduction structure costs one index per row.
 
 The symbolic pass builds every node's index right after grouping the node
-(:class:`~repro.core.symbolic.SymbolicTree`); the transient
-:class:`~repro.core.segreduce.SegmentPlan` and the parent's lexicographic
-index columns it reads are released once it exists.  Engines, restarts and
-parallel workers sharing a tree share these arrays.
+(:class:`~repro.core.symbolic.SymbolicTree`), from the stable order and run
+starts of one sort (:func:`~repro.core.rowcodes.stable_groups`); the
+parent's lexicographic index columns it reads are released once the
+parent's last child has its index.  Engines, restarts and parallel workers
+sharing a tree share these arrays.
 """
 
 from __future__ import annotations
@@ -335,9 +336,10 @@ def make_node_index(node_id: int, delta_modes: tuple[int, ...], columns,
                     parent_row_order: np.ndarray | None = None,
                     tile: int = CLASS_TILE_SOURCES) -> NodeKernelIndex:
     """Build a :class:`NodeKernelIndex` from the parent's delta-mode index
-    ``columns`` (lexicographic parent rows), the plan's source permutation
-    (``None`` = identity), its segment ``starts`` and the parent's
-    ``row_order`` (``None`` = lexicographic; always for the root).
+    ``columns`` (lexicographic parent rows), the sources' stable segment
+    order ``plan_perm`` (``None`` = identity), the segment ``starts`` and
+    the parent's ``row_order`` (``None`` = lexicographic; always for the
+    root).
 
     The length-class layout applies only where it adds no pass: when the
     node gathers its parent's value rows anyway (its plan permutes them,

@@ -84,11 +84,11 @@ def sample_unique_indices(
                 out[:, m] = rem % shape[m]
                 rem //= shape[m]
             order = np.lexsort(out.T[::-1])
-            return out[order]
+            return np.take(out, order, axis=0)
         raise RuntimeError("failed to sample enough distinct coordinates")
     if collected.shape[0] > nnz:
         keep = np.sort(rng.choice(collected.shape[0], size=nnz, replace=False))
-        collected = collected[keep]
+        collected = np.take(collected, keep, axis=0)
     return collected
 
 

@@ -232,6 +232,110 @@ class TestExactAgainstNpUnique:
         _assert_matches_reference(idx, dims)
 
 
+def _assert_stable_groups_match(idx, dims):
+    """``stable_groups`` equals ``group_rows`` + ``SegmentPlan(inverse)``,
+    the two sorts it replaces."""
+    from repro.core.segreduce import SegmentPlan
+
+    order, starts = rowcodes.stable_groups(idx, dims)
+    unique_rows, inverse = rowcodes.group_rows(idx, dims)
+    plan = SegmentPlan(inverse)
+    assert (order is None) == plan.has_identity_perm
+    full = np.arange(idx.shape[0]) if order is None else order
+    assert full.dtype == np.intp and starts.dtype == np.intp
+    assert np.array_equal(full, plan.perm)
+    assert np.array_equal(starts, plan.starts)
+    identity = order is None and starts.shape[0] == idx.shape[0]
+    assert identity == plan.is_identity
+    assert np.array_equal(np.take(idx, full[starts], axis=0), unique_rows)
+    if idx.shape[1]:
+        columns = list(np.asfortranarray(idx).T)
+        by_columns = rowcodes.stable_groups_columns(columns, dims)
+        assert (by_columns[0] is None) == (order is None)
+        assert np.array_equal(
+            full if by_columns[0] is None else by_columns[0], full)
+        assert np.array_equal(by_columns[1], starts)
+
+
+class TestStableGroups:
+    """Differential test of the one-sort grouping against its two
+    predecessors on every key path."""
+
+    @pytest.mark.parametrize("dims", [
+        [5, 6],                # one packed key, narrowed to uint16
+        [800, 7],              # one packed key, narrowed to uint32
+        [2**20, 2**20, 7],     # one packed key, int64
+        [2**62],               # space * m overflows: stable argsort
+        [2**61, 3],            # the same, over two columns
+        [327] * 8,             # two keys: lexsort
+        [2**40, 2**40, 7],     # two keys: lexsort
+    ])
+    @pytest.mark.parametrize("layout", ["shuffled", "sorted", "prefix"])
+    def test_fixed_dims(self, dims, layout):
+        rng = np.random.default_rng(len(dims) * 31 + dims[-1] % 97)
+        idx = _rows_with_duplicates(rng, dims, 400)
+        if layout != "shuffled":
+            idx = np.take(idx, rowcodes.lexsort_rows(idx), axis=0)
+        if layout == "prefix":
+            # a prefix of lexicographic rows is sorted; dropping a
+            # trailing column leaves it sorted with more duplicates
+            idx, dims = idx[:, :-1], dims[:-1]
+            if not dims:
+                return
+        _assert_stable_groups_match(idx, dims)
+
+    @pytest.mark.parametrize("dims", [[9, 9], [2**62], [327] * 8])
+    def test_distinct_sorted_rows_are_identity(self, dims):
+        idx = np.array([[0] * (len(dims) - 1) + [j] for j in range(5)],
+                       np.int64)
+        order, starts = rowcodes.stable_groups(idx, dims)
+        assert order is None
+        assert starts.tolist() == list(range(5))
+        _assert_stable_groups_match(idx, dims)
+
+    @pytest.mark.parametrize("dims", [[9, 9], [2**62], [327] * 8])
+    def test_all_rows_identical(self, dims):
+        idx = np.tile(np.array([d - 1 for d in dims], np.int64), (30, 1))
+        order, starts = rowcodes.stable_groups(idx, dims)
+        assert order is None and starts.tolist() == [0]
+        _assert_stable_groups_match(idx, dims)
+
+    @pytest.mark.parametrize("dims", [[9, 9], [327] * 8])
+    def test_zero_rows(self, dims):
+        idx = np.zeros((0, len(dims)), np.int64)
+        order, starts = rowcodes.stable_groups(idx, dims)
+        assert order is None and starts.shape == (0,)
+        _assert_stable_groups_match(idx, dims)
+
+    def test_zero_columns(self):
+        order, starts = rowcodes.stable_groups(np.zeros((4, 0), np.int64), [])
+        assert order is None and starts.tolist() == [0]
+
+    def test_equal_rows_keep_source_order(self):
+        idx = np.array([[1, 0], [0, 1], [1, 0], [0, 1], [0, 0]], np.int64)
+        order, starts = rowcodes.stable_groups(idx, [2, 2])
+        assert order.tolist() == [4, 1, 3, 0, 2]
+        assert starts.tolist() == [0, 1, 3]
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_property(self, data):
+        dims = data.draw(st.lists(
+            st.sampled_from([1, 2, 3, 327, 2**20, 2**40, 2**62]),
+            min_size=1, max_size=8), label="dims")
+        m = data.draw(st.integers(0, 70), label="m")
+        columns = [
+            data.draw(st.lists(
+                st.sampled_from(sorted({0, 1 % d, d // 2, d - 1})),
+                min_size=m, max_size=m))
+            for d in dims
+        ]
+        idx = np.array(columns, dtype=np.int64).reshape(len(dims), m).T.copy()
+        if data.draw(st.booleans(), label="sorted") and m:
+            idx = np.take(idx, rowcodes.lexsort_rows(idx), axis=0)
+        _assert_stable_groups_match(idx, dims)
+
+
 class TestDistinctCounterExact:
     def test_every_mode_subset_of_order5(self):
         from itertools import combinations
