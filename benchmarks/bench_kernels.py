@@ -5,7 +5,7 @@ up independent of experiment noise: segment reduction (identity-permutation
 fast path vs genuine permutation), factor-row gather + Hadamard, symbolic
 tree construction, CSF build, and the planner's distinct-count pass.
 
-Also sweeps the pluggable kernel backends (``repro.kernels``) over the full
+Also sweeps the kernel backends (``repro.kernels``) over the full
 memoized CP-ALS iteration, and — when run as a script — writes the
 backend x block-size sweep on the acceptance workload (order-4, >=1M nnz,
 R=16; configs interleaved round by round) to
@@ -27,7 +27,7 @@ from repro.core.segreduce import SegmentPlan
 from repro.core.strategy import balanced_binary
 from repro.core.symbolic import SymbolicTree
 from repro.formats.csf import CsfTensor
-from repro.kernels import available_kernels, unavailable_kernels
+from repro.kernels import available_kernels
 from repro.linalg.khatri_rao import khatri_rao_rows
 from repro.model.overlap import DistinctCounter
 from repro.synth.skewed import skewed_random_tensor
@@ -216,7 +216,6 @@ def run_acceptance_sweep(rounds: int = 5) -> dict:
             "skew": 1.1,
             "repeats": rounds,
         },
-        "unavailable_backends": unavailable_kernels(),
         "runs": runs,
         "best": best,
         "speedup_best_vs_reference": best["speedup_vs_reference"],

@@ -170,7 +170,7 @@ def stable_groups_columns(columns, dims) -> tuple[np.ndarray | None,
     if _rows_sorted(keys):
         order, sorted_keys = None, keys
     elif len(keys) == 1:
-        order, sorted_key = _stable_sort(keys[0], _space(dims), m)
+        order, sorted_key = stable_sort(keys[0], _space(dims), m)
         sorted_keys = [sorted_key]
     else:
         order = np.lexsort(keys[::-1])
@@ -200,11 +200,12 @@ def _rows_sorted(keys: list[np.ndarray]) -> bool:
     return True
 
 
-def _stable_sort(key: np.ndarray, space: int,
-                 m: int) -> tuple[np.ndarray, np.ndarray]:
+def stable_sort(key: np.ndarray, space: int,
+                m: int) -> tuple[np.ndarray, np.ndarray]:
     """``(order, key[order])`` for the stable argsort ``order`` of ``key``
     (``m`` values in ``[0, space)``, overwritten), from one sort of ``key *
-    m + position``; a stable argsort when that would overflow int64."""
+    m + position``; a stable argsort when that would overflow int64.  The
+    sorted keys may come in a narrower unsigned dtype."""
     if space * m - 1 > _MAX_CODE:
         order = np.argsort(key, kind="stable")
         return order, np.take(key, order)

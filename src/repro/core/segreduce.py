@@ -17,9 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dtypes import as_index_array
-
-_INT64_MIN = int(np.iinfo(np.int64).min)
-_INT64_MAX = int(np.iinfo(np.int64).max)
+from .rowcodes import fits_int64, stable_sort
 
 
 class SegmentPlan:
@@ -63,14 +61,23 @@ class SegmentPlan:
         self._perm_identity = not bool((targets[1:] < targets[:-1]).any())
         if self._perm_identity:
             perm = np.arange(m, dtype=np.intp)
-            sorted_targets = targets
+            sorted_keys = targets
         else:
-            perm, sorted_targets = _stable_order(targets)
+            # Shifted to start at 0, the targets sort as row keys do; the
+            # span is checked in Python ints, since ``targets - lo`` may
+            # itself overflow int64.
+            lo = int(targets.min())
+            space = int(targets.max()) - lo + 1
+            if fits_int64((space,)):
+                perm, sorted_keys = stable_sort(targets - lo, space, m)
+            else:
+                perm = np.argsort(targets, kind="stable")
+                sorted_keys = np.take(targets, perm)
         boundary = np.empty(m, dtype=bool)
         boundary[0] = True
-        np.not_equal(sorted_targets[1:], sorted_targets[:-1], out=boundary[1:])
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
         starts = np.flatnonzero(boundary)
-        self.group_ids = sorted_targets[starts]
+        self.group_ids = np.take(targets, perm[starts])
         self.n_segments = int(starts.shape[0])
         # Identity fast path: every source row its own segment, already in
         # order.  Then reduce() is a no-op view of the input.
@@ -143,27 +150,6 @@ class SegmentPlan:
             f"SegmentPlan(n_sources={self.n_sources}, "
             f"n_segments={self.n_segments}, identity={self._identity})"
         )
-
-
-def _stable_order(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(perm, targets[perm])`` where ``perm`` is the stable argsort.
-
-    The key ``targets[i] * m + i`` orders like the pair ``(targets[i], i)``
-    and no two keys are equal, so one sort of any kind puts the keys in the
-    stable order; the key's quotient and remainder by ``m`` are the sorted
-    target and the source row.  A stable argsort is kept for targets whose
-    keys would overflow int64.
-    """
-    m = targets.shape[0]
-    lo, hi = int(targets.min()), int(targets.max())
-    if lo * m < _INT64_MIN or (hi + 1) * m - 1 > _INT64_MAX:
-        perm = np.argsort(targets, kind="stable")
-        return perm, np.take(targets, perm)
-    keys = targets * m
-    keys += np.arange(m, dtype=keys.dtype)
-    keys.sort()
-    sorted_targets, perm = np.divmod(keys, m)
-    return perm.astype(np.intp, copy=False), sorted_targets
 
 
 def segment_sum(values: np.ndarray, targets: np.ndarray, n_targets: int) -> np.ndarray:

@@ -18,10 +18,6 @@ segmented-sum pipeline is executed:
 ``reference``
     The original engine's numeric path on lexicographic rows, kept as the
     plain-numpy baseline and bitwise oracle for differential testing.
-
-``numba``
-    A fused-loop ``prange`` kernel (see :mod:`repro.kernels.numba_backend`),
-    registered only when numba imports cleanly.
 """
 
 from __future__ import annotations
@@ -67,14 +63,10 @@ class RebuildContext:
 
 
 class KernelBackend:
-    """Interface: :meth:`rebuild` a whole node, optionally by chunks."""
+    """Interface: :meth:`rebuild` a whole node."""
 
     #: registry name (overridden by implementations).
     name = "abstract"
-
-    #: whether :meth:`rebuild_chunk` is implemented (the parallel engine's
-    #: block-group chunking requires it).
-    supports_chunks = False
 
     def rebuild(self, ctx: RebuildContext) -> np.ndarray:
         raise NotImplementedError
@@ -86,13 +78,6 @@ class KernelBackend:
             return self.rebuild(ctx)
         with _trace.span("kernel", backend=self.name, node=ctx.node_id):
             return self.rebuild(ctx)
-
-    def rebuild_chunk(self, ctx: RebuildContext, blocks, out: np.ndarray) -> None:
-        """Run some of the node's cached ``blocks``
-        (:meth:`~repro.kernels.indices.NodeKernelIndex.blocks_for`) into
-        ``out`` (the full ``(n_segments, R)`` array).  Every block writes
-        its own slice of stored rows, so concurrent chunks never overlap."""
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
@@ -108,7 +93,6 @@ class NumpyKernel(KernelBackend):
     """
 
     name = "numpy"
-    supports_chunks = True
 
     def rebuild(self, ctx: RebuildContext) -> np.ndarray:
         ki = ctx.kernel_index()
@@ -119,6 +103,10 @@ class NumpyKernel(KernelBackend):
         return out
 
     def rebuild_chunk(self, ctx: RebuildContext, blocks, out: np.ndarray) -> None:
+        """Run some of the node's cached ``blocks``
+        (:meth:`~repro.kernels.indices.NodeKernelIndex.blocks_for`) into
+        ``out`` (the full ``(n_segments, R)`` array).  Every block writes
+        its own slice of stored rows, so concurrent chunks never overlap."""
         self._run_blocks(ctx, ctx.kernel_index(), blocks, out)
 
     def _run_blocks(self, ctx: RebuildContext, ki, blocks, out) -> None:

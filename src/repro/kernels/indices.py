@@ -206,7 +206,7 @@ class NodeKernelIndex:
     __slots__ = (
         "node_id", "delta_modes", "n_sources", "n_segments", "gather",
         "perm", "starts", "identity", "layout", "row_order",
-        "_blocks", "_stacked", "_runs", "_root_vals",
+        "_blocks", "_root_vals",
     )
 
     def __init__(self, node_id: int, delta_modes: tuple[int, ...],
@@ -230,8 +230,6 @@ class NodeKernelIndex:
         #: stored rows are lexicographic).
         self.row_order = row_order
         self._blocks: dict[int, list] = {}
-        self._stacked: np.ndarray | None = None
-        self._runs: tuple[np.ndarray, ...] | None = None
         #: (root values array, the same values in gather order)
         self._root_vals: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -279,41 +277,11 @@ class NodeKernelIndex:
             self._root_vals = cached
         return cached[1]
 
-    def stacked_gather(self) -> np.ndarray:
-        """All gather arrays as one ``(n_delta, n_sources)`` matrix (for
-        fused backends that want a single typed argument)."""
-        if self._stacked is None:
-            self._stacked = np.ascontiguousarray(np.vstack(self.gather))
-        return self._stacked
-
-    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(run_starts, run_lens, run_strides)``, one entry per stored
-        row: row ``k`` sums the sources ``run_starts[k] + j *
-        run_strides[k]`` for ``j < run_lens[k]``, in gather order (for
-        fused backends).  Strides exceed 1 only inside class tiles."""
-        if self._runs is None:
-            lay = self.layout
-            if lay is None:
-                lens = np.diff(self.starts, append=self.n_sources)
-                strides = np.ones(self.n_segments, dtype=np.intp)
-            else:
-                long_starts = lay.long_starts
-                parts = [(np.diff(long_starts, append=lay.src_bounds[1]),
-                          np.ones(long_starts.shape[0], dtype=np.intp))]
-                for width in range(1, MAX_CLASS_ROWS + 1):
-                    for _, _, k in lay.tiles(width):
-                        parts.append((np.full(k, width, dtype=np.intp),
-                                      np.full(k, k, dtype=np.intp)))
-                lens, strides = (np.concatenate(p) for p in zip(*parts))
-            self._runs = (self.starts, lens, strides)
-        return self._runs
-
     def nbytes(self) -> int:
         """Bytes of the arrays the node keeps for the run: gather columns,
         parent-row map, starts and its own row order (an inherited one
-        belongs to the parent).  The root values in gather order, the
-        cached block lists and the fused backends' :meth:`stacked_gather` /
-        :meth:`runs` copies are not counted."""
+        belongs to the parent).  The root values in gather order and the
+        cached block lists are not counted."""
         total = self.starts.nbytes + sum(g.nbytes for g in self.gather)
         if self.perm is not None:
             total += self.perm.nbytes

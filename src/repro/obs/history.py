@@ -18,7 +18,7 @@ halves of the measurement loop:
   the standard estimator for best-case wall time) and the current value
   must leave a configurable relative band around it before anything is
   flagged.  Entries only match when bench id *and* knob signature agree:
-  a numba run is never compared against a numpy baseline.
+  a ``reference`` run is never compared against a ``numpy`` baseline.
 
 ``repro bench-diff`` exposes the comparator on the command line and CI
 runs it as a soft-fail gate.  See ``docs/benchmarking.md``.

@@ -7,12 +7,12 @@ writes its own slice of the node's stored rows, so workers produce
 disjoint output ranges: gathers, Hadamard products, and the segmented sums
 all run concurrently with no write conflicts and no reduction pass.
 
-Workers execute through the kernel backend's ``rebuild_chunk`` — the same
+Workers execute through the numpy kernel's ``rebuild_chunk`` — the same
 precomputed flat gather indices and per-thread workspace buffers as the
 sequential engine, so no per-chunk index arithmetic happens on the hot
-path.  Backends without chunk support (``numba``, which parallelizes
-inside the node already, and the whole-node ``reference`` path) fall back
-to the numpy chunk kernel.
+path.  Chunked rebuilds use it whichever backend the engine was given:
+the ``reference`` backend rebuilds whole nodes only, and both backends
+give the same bits.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ..core.coo import CooTensor
 from ..core.dtypes import VALUE_DTYPE
 from ..core.engine import MemoizedMttkrp
 from ..core.validate import check_positive_int
-from ..kernels import get_kernel, resolve_block_rows
+from ..kernels import NumpyKernel, get_kernel, resolve_block_rows
 from ..obs import switch as _switch
 from ..obs import trace as _trace
 from .pool import WorkerPool
@@ -56,9 +56,9 @@ class ParallelMemoizedMttkrp(MemoizedMttkrp):
         self.pool = pool or WorkerPool(n_workers)
         super().__init__(tensor, strategy, factors, symbolic=symbolic,
                          kernel=kernel)
-        self._chunk_kernel = (
-            self._kernel if self._kernel.supports_chunks else get_kernel("numpy")
-        )
+        self._chunk_kernel = (self._kernel
+                              if isinstance(self._kernel, NumpyKernel)
+                              else get_kernel("numpy"))
 
     def close(self) -> None:
         if self._own_pool:

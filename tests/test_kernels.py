@@ -1,6 +1,6 @@
 """Tests for the fused kernel layer (repro.kernels).
 
-The contract: every registered backend computes the same MTTKRP as the
+The contract: every backend computes the same MTTKRP as the
 naive COO baseline, reports identical perf counters, and the ``numpy``
 backend is bitwise identical to the ``reference`` (seed) numeric path.
 """
@@ -19,8 +19,7 @@ from repro.core.symbolic import SymbolicTree
 from repro.kernels import (MAX_CLASS_ROWS, KernelBackend, WorkspaceArena,
                            available_kernels, default_block_rows, get_kernel,
                            length_class_sum, make_node_index,
-                           resolve_block_rows, segment_blocks,
-                           unavailable_kernels)
+                           resolve_block_rows, segment_blocks)
 from repro.kernels.backends import RebuildContext
 from repro.kernels.indices import CLASS_TILE_SOURCES, lexicographic
 from repro.parallel import ParallelMemoizedMttkrp
@@ -180,17 +179,14 @@ class TestRegistry:
         inst = get_kernel("numpy")
         assert get_kernel(inst) is inst
 
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_kernel("no-such-kernel")
-
-    def test_unavailable_backend_falls_back_with_warning(self):
-        if "numba" in BACKENDS:
-            pytest.skip("numba installed: fallback path not reachable")
-        assert "numba" in unavailable_kernels()
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            backend = get_kernel("numba")
-        assert backend.name == "numpy"
+    def test_unknown_name_raises(self, monkeypatch):
+        for name in ("no-such-kernel", "numba"):
+            with pytest.raises(ValueError, match="unknown kernel backend"):
+                get_kernel(name)
+            monkeypatch.setenv("REPRO_KERNEL", name)
+            with pytest.raises(ValueError, match=r"available: \['numpy', "
+                                                 r"'reference'\]"):
+                get_kernel()
 
     def test_available_lists_default_first(self):
         assert BACKENDS[0] == "numpy"
@@ -315,15 +311,9 @@ class TestParallelKernels:
             kernel=backend,
         ) as par:
             for mode in sequential.mode_order:
-                if backend in ("numpy", "reference"):
-                    np.testing.assert_array_equal(
-                        par.mttkrp(mode), sequential.mttkrp(mode)
-                    )
-                else:
-                    np.testing.assert_allclose(
-                        par.mttkrp(mode), sequential.mttkrp(mode),
-                        rtol=AGREEMENT_RTOL, atol=AGREEMENT_RTOL,
-                    )
+                np.testing.assert_array_equal(
+                    par.mttkrp(mode), sequential.mttkrp(mode)
+                )
 
     def test_context_manager_closes_owned_pool(self):
         tensor = random_coo(np.random.default_rng(0), (5, 5, 5), 50)
@@ -408,10 +398,9 @@ class TestKernelIndexCache:
         assert sym.index_nbytes() == index_bytes
 
     def test_gather_arrays_are_flat_and_permuted(self):
-        """Every stored row's sources (``runs()``) are exactly its
-        segment's parent rows, in the plan's order: the parent-row map
-        names the parent's stored row of each, and the gather arrays hold
-        the parent's lexicographic index column for each."""
+        """The parent-row map names the parent's stored row of each
+        source, and the gather arrays hold the parent's lexicographic
+        index column for each, as flat contiguous arrays."""
         rng = np.random.default_rng(4)
         tensor = random_coo(rng, (9, 7, 8, 6), 250)
         sym = SymbolicTree(tensor, S.balanced_binary(4))
@@ -420,7 +409,6 @@ class TestKernelIndexCache:
             if node.is_root:
                 continue
             ki = sym.kernel_index(node.id)
-            plan = sym.nodes[node.id].plan
             parent_order = sym.row_order(node.parent)
             # the parent's lexicographic row behind each source
             stored = (np.arange(ki.n_sources) if ki.perm is None
@@ -433,17 +421,6 @@ class TestKernelIndexCache:
                 assert g.flags.c_contiguous
                 np.testing.assert_array_equal(
                     g, sym.nodes[node.parent].index[source, d_col])
-            row_order = (np.arange(ki.n_segments) if ki.row_order is None
-                         else ki.row_order)
-            lens = np.diff(plan.starts, append=plan.n_sources)
-            run_starts, run_lens, run_strides = ki.runs()
-            for row in range(ki.n_segments):
-                seg = row_order[row]
-                run = (run_starts[row]
-                       + run_strides[row] * np.arange(run_lens[row]))
-                lo = plan.starts[seg]
-                np.testing.assert_array_equal(
-                    source[run], plan.perm[lo:lo + lens[seg]])
             n_layouts += ki.layout is not None
         assert n_layouts > 0
 
@@ -650,21 +627,6 @@ class TestLengthClassSum:
         ki, _ = layout_segment_sum(np.ones((51, 2)), lengths, 64)
         assert ki.layout is None and ki.perm is None
         assert ki.row_order is None
-
-    def test_runs_cover_every_segment_once(self):
-        """``runs()`` (what fused backends iterate) gives each stored row
-        exactly its segment's sources, in order, also across tiles."""
-        lengths = np.array([3, 12, 1, 1, 8, 2, 40, 5, 3, 3, 2], dtype=np.intp)
-        for tile in (1, 4, 4096):
-            ki, _ = layout_segment_sum(np.ones((int(lengths.sum()), 1)),
-                                       lengths, 0, tile)
-            starts = np.cumsum(lengths) - lengths
-            run_starts, run_lens, run_strides = ki.runs()
-            for row, seg in enumerate(ki.row_order):
-                run = (run_starts[row]
-                       + run_strides[row] * np.arange(run_lens[row]))
-                np.testing.assert_array_equal(
-                    ki.perm[run], starts[seg] + np.arange(lengths[seg]))
 
     def test_chunks_map_to_layout_regions(self):
         """Contiguous groups of the cached blocks (the thread tier's
