@@ -18,8 +18,13 @@ from .dtypes import (INDEX_DTYPE, INDEX_ITEMSIZE, VALUE_DTYPE, VALUE_ITEMSIZE,
                      as_index_array, as_value_array)
 from .partition import contiguous_chunks
 from .segreduce import SegmentPlan
-from .validate import (check_finite_values, check_indices_in_bounds,
-                       check_mode, check_shape)
+from .validate import (check_finite_values, check_index_columns,
+                       check_indices_in_bounds, check_mode, check_shape)
+
+
+class _BoundedShape(tuple):
+    """Mode sizes every coordinate has already been checked against, so
+    :class:`CooTensor` skips its own bounds scan."""
 
 
 class CooTensor:
@@ -45,6 +50,7 @@ class CooTensor:
 
     def __init__(self, idx, vals, shape, *, canonical: bool = False,
                  copy: bool = True):
+        bounded = isinstance(shape, _BoundedShape)
         shape = check_shape(shape)
         idx = as_index_array(idx, copy=copy)
         vals = as_value_array(vals, copy=copy)
@@ -56,7 +62,10 @@ class CooTensor:
             raise ValueError(
                 f"idx has {idx.shape[0]} rows but vals has {vals.shape[0]} entries"
             )
-        check_indices_in_bounds(idx, shape)
+        if bounded:
+            check_index_columns(idx, shape)
+        else:
+            check_indices_in_bounds(idx, shape)
         check_finite_values(vals, idx)
         self.shape = shape
         if canonical:
@@ -68,6 +77,14 @@ class CooTensor:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def _from_bounded(cls, idx, vals, shape) -> "CooTensor":
+        """Canonicalize ``idx`` and ``vals`` without copying them or
+        rescanning the coordinates: the caller has checked every column
+        against ``shape`` (:func:`repro.io.frostt.read_tns` takes each
+        column's minimum and maximum anyway)."""
+        return cls(idx, vals, _BoundedShape(shape), copy=False)
+
     @classmethod
     def empty(cls, shape) -> "CooTensor":
         """An all-zero tensor of the given shape."""

@@ -8,7 +8,10 @@ node's unique coordinate rows once and turns the grouping into the node's
 rebuild is a gather + Hadamard + segmented-sum with no sorting or hashing.
 
 Only what the rebuilds read stays: the kernel indices, the leaves' output
-rows and the root's coordinates (the tensor's own).  Grouping a node is
+rows and the root's coordinates (the tensor's own).  Every array kept but
+the root's coordinates is stored in the narrowest dtype its range fits
+(:func:`~repro.core.dtypes.index_dtype`): mode coordinates in ``uint16``
+up to 65,536 rows, positions in ``int32``.  Grouping a node is
 one stable sort of its rows' keys (:func:`~repro.core.rowcodes.stable_groups`),
 whose order and run starts are the kernel index's source order and segment
 starts; no :class:`~repro.core.segreduce.SegmentPlan` is built.  An interior
@@ -26,7 +29,7 @@ import numpy as np
 from . import rowcodes
 from ..kernels.indices import NodeKernelIndex, make_node_index
 from .coo import CooTensor
-from .dtypes import VALUE_ITEMSIZE
+from .dtypes import VALUE_ITEMSIZE, index_dtype
 from .segreduce import SegmentPlan
 from .strategy import MemoStrategy
 
@@ -34,6 +37,12 @@ from .strategy import MemoStrategy
 def _group(tensor: CooTensor, idx: np.ndarray, modes) -> tuple:
     """``rowcodes.group_rows`` of ``idx``, whose columns are ``modes``."""
     return rowcodes.group_rows(idx, [tensor.shape[m] for m in modes])
+
+
+def _narrow(column: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``column`` cast to ``dtype``; a strided view of the tensor's own
+    coordinates when they already are ``dtype``."""
+    return column if column.dtype == dtype else column.astype(dtype)
 
 
 def _index_block(tensor: CooTensor, modes: tuple[int, ...]) -> np.ndarray:
@@ -114,8 +123,11 @@ class SymbolicTree:
             tensor=tensor,
         )
         # a node's unique rows over its modes, lexicographic, one array
-        # per mode
-        blocks = {root.id: [tensor.idx[:, j] for j in range(tensor.ndim)]}
+        # per mode in the mode's coordinate dtype: narrowed once here, so
+        # every gather column and leaf row taken from them is born narrow
+        blocks = {root.id: [
+            _narrow(tensor.idx[:, j], index_dtype(n, coordinate=True))
+            for j, n in enumerate(tensor.shape)]}
         for nid in strat.topological_order():
             node = strat.nodes[nid]
             if node.is_root:

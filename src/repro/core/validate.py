@@ -7,7 +7,7 @@ back at the user-facing parameter.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,8 +48,9 @@ def check_mode(mode, ndim: int, name: str = "mode") -> int:
     return mode
 
 
-def check_indices_in_bounds(idx: np.ndarray, shape: Sequence[int]) -> None:
-    """Validate an ``nnz x N`` coordinate array against ``shape``."""
+def check_index_columns(idx: np.ndarray, shape: Sequence[int]) -> None:
+    """Validate that a coordinate array is ``nnz x N`` for an order-``N``
+    ``shape``."""
     if idx.ndim != 2:
         raise ValueError(f"coordinate array must be 2-D, got ndim={idx.ndim}")
     if idx.shape[1] != len(shape):
@@ -57,6 +58,23 @@ def check_indices_in_bounds(idx: np.ndarray, shape: Sequence[int]) -> None:
             f"coordinate array has {idx.shape[1]} columns but shape has "
             f"{len(shape)} modes"
         )
+
+
+def check_max_in_bounds(maxima: Iterable[int], shape: Sequence[int]) -> None:
+    """Validate each mode's largest coordinate ``maxima[mode]`` against
+    ``shape`` (an iterable, so the maxima may be computed lazily)."""
+    for mode, hi in enumerate(maxima):
+        hi = int(hi)
+        if hi >= shape[mode]:
+            raise ValueError(
+                f"index {hi} out of bounds for mode {mode} of size "
+                f"{shape[mode]}"
+            )
+
+
+def check_indices_in_bounds(idx: np.ndarray, shape: Sequence[int]) -> None:
+    """Validate an ``nnz x N`` coordinate array against ``shape``."""
+    check_index_columns(idx, shape)
     if idx.shape[0] == 0:
         return
     # One column at a time: a reduction over axis 0 of a C-ordered block
@@ -65,13 +83,7 @@ def check_indices_in_bounds(idx: np.ndarray, shape: Sequence[int]) -> None:
     for mode, col in enumerate(columns):
         if col.min() < 0:
             raise ValueError(f"negative index in mode {mode}")
-    for mode, col in enumerate(columns):
-        hi = int(col.max())
-        if hi >= shape[mode]:
-            raise ValueError(
-                f"index {hi} out of bounds for mode {mode} of size "
-                f"{shape[mode]}"
-            )
+    check_max_in_bounds((col.max() for col in columns), shape)
 
 
 def check_finite_values(vals: np.ndarray, idx: np.ndarray) -> None:

@@ -18,6 +18,8 @@ import numpy as np
 
 from ..core.coo import CooTensor
 from ..core.dtypes import INDEX_DTYPE, VALUE_DTYPE
+from ..core.validate import (check_index_columns, check_max_in_bounds,
+                             check_shape)
 
 
 def _open(path, mode: str):
@@ -160,9 +162,15 @@ def read_tns(path, *, shape: Sequence[int] | None = None) -> CooTensor:
     columns = [idx[:, j] for j in range(idx.shape[1])]
     if any(col.min() < 0 for col in columns):
         raise ValueError(f"{path}: coordinates must be 1-based positive")
+    maxima = [int(col.max()) for col in columns]
     if shape is None:
-        shape = tuple(int(col.max()) + 1 for col in columns)
-    return CooTensor(idx, vals, shape, copy=False)
+        shape = tuple(hi + 1 for hi in maxima)
+    else:
+        shape = check_shape(shape)
+        check_index_columns(idx, shape)
+        check_max_in_bounds(maxima, shape)
+    # every coordinate is now known to be in bounds: no second scan
+    return CooTensor._from_bounded(idx, vals, shape)
 
 
 def write_tns(tensor: CooTensor, path) -> None:

@@ -58,10 +58,17 @@ def segment_blocks(starts: np.ndarray, n_sources: int, block_rows: int):
         lo = int(starts[0])
         yield lo, n_sources, 0, n_segments, starts - lo
         return
+    # The search key is a scalar of ``starts``' own dtype: a Python int
+    # makes ``searchsorted`` cast a narrow ``starts`` whole on every call.
+    # Past the last start every key finds the same segment, so capping the
+    # key at ``n_sources - 1`` keeps it in range without changing a block.
+    key = starts.dtype.type
     seg = 0
     while seg < n_segments:
         lo = int(starts[seg])
-        nxt = int(np.searchsorted(starts, lo + block_rows, side="right")) - 1
+        nxt = int(np.searchsorted(
+            starts, key(min(lo + block_rows, n_sources - 1)),
+            side="right")) - 1
         if nxt <= seg:
             nxt = seg + 1  # one oversized segment: take it whole
         hi = int(starts[nxt]) if nxt < n_segments else n_sources

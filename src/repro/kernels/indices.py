@@ -52,6 +52,14 @@ are the class regions' blocks; ``REPRO_KERNEL_BLOCK`` sizes only the
 its run, in gather order.  Region 0's ``reduceat`` offsets are a view of
 its head, so a node's reduction structure costs one index per row.
 
+**Widths.**  Every array is kept in the narrowest dtype its range fits
+(:func:`~repro.core.dtypes.index_dtype`): the gather columns in their
+mode's coordinate dtype (``uint16`` up to 65,536 rows, else ``int32``),
+the parent-row map, the starts and the row order in ``int32``; ``int64``
+only past ``2**31``.  ``np.take`` and fancy indexing accept them as they
+are, so the values and the bits of every result are those of ``intp``
+indices.
+
 The symbolic pass builds every node's index right after grouping the node
 (:class:`~repro.core.symbolic.SymbolicTree`), from the stable order and run
 starts of one sort (:func:`~repro.core.rowcodes.stable_groups`); the
@@ -64,6 +72,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.dtypes import index_dtype
 from .blocking import segment_blocks
 
 #: longest segment summed by a length class; ``np.add.reduceat`` switches
@@ -128,8 +137,10 @@ def length_class_layout(starts: np.ndarray, n_sources: int,
 
     ``order`` lists the segment-order source positions in layout order,
     ``row_order`` the segment behind each stored row and ``row_starts`` the
-    first layout-order source of each stored row.  O(n): one stable (radix)
-    sort of the segments by class, no pass over sources per class.
+    first layout-order source of each stored row, the last two in their
+    kept dtypes (:func:`~repro.core.dtypes.index_dtype`).  O(n): one
+    stable (radix) sort of the segments by class, no pass over sources per
+    class.
     """
     if starts.shape[0] == 0:
         return None
@@ -159,7 +170,7 @@ def length_class_layout(starts: np.ndarray, n_sources: int,
             i = j % max(1, tile // c)
             row_starts.append(src_bounds[c] + (j - i) * c + i)
     order = np.concatenate(parts)
-    row_starts = np.concatenate(row_starts).astype(np.intp, copy=False)
+    row_starts = np.concatenate(row_starts, dtype=index_dtype(n_sources))
     layout = LengthClassLayout(
         long_starts=row_starts[:counts[0]],
         seg_bounds=tuple(int(b) for b in seg_bounds),
@@ -167,7 +178,8 @@ def length_class_layout(starts: np.ndarray, n_sources: int,
         tile=int(tile),
     )
     return (order.astype(np.intp, copy=False),
-            row_order.astype(np.intp, copy=False), row_starts, layout)
+            row_order.astype(index_dtype(starts.shape[0])), row_starts,
+            layout)
 
 
 def length_class_sum(block: np.ndarray, width: int, out: np.ndarray) -> None:
@@ -309,6 +321,11 @@ def make_node_index(node_id: int, delta_modes: tuple[int, ...], columns,
     the parent's ``row_order`` (``None`` = lexicographic; always for the
     root).
 
+    The gather arrays keep the dtype of ``columns`` (the symbolic pass hands
+    them over already narrowed to their modes' coordinate dtype); the
+    parent-row map, the starts and the row order are stored in the
+    position dtype of their range (:func:`~repro.core.dtypes.index_dtype`).
+
     The length-class layout applies only where it adds no pass: when the
     node gathers its parent's value rows anyway (its plan permutes them,
     or the parent stores them out of lexicographic order), or reads root
@@ -317,6 +334,8 @@ def make_node_index(node_id: int, delta_modes: tuple[int, ...], columns,
     slices; reordering would turn that into an ``(n, R)`` gather per
     rebuild.  An identity node inherits its parent's row order instead.
     """
+    # positions below ``n_sources``: the parent-row map and the starts
+    positions = index_dtype(n_sources)
     starts = np.ascontiguousarray(starts, dtype=np.intp)
     # ``source``: the parent's lexicographic row behind each source.
     source = (None if plan_perm is None
@@ -334,15 +353,19 @@ def make_node_index(node_id: int, delta_modes: tuple[int, ...], columns,
                 source = order if source is None else source[order]
         perm = source
         if parent_row_order is not None:
+            # the parent's row order holds positions below ``n_sources``
+            # already, so its inverse and ``perm`` come out narrow
             parent_pos = np.empty_like(parent_row_order)
             parent_pos[parent_row_order] = np.arange(
                 parent_row_order.shape[0], dtype=parent_row_order.dtype)
             perm = parent_pos if source is None else parent_pos[source]
+        elif perm is not None:
+            perm = perm.astype(positions)
     gather = tuple(
-        np.ascontiguousarray(col if source is None else col[source],
-                             dtype=np.intp)
+        np.ascontiguousarray(col if source is None else col[source])
         for col in columns
     )
+    starts = starts.astype(positions, copy=False)
     return NodeKernelIndex(
         node_id=node_id, delta_modes=tuple(delta_modes), gather=gather,
         perm=perm, starts=starts, n_sources=n_sources, identity=identity,

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.dtypes import INDEX_ITEMSIZE, VALUE_ITEMSIZE
+from ..core.dtypes import (INDEX_ITEMSIZE, MAX_UINT16_ROWS, VALUE_ITEMSIZE,
+                           index_dtype)
 from ..core.engine import contraction_work
 from ..core.strategy import MemoStrategy
 from ..core.symbolic import SymbolicTree
@@ -138,7 +139,8 @@ class NodeCostTerms:
 
 
 def node_cost_terms(
-    strategy: MemoStrategy, node_nnz: Sequence[int], rank: int
+    strategy: MemoStrategy, node_nnz: Sequence[int], rank: int,
+    shape: Sequence[int] | None = None,
 ) -> list[NodeCostTerms]:
     """Per-node decomposition of one iteration's predicted flops/words.
 
@@ -147,7 +149,8 @@ def node_cost_terms(
     rebuild from its parent (``contraction_work``) plus, for leaves, the
     scatter read of its value matrix into the MTTKRP output.  Byte terms
     mirror :func:`simulate_peak_value_bytes` (value matrices) and
-    :func:`symbolic_index_bytes` (index arrays) per node.
+    :func:`symbolic_index_bytes` (index arrays, priced for the mode sizes
+    ``shape``) per node.
     """
     if len(node_nnz) != len(strategy.nodes):
         raise ValueError(
@@ -166,7 +169,8 @@ def node_cost_terms(
                 node_id=node.id, modes=node.modes, parent=None, delta=(),
                 nnz=nnz_t, parent_nnz=None, flops=0, words=0,
                 scatter_words=0, value_bytes=0,
-                index_bytes=node_index_bytes(strategy, node_nnz, node.id),
+                index_bytes=node_index_bytes(strategy, node_nnz, node.id,
+                                             shape),
                 rebuild_mode=None,
             ))
             continue
@@ -178,7 +182,7 @@ def node_cost_terms(
             delta=node.delta, nnz=nnz_t, parent_nnz=parent_nnz,
             flops=flops, words=words + scatter, scatter_words=scatter,
             value_bytes=nnz_t * rank * VALUE_ITEMSIZE,
-            index_bytes=node_index_bytes(strategy, node_nnz, node.id),
+            index_bytes=node_index_bytes(strategy, node_nnz, node.id, shape),
             rebuild_mode=rebuild_mode.get(node.id),
         ))
     return terms
@@ -241,37 +245,53 @@ def simulate_peak_value_bytes(
 
 
 def node_index_bytes(
-    strategy: MemoStrategy, node_nnz: Sequence[int], node_id: int
+    strategy: MemoStrategy, node_nnz: Sequence[int], node_id: int,
+    shape: Sequence[int] | None = None,
 ) -> int:
     """Bytes of the index arrays node ``node_id`` keeps for the run
     (``SymbolicTree.node_index_nbytes``).
 
-    Root: the tensor's coordinates (``nnz * N`` indices; counted, since the
-    model compares storage across strategies that all share it).  Non-root
-    node ``t`` with parent ``p``: one gather column per delta mode and the
-    parent-row map (``nnz_p`` indices each), segment starts and row order
-    (``nnz_t`` each), a leaf's output rows (``nnz_t``), and for a root
-    child the root values in gather order (``nnz_p`` values).  A node
-    without a parent-row map or an own row order holds less, so the model
-    is an upper bound, exact for nodes that carry both.
+    Root: the tensor's ``int64`` coordinates (``nnz * N`` indices; counted,
+    since the model compares storage across strategies that all share it).
+    Non-root node ``t`` with parent ``p``: one gather column per delta mode
+    (``nnz_p`` coordinates of that mode) and the parent-row map (``nnz_p``
+    positions below ``nnz_p``), segment starts (``nnz_t`` positions below
+    ``nnz_p``), its row order (``nnz_t`` positions below ``nnz_t``), a
+    leaf's output rows (``nnz_t`` coordinates of its mode), and for a root
+    child the root values in gather order (``nnz_p`` values).  Each array
+    is priced at the dtype the symbolic pass stores it in
+    (:func:`~repro.core.dtypes.index_dtype` of its range; ``shape`` gives
+    the mode sizes, and without it every mode is taken to fit ``uint16``).
+    A node without a parent-row map or an own row order holds less, so the
+    model is an upper bound, exact for nodes that carry both.
     """
     node = strategy.nodes[node_id]
     nnz_t = int(node_nnz[node_id])
     if node.parent is None:
         return nnz_t * len(node.modes) * INDEX_ITEMSIZE
+
+    def coordinate_bytes(mode: int) -> int:
+        rows = MAX_UINT16_ROWS if shape is None else shape[mode]
+        return index_dtype(rows, coordinate=True).itemsize
+
     nnz_p = int(node_nnz[node.parent])
-    indices = (len(node.delta) + 1) * nnz_p + 2 * nnz_t
+    below_p = index_dtype(nnz_p).itemsize
+    nbytes = (nnz_p * sum(coordinate_bytes(d) for d in node.delta)
+              + (nnz_p + nnz_t) * below_p
+              + nnz_t * index_dtype(nnz_t).itemsize)
     if node.is_leaf:
-        indices += nnz_t
-    values = nnz_p if strategy.nodes[node.parent].is_root else 0
-    return indices * INDEX_ITEMSIZE + values * VALUE_ITEMSIZE
+        nbytes += nnz_t * coordinate_bytes(node.modes[0])
+    if strategy.nodes[node.parent].is_root:
+        nbytes += nnz_p * VALUE_ITEMSIZE
+    return nbytes
 
 
-def symbolic_index_bytes(strategy: MemoStrategy, node_nnz: Sequence[int]) -> int:
+def symbolic_index_bytes(strategy: MemoStrategy, node_nnz: Sequence[int],
+                         shape: Sequence[int] | None = None) -> int:
     """Bytes of the persistent index arrays, an upper bound on
     ``SymbolicTree.index_nbytes`` (:func:`node_index_bytes` summed over
     the nodes)."""
-    return sum(node_index_bytes(strategy, node_nnz, node.id)
+    return sum(node_index_bytes(strategy, node_nnz, node.id, shape)
                for node in strategy.nodes)
 
 
@@ -280,8 +300,10 @@ def cost_report(
     node_nnz: Sequence[int],
     rank: int,
     machine: MachineModel = DEFAULT_MACHINE,
+    shape: Sequence[int] | None = None,
 ) -> CostReport:
-    """Assemble a :class:`CostReport` from per-node nonzero counts."""
+    """Assemble a :class:`CostReport` from per-node nonzero counts (and
+    the tensor's mode sizes ``shape``, which set the index widths)."""
     if len(node_nnz) != len(strategy.nodes):
         raise ValueError(
             f"node_nnz has {len(node_nnz)} entries for "
@@ -294,7 +316,7 @@ def cost_report(
         flops_per_iteration=flops,
         words_per_iteration=words,
         peak_value_bytes=simulate_peak_value_bytes(strategy, node_nnz, rank),
-        index_bytes=symbolic_index_bytes(strategy, node_nnz),
+        index_bytes=symbolic_index_bytes(strategy, node_nnz, shape),
         node_nnz=list(node_nnz),
         predicted_seconds=machine.seconds(flops, words),
     )
@@ -304,7 +326,8 @@ def cost_from_symbolic(
     symbolic: SymbolicTree, rank: int, machine: MachineModel = DEFAULT_MACHINE
 ) -> CostReport:
     """Cost report using exact node sizes from a built symbolic tree."""
-    return cost_report(symbolic.strategy, symbolic.node_nnz(), rank, machine)
+    return cost_report(symbolic.strategy, symbolic.node_nnz(), rank, machine,
+                       symbolic.tensor.shape)
 
 
 # -- parallel scaling model ------------------------------------------------

@@ -100,7 +100,8 @@ def _score(strategy: MemoStrategy, counter: DistinctCounter, rank: int,
     if strategy.n_modes != ndim:
         raise ValueError(f"candidate {strategy.name!r} covers "
                          f"{strategy.n_modes} modes, tensor has {ndim}")
-    report = cost_report(strategy, counter.node_nnz(strategy), rank, machine)
+    report = cost_report(strategy, counter.node_nnz(strategy), rank, machine,
+                         counter.tensor.shape)
     feasible = (
         memory_budget is None or report.total_memory_bytes <= memory_budget
     )

@@ -218,7 +218,7 @@ def explain_plan(
     for pos, scored in enumerate(report.scored, start=1):
         cost = scored.cost
         strat = scored.strategy
-        terms = node_cost_terms(strat, cost.node_nnz, rank)
+        terms = node_cost_terms(strat, cost.node_nnz, rank, tensor.shape)
         sec_flops = machine_model.alpha_per_flop * cost.flops_per_iteration
         sec_words = machine_model.beta_per_word * cost.words_per_iteration
         margin = scored.predicted_seconds - best.predicted_seconds
