@@ -51,6 +51,9 @@ class _HopelessRestartStopper:
     telemetry state, so repeated runs cut the same restarts at the same
     iterations.  A wrapped user callback still runs first and its truthy
     return is honored unrecorded (it is the caller's stop, not ours).
+    Like any ``cp_als`` callback, both see a model that shares the run's
+    arrays, read-only, for the duration of the call only: copy it to keep
+    it.
     """
 
     def __init__(self, index: int, record: dict, *, window: int,

@@ -2,8 +2,8 @@
 
 Every MTTKRP provider — the memoized engine and each baseline — satisfies the
 same small protocol (``set_factors`` / ``update_factor`` / ``mttkrp`` /
-``mode_order`` / ``factors``) so the CP-ALS driver and the benchmark harness
-can swap them freely.
+``mttkrp_rows`` / ``mode_order`` / ``factors``) so the CP-ALS driver and
+the benchmark harness can swap them freely.
 """
 
 from __future__ import annotations
@@ -63,6 +63,11 @@ class MttkrpBackend:
 
     def mttkrp(self, mode: int) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def mttkrp_rows(self, mode: int, rows: np.ndarray) -> np.ndarray:
+        """The mode-``mode`` MTTKRP on ``rows`` alone (the mode's nonempty
+        rows, ascending): the full result's rows, gathered."""
+        return np.take(self.mttkrp(mode), rows, axis=0)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(nnz={self.tensor.nnz}, rank={self._rank})"

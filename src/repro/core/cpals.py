@@ -1,11 +1,12 @@
 """CP-ALS: alternating least squares for the CP decomposition.
 
 The driver is backend-agnostic: any object providing ``set_factors`` /
-``update_factor`` / ``mttkrp`` / ``mode_order`` can supply the MTTKRP, so the
-same loop runs the memoized engine (any strategy), the planner-selected
-engine, and the baseline implementations — which is what makes the paper's
-comparisons apples-to-apples.  ``mttkrp`` must return a fresh array: in a
-mode with empty slices the driver writes the updated factor into it.
+``update_factor`` / ``mttkrp`` / ``mttkrp_rows`` / ``mode_order`` can supply
+the MTTKRP, so the same loop runs the memoized engine (any strategy), the
+planner-selected engine, and the baseline implementations — which is what
+makes the paper's comparisons apples-to-apples.  The driver keeps one factor
+array per mode for the whole run, the one ``set_factors`` installed, and
+writes each update into it; it never writes to an MTTKRP result.
 """
 
 from __future__ import annotations
@@ -156,7 +157,10 @@ def cp_als(
         returning a truthy value stops the run after that iteration
         (without marking it converged) — the hook
         :func:`repro.algos.restarts.cp_als_restarts` uses for its
-        ``early_stop`` hopeless-restart cutoff.
+        ``early_stop`` hopeless-restart cutoff.  ``model`` shares the
+        run's weight and factor arrays: they are read-only, and they hold
+        that iteration's values only until the call returns.  To keep the
+        model, copy it: ``KruskalTensor(model.weights, model.factors)``.
     """
     check_positive_int(rank, "rank")
     check_positive_int(n_iter_max, "n_iter_max")
@@ -211,7 +215,7 @@ def _cp_als_run(
         engine = MemoizedMttkrp(tensor, chosen)
         strategy_name = engine.strategy.name
     engine.set_factors(factors)
-    del factors  # the engine holds them; updates replace its copies
+    del factors  # the engine holds them; updates are written into them
     setup_time = time.perf_counter() - t0
 
     observers = _observer.start_run(
@@ -235,12 +239,12 @@ def _cp_als_run(
         last: tuple[np.ndarray, np.ndarray] | None = None
         for n in mode_order:
             set_solve_site(iteration, n)
-            M = engine.mttkrp(n)
             rows = supports[n]
+            M = (engine.mttkrp(n) if rows is None
+                 else engine.mttkrp_rows(n, rows))
             with _obs.span("factor_solve", mode=n):
                 H = grams.combined(skip=n)
-                M_rows = M if rows is None else np.take(M, rows, axis=0)
-                U = solve_normal_equations(M_rows, H)
+                U = solve_normal_equations(M, H)
                 # First iteration: 2-norm normalization settles scale;
                 # later iterations use max-norm so weights track
                 # convergence smoothly (the Tensor Toolbox convention).
@@ -249,15 +253,23 @@ def _cp_als_run(
                 )
                 norms = np.where(norms > 0, norms, 1.0)
                 weights = norms
-                last = M_rows, U
-                if rows is not None:
-                    # M is zero off the support: it becomes the new factor.
-                    M[rows] = U
-                    U = M
+                last = M, U
+                F = engine.factors[n]
+                # Observers compare against the factor before the update,
+                # which the in-place write below overwrites.
+                previous = F.copy() if observers else None
+                if rows is None:
+                    F[...] = U
+                else:
+                    if iteration == 0:
+                        # The rows of empty slices are exactly zero from
+                        # the mode's first update on.
+                        F.fill(0.0)
+                    F[rows] = U
                 for observer in observers:
-                    observer.observe_mode(n, H, engine.factors[n], U)
-                engine.update_factor(n, U)
-                grams.update(n, U)
+                    observer.observe_mode(n, H, previous, F)
+                engine.update_factor(n, F)
+                grams.update(n, F)
         assert last is not None
         return last
 
@@ -285,7 +297,7 @@ def _cp_als_run(
                 # A truthy return requests early termination (used by
                 # cp_als_restarts' hopeless-restart cutoff).
                 if callback(iteration, fit,
-                            KruskalTensor(weights, engine.factors)):
+                            _read_only_model(weights, engine.factors)):
                     break
             if tol > 0 and iteration > 0 and abs(fits[-1] - fits[-2]) < tol:
                 converged = True
@@ -293,6 +305,10 @@ def _cp_als_run(
     finally:
         set_solve_site(None, None)
 
+    if isinstance(engine, MemoizedMttkrp):
+        # The cached node values are done with: free them before the
+        # returned model is built.
+        engine.invalidate_all()
     # normalize() allocates new factors, so no copy is needed first
     ktensor = KruskalTensor(weights, engine.factors, copy=False).normalize()
     total = setup_time + float(np.sum(iter_times))
@@ -318,6 +334,17 @@ def _cp_als_run(
         memory_readings=readings("mem"),
         health_readings=readings("health"),
     )
+
+
+def _read_only_model(weights: np.ndarray,
+                     factors: Sequence[np.ndarray]) -> KruskalTensor:
+    """A model over read-only views of the run's live arrays (no copy)."""
+    views = []
+    for array in (weights, *factors):
+        view = array.view()
+        view.flags.writeable = False
+        views.append(view)
+    return KruskalTensor(views[0], views[1:], copy=False)
 
 
 def _nonempty_rows(tensor: CooTensor, mode: int,

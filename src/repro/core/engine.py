@@ -149,8 +149,10 @@ class MemoizedMttkrp:
     # ------------------------------------------------------------------
     # numeric phase
     # ------------------------------------------------------------------
-    def mttkrp(self, mode: int) -> np.ndarray:
-        """The mode-``n`` MTTKRP ``M^(n)`` (shape ``I_n x R``).
+    def mttkrp(self, mode: int,
+               rows: np.ndarray | None = None) -> np.ndarray:
+        """The mode-``n`` MTTKRP ``M^(n)`` (shape ``I_n x R``), or only its
+        rows ``rows`` when given (see :meth:`mttkrp_rows`).
 
         Entering mode ``n``'s sub-iteration eagerly frees every cached node
         contracted with ``n``: those values are doomed (the imminent factor
@@ -168,14 +170,34 @@ class MemoizedMttkrp:
             self._ensure_node(leaf_id)
             vals = self._values[leaf_id]
             assert vals is not None
+            perf.record(mttkrps=1, words=vals.size)
+            if _switch.is_on("trace"):
+                self._publish_memory_gauges()
+            if rows is not None:
+                if len(rows) != vals.shape[0]:
+                    raise ValueError(
+                        f"mode {mode} has {vals.shape[0]} nonempty rows, "
+                        f"got {len(rows)}"
+                    )
+                return lexicographic(vals, self.symbolic.row_order(leaf_id))
             out = np.zeros(
                 (self.tensor.shape[mode], self.rank), dtype=VALUE_DTYPE
             )
             out[self.symbolic.leaf_rows(leaf_id)] = vals
-            perf.record(mttkrps=1, words=vals.size)
-            if _switch.is_on("trace"):
-                self._publish_memory_gauges()
             return out
+
+    def mttkrp_rows(self, mode: int, rows: np.ndarray) -> np.ndarray:
+        """``M^(n)`` on the mode's nonempty rows ``rows`` (ascending).
+
+        Those rows are exactly the leaf's, so its value rows are the
+        result: no zero fill and no scatter.  They are returned as stored
+        when the leaf keeps them in lexicographic (ascending-row) order,
+        else reordered into a new array.  The result may be the engine's
+        cached node value, so callers must not write to it.  It delegates
+        to :meth:`mttkrp`, so every MTTKRP passes one entry point that a
+        timing probe can wrap.
+        """
+        return self.mttkrp(mode, rows)
 
     def node_tensor(self, node_id: int) -> SemiSparseTensor:
         """Materialize a node's semi-sparse tensor (computing if needed),
